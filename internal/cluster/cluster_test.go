@@ -141,6 +141,66 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestCursorMatchesCallback drains the same queries from a two-node
+// cluster three ways — the cursor (rows retained and read only after
+// Close), the per-row callback (rows read inside the call, as its
+// contract demands) and CollectQueryContext — and requires identical
+// row sets. Each node ships several 'R' frames, so frame-sized batches
+// cross the merge and the cursor in both interleavings.
+func TestCursorMatchesCallback(t *testing.T) {
+	coord, s := startCluster(t, gen.IparsSpec{
+		Realizations: 2, TimeSteps: 10, GridPoints: 300, Partitions: 2,
+		Attrs: 4, Seed: 35,
+	})
+	ctx := context.Background()
+	for _, sql := range []string{
+		"SELECT * FROM IparsData",
+		"SELECT SOIL, TIME, X FROM IparsData WHERE SGAS > 0.5 AND TIME >= 2",
+		"SELECT TIME, COUNT(*), AVG(SOIL) FROM IparsData GROUP BY TIME",
+		"SELECT * FROM IparsData WHERE TIME > 100", // empty
+	} {
+		rows, err := coord.QueryContext(ctx, sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		var kept []table.Row
+		for rows.Next() {
+			kept = append(kept, rows.Row())
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("%q: cursor: %v", sql, err)
+		}
+		cursor := sortedKeys(kept)
+
+		var callback []string
+		if _, err := coord.QueryFuncContext(ctx, sql, func(r table.Row) error {
+			callback = append(callback, table.FormatRow(r))
+			return nil
+		}); err != nil {
+			t.Fatalf("%q: callback: %v", sql, err)
+		}
+		sort.Strings(callback)
+
+		collected, _, err := coord.CollectQueryContext(ctx, sql)
+		if err != nil {
+			t.Fatalf("%q: collect: %v", sql, err)
+		}
+		if sql == "SELECT * FROM IparsData" && int64(len(kept)) != s.IparsTotalRows() {
+			t.Errorf("full scan returned %d rows, want %d", len(kept), s.IparsTotalRows())
+		}
+		for name, other := range map[string][]string{"callback": callback, "collect": sortedKeys(collected)} {
+			if len(other) != len(cursor) {
+				t.Fatalf("%q: cursor %d rows, %s %d", sql, len(cursor), name, len(other))
+			}
+			for i := range cursor {
+				if cursor[i] != other[i] {
+					t.Fatalf("%q: row %d: cursor %s, %s %s", sql, i, cursor[i], name, other[i])
+				}
+			}
+		}
+	}
+}
+
 func TestServerSidePartitioning(t *testing.T) {
 	coord, s := startCluster(t, defaultSpec())
 	sinks := []storm.Sink{&storm.SliceSink{}, &storm.SliceSink{}}

@@ -520,44 +520,51 @@ func (p *Prepared) Run(opt Options, emit func(row table.Row) error) (extractor.S
 // reported to the context's obs.Tracer. For a streaming cursor over
 // the same execution, use QueryContext.
 func (p *Prepared) RunContext(ctx context.Context, opt Options, emit func(row table.Row) error) (extractor.Stats, error) {
+	return p.runBatches(ctx, opt, extractor.PerRow(emit))
+}
+
+// runBatches is the execution under RunContext, CollectContext and the
+// QueryContext cursor: projected rows reach deliver a block at a time,
+// under the batch contract of extractor.EmitFunc.
+func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extractor.BatchFunc) (extractor.Stats, error) {
 	if err := opt.Validate(); err != nil {
 		return extractor.Stats{}, err
 	}
 	if p.Agg != nil {
 		// Aggregate query: fold blocks into partials, finalize locally,
-		// emit the (small) aggregated result rows.
+		// deliver the (small, freshly built) aggregated result rows.
 		state, stats, err := p.RunAggPartialContext(ctx, opt)
 		if err != nil {
 			return stats, err
 		}
-		for _, row := range state.Finalize() {
-			if err := emit(row); err != nil {
-				return stats, err
-			}
+		if rows := state.Finalize(); len(rows) > 0 {
+			err = deliver(rows, true)
 		}
-		return stats, nil
+		return stats, err
 	}
 	afcs := p.execAFCs(opt)
-	inner := emit
+	inner := deliver
 	if !p.identityProjection() {
-		out := make(table.Row, len(p.Cols))
-		inner = func(row table.Row) error {
-			for i, wi := range p.project {
-				out[i] = row[wi]
+		// Project each batch into a scratch matrix that is sized by the
+		// batches seen (a point query never pays for a full block) and
+		// reused, so the projected batch is borrowed.
+		var out []table.Row
+		inner = func(rows []table.Row, _ bool) error {
+			if len(out) < len(rows) {
+				out = table.Matrix(max(len(rows), 2*len(out)), len(p.project))
 			}
-			return emit(out)
+			for r, row := range rows {
+				for i, wi := range p.project {
+					out[r][i] = row[wi]
+				}
+			}
+			return deliver(out[:len(rows)], false)
 		}
 	}
 	tracer := obs.TracerFrom(ctx)
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	var stats extractor.Stats
-	var err error
-	if opt.Parallel {
-		stats, err = extractor.RunParallelContext(ctx, afcs, p.svc.resolver, xopt, inner)
-	} else {
-		stats, err = extractor.RunContext(ctx, afcs, p.svc.resolver, xopt, inner)
-	}
+	stats, err := extractor.RunBatchesContext(ctx, afcs, p.svc.resolver, xopt, opt.Parallel, inner)
 	endExtract(err)
 	tracer.StageEnd(p.sqlText, obs.StageFilter, time.Duration(stats.FilterNS), err)
 	p.reportRun(tracer, stats)
@@ -732,8 +739,12 @@ func (p *Prepared) Collect(opt Options) ([]table.Row, extractor.Stats, error) {
 // Rows cursor, which does not materialize the result set.
 func (p *Prepared) CollectContext(ctx context.Context, opt Options) ([]table.Row, extractor.Stats, error) {
 	var rows []table.Row
-	stats, err := p.RunContext(ctx, opt, func(r table.Row) error {
-		rows = append(rows, append(table.Row(nil), r...))
+	stats, err := p.runBatches(ctx, opt, func(batch []table.Row, owned bool) error {
+		if owned {
+			rows = append(rows, batch...)
+		} else {
+			rows = table.CopyRows(rows, batch)
+		}
 		return nil
 	})
 	return rows, stats, err

@@ -12,6 +12,7 @@ package extractor
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -19,6 +20,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"datavirt/internal/afc"
@@ -139,14 +141,39 @@ func (s *Stats) Add(o Stats) {
 
 // EmitFunc receives each surviving row.
 //
-// Row reuse contract (the one canonical statement; every emitting API
-// in this module — extractor.Run*, core.Prepared.Run*, the cluster
-// coordinator's emit callbacks, and storm.Sink.Send — follows it): the
-// row slice and its backing array are owned by the extractor and
-// reused for the next row; an implementation that retains a row beyond
-// the call must copy it (append(table.Row(nil), row...)). The
-// core.Rows cursor performs this copy for its caller.
+// Delivery and row-reuse contract (the one canonical statement; every
+// emitting API in this module — extractor.Run*, core.Prepared.Run*, the
+// runner handed to core.NewRows, the cluster coordinator's callbacks,
+// and storm.Sink.Send — follows it). Rows travel a block at a time: the
+// survivors of one extraction block (1 to MaxBatchRows rows) reach a
+// BatchFunc as one batch, and an EmitFunc sees the same batches
+// unrolled row by row (PerRow). Every row an EmitFunc sees, and every
+// batch a BatchFunc is handed with owned == false, is borrowed: the row
+// slices and their backing array belong to the producer and are
+// overwritten by the next block, so a receiver that retains rows beyond
+// the call copies the batch once with table.CopyRows. A batch handed
+// over with owned == true is freshly allocated memory the producer
+// never touches again; the receiver keeps it as is. The core.Rows
+// cursor only ever hands out rows of the second kind: they are never
+// reused, and a retained row pins at most the batch it arrived in.
 type EmitFunc func(row table.Row) error
+
+// BatchFunc receives one block's surviving rows; see EmitFunc for the
+// ownership contract. rows is never empty.
+type BatchFunc func(rows []table.Row, owned bool) error
+
+// PerRow unrolls batch delivery into per-row emit calls — the one place
+// a per-row callback API is laid over the block-granular pipeline.
+func PerRow(emit EmitFunc) BatchFunc {
+	return func(rows []table.Row, _ bool) error {
+		for _, r := range rows {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
 
 // Options configure an extraction run. Rows are delivered under the
 // reuse contract documented on EmitFunc.
@@ -311,18 +338,7 @@ func Run(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, 
 // surviving row, and returns run statistics. Cancelling ctx stops the
 // run between block reads; the context's error is returned.
 func RunContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	src, done := runSource(opt)
-	defer done()
-	var stats Stats
-	pool := newSegPool(src, resolver)
-	defer pool.release()
-	bb := &blockBuf{}
-	for i := range afcs {
-		if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, nil, emit); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
+	return RunBatchesContext(ctx, afcs, resolver, opt, false, PerRow(emit))
 }
 
 // RunParallel extracts AFCs with a bounded worker pool and a background
@@ -335,29 +351,51 @@ func RunParallel(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) 
 // delivered to emit from a single collector goroutine, so emit needs no
 // locking; row order across AFCs is unspecified (as in the paper's
 // middleware, which partitions and ships tuples as they are produced).
-// Cancelling ctx stops the feeder and every worker between block reads;
-// all goroutines have exited by the time the call returns.
+// Cancelling ctx stops every worker between block reads; all goroutines
+// have exited by the time the call returns.
 func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(afcs) {
-		workers = len(afcs)
-	}
-	if workers <= 1 {
-		return RunContext(ctx, afcs, resolver, opt, emit)
-	}
+	return RunBatchesContext(ctx, afcs, resolver, opt, true, PerRow(emit))
+}
 
+// RunBatchesContext is the engine under every Run* form: it extracts
+// the AFCs — sequentially, or with parallel set through a bounded worker
+// pool — and hands each block's surviving rows to deliver as one batch.
+// Sequential batches are borrowed from the run's block buffer; parallel
+// workers copy each block's survivors into a slab of their own to cross
+// goroutines, so those batches arrive owned. deliver is only ever
+// called on the calling goroutine. Cancellation and goroutine lifetime
+// are as documented on RunContext and RunParallelContext.
+func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, deliver BatchFunc) (Stats, error) {
+	workers := 1
+	if parallel {
+		workers = opt.Workers
+		if workers <= 0 {
+			workers = defaultWorkers()
+		}
+		if workers > len(afcs) {
+			workers = len(afcs)
+		}
+	}
 	src, srcDone := runSource(opt)
 	defer srcDone()
 
-	type batch struct {
-		rows  []table.Row
-		stats Stats
+	if workers <= 1 {
+		var stats Stats
+		pool := newSegPool(src, resolver)
+		defer pool.release()
+		bb := &blockBuf{}
+		for i := range afcs {
+			if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, nil, deliver); err != nil {
+				return stats, err
+			}
+		}
+		return stats, nil
 	}
-	work := make(chan *afc.AFC)
-	results := make(chan batch, workers)
+
+	// One owned slab per block; at most a batch per worker waits here, so
+	// a run holds no more than 2×workers×MaxBatchRows undelivered rows.
+	results := make(chan []table.Row, workers)
+	workerStats := make([]Stats, workers) // slot w written by worker w, read after results closes
 	done := make(chan struct{})
 	var once sync.Once
 	var workerErr error
@@ -367,78 +405,74 @@ func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, 
 			close(done)
 		})
 	}
+	// Workers claim AFCs off a shared counter and the last one out closes
+	// results: no feeder or closer goroutine, so a small plan pays for its
+	// workers' hand-offs to the collector and nothing else.
+	var next, running atomic.Int64
+	running.Store(int64(workers))
 	var wg sync.WaitGroup
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(stats *Stats) {
 			defer wg.Done()
+			defer func() {
+				if running.Add(-1) == 0 {
+					close(results)
+				}
+			}()
 			bb := &blockBuf{}
 			pool := newSegPool(src, resolver)
-			defer pool.release()
-			for a := range work {
-				var b batch
-				collect := func(r table.Row) error {
-					b.rows = append(b.rows, append(table.Row(nil), r...))
-					return nil
-				}
-				if err := extractOne(ctx, a, pool, opt, bb, &b.stats, nil, collect); err != nil {
-					fail(err)
-					return
-				}
+			defer pool.release() // before results can close: the source outlives every reader
+			ship := func(rows []table.Row, _ bool) error {
 				select {
-				case results <- b:
+				case results <- table.CopyRows(nil, rows):
+					return nil
+				case <-done:
+					return errStopped
+				case <-ctx.Done():
+					return ctx.Err()
+				}
+			}
+			for i := next.Add(1) - 1; i < int64(len(afcs)); i = next.Add(1) - 1 {
+				select {
 				case <-done:
 					return
-				case <-ctx.Done():
-					fail(ctx.Err())
+				default:
+				}
+				if err := extractOne(ctx, &afcs[i], pool, opt, bb, stats, nil, ship); err != nil {
+					fail(err) // a no-op for errStopped: the run has failed already
 					return
 				}
 			}
-		}()
+		}(&workerStats[w])
 	}
 
-	// Feeder: stops early when any worker fails or ctx is cancelled.
-	go func() {
-		defer close(work)
-		for i := range afcs {
-			select {
-			case work <- &afcs[i]:
-			case <-done:
-				return
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
-			}
-		}
-	}()
-
-	// Close results when all workers exit.
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	var stats Stats
 	var emitErr error
-	for b := range results {
-		stats.Add(b.stats)
+	for rows := range results {
 		if emitErr != nil {
 			continue // drain
 		}
-		for _, r := range b.rows {
-			if err := emit(r); err != nil {
-				emitErr = err
-				fail(err)
-				break
-			}
+		if err := deliver(rows, true); err != nil {
+			emitErr = err
+			fail(err)
 		}
+	}
+	wg.Wait()
+	var stats Stats
+	for w := range workerStats {
+		stats.Add(workerStats[w])
 	}
 	if workerErr != nil {
 		return stats, workerErr
 	}
 	return stats, emitErr
 }
+
+// errStopped unwinds a parallel worker out of extractOne once the run
+// has failed elsewhere (done is closed, so the first error is already
+// recorded); it never leaves RunBatchesContext.
+var errStopped = errors.New("extractor: run stopped")
 
 func defaultWorkers() int {
 	n := runtime.GOMAXPROCS(0)
@@ -502,6 +536,10 @@ Cols:
 // maxBlockRows caps the block materialization buffer.
 const maxBlockRows = 512
 
+// MaxBatchRows bounds the rows in one delivered batch: a batch is one
+// extraction block's survivors.
+const MaxBatchRows = maxBlockRows
+
 // blockBuf holds the reusable block-materialization state of one
 // extraction goroutine: a column-major-filled matrix of rows plus the
 // per-segment byte buffers.
@@ -517,8 +555,8 @@ const maxBlockRows = 512
 // buffers the copying ReadAt path reuses — writes go there and nowhere
 // else.
 type blockBuf struct {
-	flat  []schema.Value
-	rows  []table.Row
+	rows  []table.Row // a table.Matrix, refilled block after block
+	keep  []table.Row // scalar-filter survivors: headers into rows, reused
 	spans [][]byte
 	own   [][]byte
 	srcs  []colSource // bind scratch, reused across AFCs
@@ -555,12 +593,8 @@ type fileSidecar struct {
 func (bb *blockBuf) shape(rows, cols, segs int) {
 	// cols can be zero (a bare COUNT(*) reads no attributes); the row
 	// slice must still exist for the scalar delivery path.
-	if cap(bb.flat) < rows*cols || len(bb.rows) < rows || (len(bb.rows) > 0 && len(bb.rows[0]) != cols) {
-		bb.flat = make([]schema.Value, rows*cols)
-		bb.rows = make([]table.Row, rows)
-		for i := range bb.rows {
-			bb.rows[i] = bb.flat[i*cols : (i+1)*cols]
-		}
+	if len(bb.rows) < rows || len(bb.rows[0]) != cols {
+		bb.rows = table.Matrix(rows, cols)
 	}
 	if len(bb.spans) < segs {
 		bb.spans = make([][]byte, segs)
@@ -589,12 +623,14 @@ func (bb *blockBuf) dropSpans() {
 //
 // Delivery has three modes. With a vectorized predicate the block is
 // decoded into column vectors, the predicate narrows a selection index
-// vector, and only surviving rows are materialized and emitted. With
-// agg set, selected rows are folded straight into the partial-aggregate
-// state and never materialized at all. Otherwise (or under
+// vector, and only surviving rows are materialized. With agg set,
+// selected rows are folded straight into the partial-aggregate state
+// and never materialized at all. Otherwise (or under
 // Options.ScalarFilter) the original fill-every-row, per-row-Pred path
-// runs.
-func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb *blockBuf, stats *Stats, agg *query.AggState, emit EmitFunc) error {
+// runs. Either way a block's survivors reach deliver as one borrowed
+// batch (see EmitFunc) when the block ends, so a selective query's
+// first row is not held back waiting for a fuller batch.
+func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb *blockBuf, stats *Stats, agg *query.AggState, deliver BatchFunc) error {
 	stats.AFCs++
 	if a.NumRows == 0 {
 		return nil
@@ -709,7 +745,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			// Decode the block into column vectors, narrow the selection
 			// with the vectorized predicate, then deliver only survivors:
 			// folded into the partial aggregates, or gather-materialized
-			// into rows for emit.
+			// into rows and delivered as one batch.
 			bb.fillBatch(a, sources, spans, base, int(n))
 			filterStart := time.Now()
 			sel := query.Identity(bb.sel, int(n))
@@ -726,21 +762,22 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 				stats.AggNS += time.Since(aggStart).Nanoseconds()
 				continue
 			}
+			if len(sel) == 0 {
+				continue
+			}
 			emitStart := time.Now()
 			rows := bb.rows[:len(sel)]
 			gatherRows(rows, &bb.batch, sel, opt.Cols)
-			for r := range rows {
-				if err := emit(rows[r]); err != nil {
-					stats.FilterNS += time.Since(emitStart).Nanoseconds()
-					return err
-				}
-			}
+			err := deliver(rows, false)
 			stats.FilterNS += time.Since(emitStart).Nanoseconds()
+			if err != nil {
+				return err
+			}
 			continue
 		}
 
 		// Scalar path: fill the block column-major with kind-specialized
-		// loops, then filter and deliver row-wise.
+		// loops, filter row-wise, then deliver the survivors as one batch.
 		rows := bb.rows[:n]
 		for ci := range sources {
 			src := &sources[ci]
@@ -771,25 +808,40 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 		}
 
 		filterStart := time.Now()
-		aggNS0 := stats.AggNS
-		for r := int64(0); r < n; r++ {
-			if pred != nil && !pred(rows[r]) {
-				continue
-			}
-			stats.RowsEmitted++
-			if agg != nil {
+		if agg != nil {
+			aggNS0 := stats.AggNS
+			for _, row := range rows {
+				if pred != nil && !pred(row) {
+					continue
+				}
+				stats.RowsEmitted++
 				aggStart := time.Now()
-				agg.ObserveRow(rows[r])
+				agg.ObserveRow(row)
 				stats.AggNS += time.Since(aggStart).Nanoseconds()
-				continue
 			}
-			if err := emit(rows[r]); err != nil {
-				stats.FilterNS += time.Since(filterStart).Nanoseconds()
-				return err
-			}
+			// Aggregation time is attributed to its own stage, not filter.
+			stats.FilterNS += time.Since(filterStart).Nanoseconds() - (stats.AggNS - aggNS0)
+			continue
 		}
-		// Aggregation time is attributed to its own stage, not filter.
-		stats.FilterNS += time.Since(filterStart).Nanoseconds() - (stats.AggNS - aggNS0)
+		if pred != nil {
+			// Compact the survivors' headers; the matrix itself stays put.
+			keep := bb.keep[:0]
+			for _, row := range rows {
+				if pred(row) {
+					keep = append(keep, row)
+				}
+			}
+			bb.keep, rows = keep, keep
+		}
+		stats.RowsEmitted += int64(len(rows))
+		var err error
+		if len(rows) > 0 {
+			err = deliver(rows, false)
+		}
+		stats.FilterNS += time.Since(filterStart).Nanoseconds()
+		if err != nil {
+			return err
+		}
 	}
 	for _, s := range a.Segments {
 		if s.RowStride == 0 {

@@ -1,6 +1,7 @@
 package extractor
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"os"
@@ -87,6 +88,19 @@ func naiveRows(s gen.IparsSpec, sch *schema.Schema, cols []string, keep func(val
 // runQuery executes SQL against a plan and returns rows as float slices.
 func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]float64, Stats) {
 	t.Helper()
+	return runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
+		if parallel {
+			opt.Workers = 4
+			return RunParallel(afcs, resolver, opt, emit)
+		}
+		return Run(afcs, resolver, opt, emit)
+	})
+}
+
+// runQueryVia plans sql as runQuery does and extracts through run.
+func runQueryVia(t *testing.T, p *afc.Plan, root, sql string,
+	run func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error)) ([][]float64, Stats) {
+	t.Helper()
 	q := sqlparser.MustParse(sql)
 	reg := filter.NewRegistry()
 	cols, err := query.Validate(q, p.Schema, reg)
@@ -139,14 +153,7 @@ func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]f
 		rows = append(rows, out)
 		return nil
 	}
-	opt := Options{Cols: work, Pred: pred}
-	var stats Stats
-	if parallel {
-		opt.Workers = 4
-		stats, err = RunParallel(afcs, nodeResolver(root), opt, emit)
-	} else {
-		stats, err = Run(afcs, nodeResolver(root), opt, emit)
-	}
+	stats, err := run(afcs, nodeResolver(root), Options{Cols: work, Pred: pred}, emit)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
 	}
@@ -239,6 +246,39 @@ func TestParallelMatchesSequential(t *testing.T) {
 	assertSameRows(t, "parallel-vs-sequential", par, seq)
 	if seqStats.RowsEmitted != parStats.RowsEmitted || seqStats.RowsScanned != parStats.RowsScanned {
 		t.Errorf("stats mismatch: %+v vs %+v", seqStats, parStats)
+	}
+
+	// The same runs drained the way the cursor drains them: batches are
+	// retained (owned ones as they are, borrowed ones through
+	// table.CopyRows) and only read once the run is over, so a producer
+	// that reused memory it had handed over would show up here.
+	for _, parallel := range []bool{false, true} {
+		sawOwned := false
+		got, _ := runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
+			opt.Workers = 4
+			var kept []table.Row
+			stats, err := RunBatchesContext(context.Background(), afcs, resolver, opt, parallel,
+				func(rows []table.Row, owned bool) error {
+					if len(rows) == 0 || len(rows) > MaxBatchRows {
+						t.Errorf("batch of %d rows", len(rows))
+					}
+					if owned {
+						sawOwned = true
+						kept = append(kept, rows...)
+					} else {
+						kept = table.CopyRows(kept, rows)
+					}
+					return nil
+				})
+			if err != nil {
+				return stats, err
+			}
+			return stats, PerRow(emit)(kept, true)
+		})
+		if sawOwned != parallel {
+			t.Errorf("parallel=%v delivered owned batches: %v", parallel, sawOwned)
+		}
+		assertSameRows(t, fmt.Sprintf("batches-retained/parallel=%v", parallel), got, seq)
 	}
 }
 

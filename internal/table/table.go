@@ -5,6 +5,7 @@ package table
 
 import (
 	"fmt"
+	"slices"
 
 	"datavirt/internal/schema"
 )
@@ -72,22 +73,85 @@ func (c *Codec) Decode(dst Row, b []byte) (Row, []byte, error) {
 }
 
 // DecodeAll decodes every row in b; len(b) must be a multiple of
-// RowBytes.
+// RowBytes. The rows share one freshly allocated backing array (two
+// allocations per call, whatever the row count), so the caller owns
+// the result and may retain or hand it on without copying.
 func (c *Codec) DecodeAll(b []byte) ([]Row, error) {
 	if len(b)%c.rowBytes != 0 {
 		return nil, fmt.Errorf("table: buffer of %d bytes is not a whole number of %d-byte rows", len(b), c.rowBytes)
 	}
-	out := make([]Row, 0, len(b)/c.rowBytes)
-	for len(b) > 0 {
-		var row Row
+	n, cols := len(b)/c.rowBytes, len(c.kinds)
+	flat := make([]schema.Value, n*cols)
+	out := make([]Row, n)
+	for i := range out {
 		var err error
-		row, b, err = c.Decode(nil, b)
+		out[i], b, err = c.Decode(flat[i*cols:i*cols:(i+1)*cols], b)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
 	}
 	return out, nil
+}
+
+// Matrix returns n rows of cols values each, laid back to back in one
+// backing array — the block layout producers fill and hand on, and the
+// one CopyRows copies fastest.
+func Matrix(n, cols int) []Row {
+	flat := make([]schema.Value, n*cols)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = flat[i*cols : (i+1)*cols]
+	}
+	return rows
+}
+
+// CopyRows appends copies of rows to dst and returns the extended
+// slice. It is the module's one retention copy: a receiver handed
+// borrowed rows (see extractor.EmitFunc) that wants to keep them calls
+// it once per batch. The copies share one freshly allocated backing
+// slab sized by the rows it holds, which is never reused — so a
+// retained row pins at most the batch it arrived in.
+func CopyRows(dst []Row, rows []Row) []Row {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	var slab []schema.Value
+	if src := contiguous(rows, total); src != nil {
+		// Appending to nil copies into a new array without zeroing it
+		// first; for a full block of a Matrix that is a fifth of a
+		// cursor scan's time.
+		slab = append(slab, src...)
+	} else {
+		slab = make([]schema.Value, 0, total)
+		for _, r := range rows {
+			slab = append(slab, r...)
+		}
+	}
+	dst = slices.Grow(dst, len(rows))
+	for _, r := range rows {
+		dst = append(dst, slab[:len(r):len(r)])
+		slab = slab[len(r):]
+	}
+	return dst
+}
+
+// contiguous returns rows' values as one slice if the rows lie back to
+// back, in order, in one backing array (a prefix of a Matrix does), and
+// nil otherwise.
+func contiguous(rows []Row, total int) []schema.Value {
+	if total == 0 || cap(rows[0]) < total {
+		return nil
+	}
+	all := rows[0][:total]
+	off := 0
+	for _, r := range rows {
+		if len(r) > 0 && &r[0] != &all[off] {
+			return nil
+		}
+		off += len(r)
+	}
+	return all
 }
 
 // FormatRow renders a row for display: values separated by tabs.
