@@ -3,6 +3,7 @@ package extractor
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"datavirt/internal/afc"
 	"datavirt/internal/query"
@@ -52,75 +53,50 @@ func RunAggregateParallelContext(ctx context.Context, afcs []afc.AFC, resolver R
 	src, srcDone := runSource(opt)
 	defer srcDone()
 
-	type result struct {
-		state *query.AggState
-		stats Stats
-	}
-	work := make(chan *afc.AFC)
-	results := make(chan result, workers)
-	done := make(chan struct{})
-	var once sync.Once
-	var workerErr error
-	fail := func(err error) {
-		once.Do(func() {
-			workerErr = err
-			close(done)
-		})
-	}
+	// Slot w is written by worker w alone and read after wg.Wait.
+	states := make([]*query.AggState, workers)
+	workerStats := make([]Stats, workers)
+	workerErrs := make([]error, workers)
+	// Workers claim AFCs off a shared counter; the first to fail moves
+	// it past the end, so the rest stop at their next claim.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			bb := &blockBuf{}
 			pool := newSegPool(src, resolver)
 			defer pool.release()
-			r := result{state: query.NewAggState(plan)}
-			for a := range work {
-				if err := extractOne(ctx, a, pool, opt, bb, &r.stats, r.state, nil); err != nil {
-					fail(err)
+			states[w] = query.NewAggState(plan)
+			for i := next.Add(1) - 1; i < int64(len(afcs)); i = next.Add(1) - 1 {
+				if err := extractOne(ctx, &afcs[i], pool, opt, bb, &workerStats[w], states[w], nil); err != nil {
+					workerErrs[w] = err
+					next.Store(int64(len(afcs)))
 					return
 				}
 			}
-			select {
-			case results <- r:
-			case <-done:
-			}
-		}()
+		}(w)
 	}
+	wg.Wait()
 
-	// Feeder: stops early when any worker fails or ctx is cancelled.
-	go func() {
-		defer close(work)
-		for i := range afcs {
-			select {
-			case work <- &afcs[i]:
-			case <-done:
-				return
-			case <-ctx.Done():
-				fail(ctx.Err())
-				return
-			}
-		}
-	}()
-
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-
-	state := query.NewAggState(plan)
+	state := states[0]
 	var stats Stats
-	for r := range results {
-		stats.Add(r.stats)
-		state.Merge(r.state)
+	var firstErr error
+	for w := range states {
+		stats.Add(workerStats[w])
+		if w > 0 {
+			state.Merge(states[w])
+		}
+		if firstErr == nil {
+			firstErr = workerErrs[w]
+		}
 	}
-	if workerErr != nil {
-		return state, stats, workerErr
+	if firstErr == nil {
+		firstErr = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return state, stats, err
+	if firstErr != nil {
+		return state, stats, firstErr
 	}
 	stats.AggPushedQueries = 1
 	stats.AggPartialGroups = int64(state.Groups())

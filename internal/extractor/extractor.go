@@ -808,21 +808,6 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 		}
 
 		filterStart := time.Now()
-		if agg != nil {
-			aggNS0 := stats.AggNS
-			for _, row := range rows {
-				if pred != nil && !pred(row) {
-					continue
-				}
-				stats.RowsEmitted++
-				aggStart := time.Now()
-				agg.ObserveRow(row)
-				stats.AggNS += time.Since(aggStart).Nanoseconds()
-			}
-			// Aggregation time is attributed to its own stage, not filter.
-			stats.FilterNS += time.Since(filterStart).Nanoseconds() - (stats.AggNS - aggNS0)
-			continue
-		}
 		if pred != nil {
 			// Compact the survivors' headers; the matrix itself stays put.
 			keep := bb.keep[:0]
@@ -834,6 +819,17 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			bb.keep, rows = keep, keep
 		}
 		stats.RowsEmitted += int64(len(rows))
+		if agg != nil {
+			// Aggregation time is attributed to its own stage, not
+			// filter: one clock read splits the block between them.
+			aggStart := time.Now()
+			for _, row := range rows {
+				agg.ObserveRow(row)
+			}
+			stats.FilterNS += aggStart.Sub(filterStart).Nanoseconds()
+			stats.AggNS += time.Since(aggStart).Nanoseconds()
+			continue
+		}
 		var err error
 		if len(rows) > 0 {
 			err = deliver(rows, false)

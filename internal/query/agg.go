@@ -213,110 +213,383 @@ func (p *AggPlan) Bind(lookup ColumnLookup) error {
 	return nil
 }
 
-// aggAcc is one aggregate item's accumulator within one group. Which
-// field is live depends on the spec's accKind.
-type aggAcc struct {
-	i int64
-	f float64
-	x ExactSum
-}
-
-// aggGroup is the partial state of one group.
-type aggGroup struct {
-	keys  []schema.Value // canonical key values, GROUP BY order
-	count int64
-	accs  []aggAcc
+// accCol holds one aggregate item's accumulators, one entry per group.
+// Which slice is live depends on the spec's accKind; COUNT items use
+// the shared group count and keep none.
+type accCol struct {
+	i []int64    // accInt
+	f []float64  // accFloat
+	x []ExactSum // accExact
 }
 
 // AggState accumulates per-group partial aggregates for one plan. It is
 // not safe for concurrent use; parallel workers each hold their own
 // state and Merge at the end.
+//
+// Groups are numbered densely in creation order, and group g's state is
+// entry g of keyBits (nk words), counts and every accumulator column, so
+// a batch kernel updates a group with one indexed access.
 type AggState struct {
-	plan   *AggPlan
-	groups map[string]*aggGroup
-	keyBuf []byte
+	plan    *AggPlan
+	nk      int      // key words per group
+	keyBits []uint64 // canonical key bits: the group's identity and wire form
+	counts  []int64
+	cols    []accCol // in plan.Aggs order
+
+	// index is an open-addressing hash table over keyBits: an entry is a
+	// group number plus one, zero is empty, and it stays at most half
+	// full. shift turns a 64-bit hash into a position.
+	index []int32
+	shift uint
+
+	// Per-call scratch: one row's key words, and for a batch every
+	// selected row's key words, its group, and the positions in the
+	// selection whose row created a group.
+	rowKey []uint64
+	kw     []uint64
+	slots  []int32
+	fresh  []int32
 }
 
 // NewAggState returns an empty partial-aggregate state for the plan.
 func NewAggState(plan *AggPlan) *AggState {
+	const indexBits = 4 // room for eight groups before the first doubling
 	return &AggState{
 		plan:   plan,
-		groups: make(map[string]*aggGroup),
-		keyBuf: make([]byte, 8*len(plan.Keys)),
+		nk:     len(plan.Keys),
+		cols:   make([]accCol, len(plan.Aggs)),
+		index:  make([]int32, 1<<indexBits),
+		shift:  64 - indexBits,
+		rowKey: make([]uint64, len(plan.Keys)),
 	}
 }
 
 // Groups returns the number of groups currently held.
-func (s *AggState) Groups() int { return len(s.groups) }
+func (s *AggState) Groups() int { return len(s.counts) }
 
-// canonFloat canonicalizes a float64 for group-key identity: -0 folds
-// into +0 and every NaN into one bit pattern, so equal-comparing keys
-// land in the same group on every leg.
-func canonFloat(f float64) float64 {
+// floatKeyBits returns a float64's canonical bits for group-key
+// identity: -0 folds into +0 and every NaN into one bit pattern, so
+// equal-comparing keys land in the same group on every leg.
+func floatKeyBits(f float64) uint64 {
 	if f != f {
-		return math.NaN()
+		f = math.NaN()
 	}
 	if f == 0 {
-		return 0
+		f = 0
 	}
-	return f
+	return math.Float64bits(f)
 }
 
-// group finds or creates the group for the canonical key bits currently
-// in s.keyBuf, with key values built by mk on a miss.
-func (s *AggState) group(mk func() []schema.Value) *aggGroup {
-	if g, ok := s.groups[string(s.keyBuf)]; ok {
-		return g
+// hashWord mixes one key word into a hash; the table uses the top bits,
+// which a multiplicative hash spreads well even for small consecutive
+// keys.
+func hashWord(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
+}
+
+func hashKey(w []uint64) uint64 {
+	var h uint64
+	for _, v := range w {
+		h = hashWord(h, v)
 	}
-	g := &aggGroup{keys: mk(), accs: make([]aggAcc, len(s.plan.Aggs))}
-	s.groups[string(s.keyBuf)] = g
-	return g
+	return h
+}
+
+func equalWords(a, b []uint64) bool {
+	for i, v := range a {
+		if v != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// find returns the group whose canonical key words are w, creating it
+// with zero accumulators when there is none.
+func (s *AggState) find(w []uint64) (g int32, created bool) {
+	nk := s.nk
+	mask := len(s.index) - 1
+	i := int(hashKey(w) >> s.shift)
+	for ; s.index[i] != 0; i = (i + 1) & mask {
+		g := s.index[i] - 1
+		if equalWords(w, s.keyBits[int(g)*nk:]) {
+			return g, false
+		}
+	}
+	g = int32(len(s.counts))
+	s.keyBits = append(s.keyBits, w...)
+	s.counts = append(s.counts, 0)
+	for ai := range s.cols {
+		c := &s.cols[ai]
+		switch s.plan.Aggs[ai].acc {
+		case accInt:
+			c.i = append(c.i, 0)
+		case accFloat:
+			c.f = append(c.f, 0)
+		case accExact:
+			c.x = append(c.x, ExactSum{})
+		}
+	}
+	if 2*len(s.counts) > len(s.index) {
+		s.rehash()
+	} else {
+		s.index[i] = g + 1
+	}
+	return g, true
+}
+
+// rehash doubles the index and re-enters every group.
+func (s *AggState) rehash() {
+	s.index = make([]int32, 2*len(s.index))
+	s.shift--
+	mask := len(s.index) - 1
+	for g := range s.counts {
+		i := int(hashKey(s.keyBits[g*s.nk:(g+1)*s.nk]) >> s.shift)
+		for s.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.index[i] = int32(g) + 1
+	}
 }
 
 // ObserveBatch folds the selected rows of a batch into the state. The
 // batch's columns use the layout the plan was bound against; integral
 // key and aggregate-input columns must have their I vectors filled.
+//
+// It works a block at a time: one pass gives every selected row its
+// group, then one straight-line kernel per aggregate runs over (column,
+// selection, groups). Each kernel visits a group's rows in selection
+// order, so the result is that of ObserveRow on the same rows.
 func (s *AggState) ObserveBatch(b *Batch, sel []int32) {
+	if len(sel) == 0 {
+		return
+	}
+	if cap(s.slots) < len(sel) {
+		s.slots = make([]int32, len(sel))
+	}
+	slots := s.slots[:len(sel)]
+	s.assignGroups(b, sel, slots)
+	countRows(s.counts, slots)
 	p := s.plan
-	for _, r := range sel {
-		for ki, idx := range p.keyIdx {
-			c := &b.Cols[idx]
-			var bits uint64
-			if c.Kind.Integral() {
-				bits = uint64(c.I[r])
-			} else {
-				bits = math.Float64bits(canonFloat(c.F[r]))
-			}
-			binary.LittleEndian.PutUint64(s.keyBuf[8*ki:], bits)
+	for ai := range p.Aggs {
+		spec := &p.Aggs[ai]
+		acc := &s.cols[ai]
+		if spec.acc == accCount {
+			continue
 		}
-		g := s.group(func() []schema.Value {
-			keys := make([]schema.Value, len(p.Keys))
-			for ki, idx := range p.keyIdx {
-				c := &b.Cols[idx]
-				if c.Kind.Integral() {
-					keys[ki] = schema.Value{Kind: c.Kind, Int: c.I[r]}
-				} else {
-					keys[ki] = schema.Value{Kind: c.Kind, Float: canonFloat(c.F[r])}
+		c := &b.Cols[p.aggIdx[ai]]
+		switch {
+		case spec.acc == accExact:
+			sumExact(acc.x, c.F, sel, slots)
+		case spec.Func == sqlparser.AggMin || spec.Func == sqlparser.AggMax:
+			s.foldExtreme(spec, acc, c, sel, slots)
+		default: // integer SUM/AVG
+			sumInt(acc.i, c.I, sel, slots)
+		}
+	}
+}
+
+// assignGroups fills slots[j] with the group of row sel[j], creating
+// groups as they first appear and recording in s.fresh the positions j
+// that did. A row whose key repeats the previous row's costs one
+// compare; any other costs one probe of the index.
+func (s *AggState) assignGroups(b *Batch, sel, slots []int32) {
+	s.fresh = s.fresh[:0]
+	nk := s.nk
+	if nk == 1 {
+		// One key word needs no staging: read it, compare it, probe.
+		c := &b.Cols[s.plan.keyIdx[0]]
+		var prev uint64
+		g := int32(-1)
+		if c.Kind.Integral() {
+			for j, r := range sel {
+				if bits := uint64(c.I[r]); bits != prev || g < 0 {
+					prev, g = bits, s.group1(bits, j)
 				}
+				slots[j] = g
 			}
-			return keys
-		})
-		first := g.count == 0
-		for ai := range p.Aggs {
-			spec := &p.Aggs[ai]
-			acc := &g.accs[ai]
-			switch spec.acc {
-			case accCount:
-			case accInt:
-				v := b.Cols[p.aggIdx[ai]].I[r]
-				acc.updateInt(spec.Func, v, first)
-			case accFloat:
-				acc.updateFloat(spec.Func, b.Cols[p.aggIdx[ai]].F[r], first)
-			case accExact:
-				acc.x.Add(b.Cols[p.aggIdx[ai]].F[r])
+		} else {
+			for j, r := range sel {
+				if bits := floatKeyBits(c.F[r]); bits != prev || g < 0 {
+					prev, g = bits, s.group1(bits, j)
+				}
+				slots[j] = g
 			}
 		}
-		g.count++
+		return
+	}
+	// Stage every row's key words row-major, a column at a time.
+	if cap(s.kw) < len(sel)*nk {
+		s.kw = make([]uint64, len(sel)*nk)
+	}
+	kw := s.kw[:len(sel)*nk]
+	for ki, idx := range s.plan.keyIdx {
+		c := &b.Cols[idx]
+		if c.Kind.Integral() {
+			for j, r := range sel {
+				kw[j*nk+ki] = uint64(c.I[r])
+			}
+		} else {
+			for j, r := range sel {
+				kw[j*nk+ki] = floatKeyBits(c.F[r])
+			}
+		}
+	}
+	var g int32
+	for j := range slots {
+		w := kw[j*nk : (j+1)*nk]
+		if j == 0 || !equalWords(w, kw[(j-1)*nk:]) {
+			var created bool
+			if g, created = s.find(w); created {
+				s.fresh = append(s.fresh, int32(j))
+			}
+		}
+		slots[j] = g
+	}
+}
+
+// group1 is find for a one-word key at selection position j: the hit
+// path of the probe without the slices.
+func (s *AggState) group1(bits uint64, j int) int32 {
+	mask := len(s.index) - 1
+	for i := int(hashWord(0, bits) >> s.shift); s.index[i] != 0; i = (i + 1) & mask {
+		if g := s.index[i] - 1; s.keyBits[g] == bits {
+			return g
+		}
+	}
+	s.rowKey[0] = bits
+	g, _ := s.find(s.rowKey)
+	s.fresh = append(s.fresh, int32(j))
+	return g
+}
+
+// countRows adds each group's number of rows in slots to its count, a
+// run of one group at a time.
+func countRows(counts []int64, slots []int32) {
+	cur, n := slots[0], int64(0)
+	for _, g := range slots {
+		if g != cur {
+			counts[cur] += n
+			cur, n = g, 0
+		}
+		n++
+	}
+	counts[cur] += n
+}
+
+func sumInt(acc, col []int64, sel, slots []int32) {
+	slots = slots[:len(sel)]
+	for j, r := range sel {
+		acc[slots[j]] += col[r]
+	}
+}
+
+// sumExact is ExactSum.Add over a column, with the current group's heads
+// held in locals for as long as consecutive rows stay in that group.
+func sumExact(acc []ExactSum, col []float64, sel, slots []int32) {
+	slots = slots[:len(sel)]
+	cur := slots[0]
+	hi, lo := -acc[cur].nhi, -acc[cur].nlo
+	for j, r := range sel {
+		if g := slots[j]; g != cur {
+			acc[cur].nhi, acc[cur].nlo = -hi, -lo
+			cur = g
+			hi, lo = -acc[cur].nhi, -acc[cur].nlo
+		}
+		v := col[r]
+		s, e := twoSum(hi, v)
+		l, res := twoSum(lo, e)
+		if res != 0 {
+			acc[cur].nhi, acc[cur].nlo = -hi, -lo
+			acc[cur].addSlow(v)
+			hi, lo = -acc[cur].nhi, -acc[cur].nlo
+			continue
+		}
+		hi, lo = s, l
+	}
+	acc[cur].nhi, acc[cur].nlo = -hi, -lo
+}
+
+// foldExtreme runs a MIN or MAX kernel over the selection. A group's
+// first value is assigned as it is, not folded (one NaN stays the NaN it
+// was; two make the canonical NaN), so the kernels run on the stretches
+// between the rows that created a group.
+func (s *AggState) foldExtreme(spec *AggSpec, acc *accCol, c *Vec, sel, slots []int32) {
+	isMin := spec.Func == sqlparser.AggMin
+	start := 0
+	for k := 0; k <= len(s.fresh); k++ {
+		end := len(sel)
+		if k < len(s.fresh) {
+			end = int(s.fresh[k])
+		}
+		switch {
+		case spec.acc == accInt && isMin:
+			minInt(acc.i, c.I, sel[start:end], slots[start:end])
+		case spec.acc == accInt:
+			maxInt(acc.i, c.I, sel[start:end], slots[start:end])
+		case isMin:
+			minFloat(acc.f, c.F, sel[start:end], slots[start:end])
+		default:
+			maxFloat(acc.f, c.F, sel[start:end], slots[start:end])
+		}
+		if end < len(sel) {
+			if spec.acc == accInt {
+				acc.i[slots[end]] = c.I[sel[end]]
+			} else {
+				acc.f[slots[end]] = c.F[sel[end]]
+			}
+		}
+		start = end + 1
+	}
+}
+
+func minInt(acc, col []int64, sel, slots []int32) {
+	slots = slots[:len(sel)]
+	for j, r := range sel {
+		if v, g := col[r], slots[j]; v < acc[g] {
+			acc[g] = v
+		}
+	}
+}
+
+func maxInt(acc, col []int64, sel, slots []int32) {
+	slots = slots[:len(sel)]
+	for j, r := range sel {
+		if v, g := col[r], slots[j]; v > acc[g] {
+			acc[g] = v
+		}
+	}
+}
+
+// minFloat and maxFloat are math.Min and math.Max as compare kernels:
+// an ordered, unequal pair needs no call, and for the rest — a NaN, or
+// equal values, where ±0 differ — the library defines the answer.
+func minFloat(acc, col []float64, sel, slots []int32) {
+	slots = slots[:len(sel)]
+	for j, r := range sel {
+		v, g := col[r], slots[j]
+		switch cur := acc[g]; {
+		case v > cur:
+		case v < cur:
+			acc[g] = v
+		default:
+			acc[g] = math.Min(cur, v)
+		}
+	}
+}
+
+func maxFloat(acc, col []float64, sel, slots []int32) {
+	slots = slots[:len(sel)]
+	for j, r := range sel {
+		v, g := col[r], slots[j]
+		switch cur := acc[g]; {
+		case v < cur:
+		case v > cur:
+			acc[g] = v
+		default:
+			acc[g] = math.Max(cur, v)
+		}
 	}
 }
 
@@ -327,105 +600,85 @@ func (s *AggState) ObserveRow(row []schema.Value) {
 	p := s.plan
 	for ki, idx := range p.keyIdx {
 		v := row[idx]
-		var bits uint64
 		if v.Kind.Integral() {
-			bits = uint64(v.Int)
+			s.rowKey[ki] = uint64(v.Int)
 		} else {
-			bits = math.Float64bits(canonFloat(v.Float))
+			s.rowKey[ki] = floatKeyBits(v.Float)
 		}
-		binary.LittleEndian.PutUint64(s.keyBuf[8*ki:], bits)
 	}
-	g := s.group(func() []schema.Value {
-		keys := make([]schema.Value, len(p.Keys))
-		for ki, idx := range p.keyIdx {
-			v := row[idx]
-			if !v.Kind.Integral() {
-				v.Float = canonFloat(v.Float)
-			}
-			keys[ki] = v
-		}
-		return keys
-	})
-	first := g.count == 0
+	g, first := s.find(s.rowKey)
 	for ai := range p.Aggs {
 		spec := &p.Aggs[ai]
-		acc := &g.accs[ai]
+		acc := &s.cols[ai]
 		switch spec.acc {
-		case accCount:
 		case accInt:
-			acc.updateInt(spec.Func, row[p.aggIdx[ai]].Int, first)
+			acc.i[g] = foldInt(spec.Func, acc.i[g], row[p.aggIdx[ai]].Int, first)
 		case accFloat:
-			acc.updateFloat(spec.Func, row[p.aggIdx[ai]].AsFloat(), first)
+			acc.f[g] = foldFloat(spec.Func, acc.f[g], row[p.aggIdx[ai]].AsFloat(), first)
 		case accExact:
-			acc.x.Add(row[p.aggIdx[ai]].AsFloat())
+			acc.x[g].Add(row[p.aggIdx[ai]].AsFloat())
 		}
 	}
-	g.count++
+	s.counts[g]++
 }
 
-func (a *aggAcc) updateInt(f sqlparser.AggFunc, v int64, first bool) {
+// foldInt folds v into an integer accumulator; first says the group has
+// no value yet.
+func foldInt(f sqlparser.AggFunc, a, v int64, first bool) int64 {
 	switch f {
-	case sqlparser.AggSum, sqlparser.AggAvg:
-		a.i += v
 	case sqlparser.AggMin:
-		if first || v < a.i {
-			a.i = v
+		if first || v < a {
+			return v
 		}
+		return a
 	case sqlparser.AggMax:
-		if first || v > a.i {
-			a.i = v
+		if first || v > a {
+			return v
 		}
+		return a
 	}
+	return a + v // SUM, AVG
 }
 
-func (a *aggAcc) updateFloat(f sqlparser.AggFunc, v float64, first bool) {
-	if first {
-		a.f = v
-		return
+// foldFloat folds v into a MIN or MAX accumulator. math.Min/Max
+// propagate NaN and order ±0 consistently, so the fold is commutative —
+// partition- and merge-order-independent.
+func foldFloat(f sqlparser.AggFunc, a, v float64, first bool) float64 {
+	switch {
+	case first:
+		return v
+	case f == sqlparser.AggMin:
+		return math.Min(a, v)
 	}
-	// math.Min/Max propagate NaN and order ±0 consistently, so the fold
-	// is commutative — partition- and merge-order-independent.
-	if f == sqlparser.AggMin {
-		a.f = math.Min(a.f, v)
-	} else {
-		a.f = math.Max(a.f, v)
-	}
+	return math.Max(a, v)
 }
 
 // Merge folds another state (for the same plan shape) into s.
 func (s *AggState) Merge(o *AggState) {
-	for key, og := range o.groups {
-		s.mergeGroup(key, og)
+	for og := range o.counts {
+		g, first := s.find(o.keyBits[og*o.nk : (og+1)*o.nk])
+		for ai := range s.plan.Aggs {
+			spec := &s.plan.Aggs[ai]
+			acc, oacc := &s.cols[ai], &o.cols[ai]
+			switch spec.acc {
+			case accInt:
+				acc.i[g] = foldInt(spec.Func, acc.i[g], oacc.i[og], first)
+			case accFloat:
+				acc.f[g] = foldFloat(spec.Func, acc.f[g], oacc.f[og], first)
+			case accExact:
+				acc.x[g].Merge(&oacc.x[og])
+			}
+		}
+		s.counts[g] += o.counts[og]
 	}
 }
 
-func (s *AggState) mergeGroup(key string, og *aggGroup) {
-	g, ok := s.groups[key]
-	if !ok {
-		g = &aggGroup{keys: og.keys, accs: make([]aggAcc, len(s.plan.Aggs))}
-		s.groups[key] = g
+// keyValue renders one canonical key word as a value of the key's kind.
+func keyValue(k AggKey, bits uint64) schema.Value {
+	if k.Kind.Integral() {
+		return schema.Value{Kind: k.Kind, Int: int64(bits)}
 	}
-	first := g.count == 0
-	for ai := range s.plan.Aggs {
-		spec := &s.plan.Aggs[ai]
-		acc := &g.accs[ai]
-		oa := &og.accs[ai]
-		switch spec.acc {
-		case accCount:
-		case accInt:
-			switch spec.Func {
-			case sqlparser.AggSum, sqlparser.AggAvg:
-				acc.i += oa.i
-			case sqlparser.AggMin, sqlparser.AggMax:
-				acc.updateInt(spec.Func, oa.i, first)
-			}
-		case accFloat:
-			acc.updateFloat(spec.Func, oa.f, first)
-		case accExact:
-			acc.x.Merge(&oa.x)
-		}
-	}
-	g.count += og.count
+	return schema.Value{Kind: k.Kind, Float: math.Float64frombits(bits)}
 }
 
 // Finalize renders the merged state as result rows in the plan's output
@@ -433,45 +686,52 @@ func (s *AggState) mergeGroup(key string, og *aggGroup) {
 // single canonical NaN group last). Zero matching rows finalize to zero
 // result rows, for global aggregates too.
 func (s *AggState) Finalize() [][]schema.Value {
-	groups := make([]*aggGroup, 0, len(s.groups))
-	for _, g := range s.groups {
-		groups = append(groups, g)
+	p := s.plan
+	nk := s.nk
+	keys := make([]schema.Value, len(s.keyBits))
+	for i, bits := range s.keyBits {
+		keys[i] = keyValue(p.Keys[i%nk], bits)
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		a, b := groups[i].keys, groups[j].keys
-		for k := range a {
+	order := make([]int, len(s.counts))
+	for g := range order {
+		order[g] = g
+	}
+	sort.Slice(order, func(i, j int) bool {
+		a, b := keys[order[i]*nk:], keys[order[j]*nk:]
+		for k := 0; k < nk; k++ {
 			if c := compareKey(a[k], b[k]); c != 0 {
 				return c < 0
 			}
 		}
 		return false
 	})
-	out := make([][]schema.Value, len(groups))
-	for gi, g := range groups {
-		row := make([]schema.Value, len(s.plan.out))
-		for i, ref := range s.plan.out {
+	out := make([][]schema.Value, len(order))
+	for oi, g := range order {
+		count := s.counts[g]
+		row := make([]schema.Value, len(p.out))
+		for i, ref := range p.out {
 			if ref < 0 {
-				row[i] = g.keys[-ref-1]
+				row[i] = keys[g*nk-ref-1]
 				continue
 			}
-			spec := &s.plan.Aggs[ref]
-			acc := &g.accs[ref]
+			spec := &p.Aggs[ref]
+			acc := &s.cols[ref]
 			switch {
 			case spec.Func == sqlparser.AggCount:
-				row[i] = schema.Value{Kind: schema.Long, Int: g.count}
+				row[i] = schema.Value{Kind: schema.Long, Int: count}
 			case spec.Func == sqlparser.AggAvg && spec.acc == accInt:
-				row[i] = schema.Value{Kind: schema.Double, Float: float64(acc.i) / float64(g.count)}
+				row[i] = schema.Value{Kind: schema.Double, Float: float64(acc.i[g]) / float64(count)}
 			case spec.Func == sqlparser.AggAvg:
-				row[i] = schema.Value{Kind: schema.Double, Float: acc.x.Value() / float64(g.count)}
+				row[i] = schema.Value{Kind: schema.Double, Float: acc.x[g].Value() / float64(count)}
 			case spec.acc == accInt:
-				row[i] = schema.Value{Kind: spec.OutKind, Int: acc.i}
+				row[i] = schema.Value{Kind: spec.OutKind, Int: acc.i[g]}
 			case spec.acc == accFloat:
-				row[i] = schema.Value{Kind: spec.OutKind, Float: acc.f}
+				row[i] = schema.Value{Kind: spec.OutKind, Float: acc.f[g]}
 			default: // accExact SUM
-				row[i] = schema.Value{Kind: spec.OutKind, Float: acc.x.Value()}
+				row[i] = schema.Value{Kind: spec.OutKind, Float: acc.x[g].Value()}
 			}
 		}
-		out[gi] = row
+		out[oi] = row
 	}
 	return out
 }
@@ -524,7 +784,7 @@ func compareKey(a, b schema.Value) int {
 // mergeable chunks of roughly targetBytes each. An empty state encodes
 // to no chunks.
 func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
-	if len(s.groups) == 0 {
+	if len(s.counts) == 0 {
 		return nil
 	}
 	if targetBytes <= 0 {
@@ -541,22 +801,23 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 		chunks = append(chunks, buf)
 		buf, n = nil, 0
 	}
-	for key, g := range s.groups {
+	for g, count := range s.counts {
 		if buf == nil {
 			buf = append(make([]byte, 0, targetBytes+512), 0, 0, 0, 0)
 		}
-		buf = append(buf, key...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(g.count))
+		for _, bits := range s.keyBits[g*s.nk : (g+1)*s.nk] {
+			buf = binary.LittleEndian.AppendUint64(buf, bits)
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(count))
 		for ai := range s.plan.Aggs {
-			acc := &g.accs[ai]
+			acc := &s.cols[ai]
 			switch s.plan.Aggs[ai].acc {
-			case accCount:
 			case accInt:
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(acc.i))
+				buf = binary.LittleEndian.AppendUint64(buf, uint64(acc.i[g]))
 			case accFloat:
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(acc.f))
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(acc.f[g]))
 			case accExact:
-				terms, nan, pos, neg := acc.x.Terms()
+				terms, nan, pos, neg := acc.x[g].Terms()
 				var flags byte
 				if nan {
 					flags |= 1
@@ -583,7 +844,9 @@ func (s *AggState) EncodeChunks(targetBytes int) [][]byte {
 	return chunks
 }
 
-// MergeEncoded merges one encoded partial chunk into the state.
+// MergeEncoded merges one encoded partial chunk into the state. Each
+// group's byte extent is checked before any of it is folded, straight
+// into the resident group.
 func (s *AggState) MergeEncoded(data []byte) error {
 	rd := wireReader{b: data}
 	ngroups, err := rd.u32()
@@ -592,64 +855,41 @@ func (s *AggState) MergeEncoded(data []byte) error {
 	}
 	p := s.plan
 	for gi := uint32(0); gi < ngroups; gi++ {
-		og := &aggGroup{keys: make([]schema.Value, len(p.Keys)), accs: make([]aggAcc, len(p.Aggs))}
-		keyStart := rd.off
-		for ki, k := range p.Keys {
-			bits, err := rd.u64()
-			if err != nil {
-				return err
-			}
-			if k.Kind.Integral() {
-				og.keys[ki] = schema.Value{Kind: k.Kind, Int: int64(bits)}
-			} else {
-				og.keys[ki] = schema.Value{Kind: k.Kind, Float: math.Float64frombits(bits)}
-			}
-		}
-		key := string(data[keyStart : keyStart+8*len(p.Keys)])
-		cnt, err := rd.u64()
-		if err != nil {
+		off := rd.off
+		if err := rd.skipGroup(p); err != nil {
 			return err
 		}
-		og.count = int64(cnt)
+		for ki := range s.rowKey {
+			s.rowKey[ki] = binary.LittleEndian.Uint64(data[off:])
+			off += 8
+		}
+		g, first := s.find(s.rowKey)
+		s.counts[g] += int64(binary.LittleEndian.Uint64(data[off:]))
+		off += 8
 		for ai := range p.Aggs {
-			acc := &og.accs[ai]
-			switch p.Aggs[ai].acc {
-			case accCount:
+			spec := &p.Aggs[ai]
+			acc := &s.cols[ai]
+			switch spec.acc {
 			case accInt:
-				bits, err := rd.u64()
-				if err != nil {
-					return err
-				}
-				acc.i = int64(bits)
+				v := int64(binary.LittleEndian.Uint64(data[off:]))
+				acc.i[g] = foldInt(spec.Func, acc.i[g], v, first)
+				off += 8
 			case accFloat:
-				bits, err := rd.u64()
-				if err != nil {
-					return err
-				}
-				acc.f = math.Float64frombits(bits)
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+				acc.f[g] = foldFloat(spec.Func, acc.f[g], v, first)
+				off += 8
 			case accExact:
-				flags, err := rd.u8()
-				if err != nil {
-					return err
+				x := &acc.x[g]
+				flags := data[off]
+				nterms := int(binary.LittleEndian.Uint32(data[off+1:]))
+				off += 5
+				for ; nterms > 0; nterms-- {
+					x.AddTerm(math.Float64frombits(binary.LittleEndian.Uint64(data[off:])))
+					off += 8
 				}
-				nterms, err := rd.u32()
-				if err != nil {
-					return err
-				}
-				if int(nterms) > rd.remaining()/8 {
-					return fmt.Errorf("query: aggregate partial: term count %d overruns payload", nterms)
-				}
-				for t := uint32(0); t < nterms; t++ {
-					bits, err := rd.u64()
-					if err != nil {
-						return err
-					}
-					acc.x.AddTerm(math.Float64frombits(bits))
-				}
-				acc.x.setFlags(flags&1 != 0, flags&2 != 0, flags&4 != 0)
+				x.setFlags(flags&1 != 0, flags&2 != 0, flags&4 != 0)
 			}
 		}
-		s.mergeGroup(key, og)
 	}
 	if rd.remaining() != 0 {
 		return fmt.Errorf("query: aggregate partial: %d trailing bytes", rd.remaining())
@@ -665,29 +905,46 @@ type wireReader struct {
 
 func (r *wireReader) remaining() int { return len(r.b) - r.off }
 
-func (r *wireReader) u8() (byte, error) {
-	if r.remaining() < 1 {
-		return 0, fmt.Errorf("query: aggregate partial: truncated payload")
+func (r *wireReader) skip(n int) error {
+	if r.remaining() < n {
+		return fmt.Errorf("query: aggregate partial: truncated payload")
 	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+	r.off += n
+	return nil
 }
 
 func (r *wireReader) u32() (uint32, error) {
-	if r.remaining() < 4 {
-		return 0, fmt.Errorf("query: aggregate partial: truncated payload")
+	if err := r.skip(4); err != nil {
+		return 0, err
 	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v, nil
+	return binary.LittleEndian.Uint32(r.b[r.off-4:]), nil
 }
 
-func (r *wireReader) u64() (uint64, error) {
-	if r.remaining() < 8 {
-		return 0, fmt.Errorf("query: aggregate partial: truncated payload")
+// skipGroup advances past one encoded group of the plan's shape, or
+// reports why the payload cannot hold it.
+func (r *wireReader) skipGroup(p *AggPlan) error {
+	if err := r.skip(8*len(p.Keys) + 8); err != nil {
+		return err
 	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v, nil
+	for ai := range p.Aggs {
+		switch p.Aggs[ai].acc {
+		case accInt, accFloat:
+			if err := r.skip(8); err != nil {
+				return err
+			}
+		case accExact:
+			if err := r.skip(1); err != nil {
+				return err
+			}
+			nterms, err := r.u32()
+			if err != nil {
+				return err
+			}
+			if int(nterms) > r.remaining()/8 {
+				return fmt.Errorf("query: aggregate partial: term count %d overruns payload", nterms)
+			}
+			r.off += 8 * int(nterms)
+		}
+	}
+	return nil
 }
