@@ -1,24 +1,23 @@
 // Command dvbench regenerates the paper's evaluation: one experiment
 // per table/figure of §5, printed in paper-table form. Datasets are
-// generated into (and reused from) the work directory.
+// generated into (and reused from) the work directory. Performance of
+// the engine itself is measured by the benchmark module instead (see
+// benchmark/README.md).
 //
 // Usage:
 //
 //	dvbench -workdir /tmp/dvbench -exp all
 //	dvbench -exp fig6 -scale 0.5
-//	dvbench -exp cache -json BENCH_cache.json
 //	dvbench -list
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
 	"datavirt/internal/bench"
-	"datavirt/internal/cache"
 )
 
 func main() {
@@ -30,8 +29,6 @@ func main() {
 	verbose := flag.Bool("v", true, "progress to stderr")
 	list := flag.Bool("list", false, "list experiments and the paper queries, then exit")
 	verify := flag.Bool("verify", false, "cross-check systems on a small sample before timing")
-	jsonPath := flag.String("json", "", "also write the result tables as JSON to this file")
-	cacheBackend := flag.String("cache-backend", "", "block cache backend for experiments that do not compare backends themselves: pread, mmap or auto")
 	flag.Parse()
 
 	if *list {
@@ -42,13 +39,9 @@ func main() {
 		return
 	}
 
-	if _, err := cache.ResolveBackend(*cacheBackend); err != nil {
-		fatal(err)
-	}
 	cfg := bench.Config{
 		WorkDir: *workdir, Scale: *scale, Quick: *quick,
 		Trials: *trials, Verbose: *verbose,
-		CacheBackend: *cacheBackend,
 	}
 	if err := os.MkdirAll(*workdir, 0o755); err != nil {
 		fatal(err)
@@ -71,26 +64,14 @@ func main() {
 		}
 		toRun = []bench.Experiment{e}
 	}
-	var tables []*bench.Table
 	for _, e := range toRun {
 		start := time.Now()
 		tbl, err := e.Run(cfg)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
-		tables = append(tables, tbl)
 		fmt.Println(tbl.Format())
 		fmt.Fprintf(os.Stderr, "dvbench: %s finished in %s\n\n", e.ID, time.Since(start).Round(time.Millisecond))
-	}
-	if *jsonPath != "" {
-		out, err := json.MarshalIndent(tables, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*jsonPath, append(out, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dvbench: wrote %s\n", *jsonPath)
 	}
 }
 

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"log"
@@ -28,6 +29,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	spec := gen.IparsSpec{
 		Realizations: 2, TimeSteps: 30, GridPoints: 200, Partitions: 1,
 		Attrs: 17, Seed: 11,
@@ -62,11 +64,11 @@ func main() {
 			log.Fatal(err)
 		}
 		var lines []string
-		prep, err := svc.Prepare(sql)
+		prep, err := svc.PrepareContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := prep.Run(core.Options{}, func(r table.Row) error {
+		if _, err := prep.RunContext(ctx, core.Options{}, func(r table.Row) error {
 			lines = append(lines, table.FormatRow(r))
 			return nil
 		}); err != nil {

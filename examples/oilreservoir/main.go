@@ -22,6 +22,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -34,6 +35,7 @@ import (
 type cell struct{ x, y, z int }
 
 func main() {
+	ctx := context.Background()
 	root, err := os.MkdirTemp("", "datavirt-oil")
 	if err != nil {
 		log.Fatal(err)
@@ -61,14 +63,14 @@ func main() {
 		sql := fmt.Sprintf(
 			"SELECT X, Y, Z FROM IparsData WHERE REL = %d AND TIME >= %d AND TIME <= %d "+
 				"AND SOIL >= 0.7 AND SPEED(OILVX, OILVY, OILVZ) <= 12.0", rel, t1, t2)
-		prep, err := svc.Prepare(sql)
+		prep, err := svc.PrepareContext(ctx, sql)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// A cell is "bypassed" if it satisfies the criteria at any step
 		// in the window; collect the distinct cells.
 		cells := map[cell]bool{}
-		if _, err := prep.Run(core.Options{Parallel: true}, func(row table.Row) error {
+		if _, err := prep.RunContext(ctx, core.Options{Parallel: true}, func(row table.Row) error {
 			cells[cell{int(row[0].AsFloat()), int(row[1].AsFloat()), int(row[2].AsFloat())}] = true
 			return nil
 		}); err != nil {

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	root, err := os.MkdirTemp("", "datavirt-satellite")
 	if err != nil {
 		log.Fatal(err)
@@ -51,7 +53,7 @@ func main() {
 	sql := fmt.Sprintf(
 		"SELECT X, Y, S1 FROM TitanData WHERE X >= %d AND X <= %d AND Y >= %d AND Y <= %d AND Z >= %d AND Z <= %d",
 		x0, x1, y0, y1, t0, t1)
-	prep, err := svc.Prepare(sql)
+	prep, err := svc.PrepareContext(ctx, sql)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func main() {
 		}
 	}
 	var rows int64
-	if _, err := prep.Run(core.Options{}, func(r table.Row) error {
+	if _, err := prep.RunContext(ctx, core.Options{}, func(r table.Row) error {
 		x, y, s1 := r[0].AsFloat(), r[1].AsFloat(), r[2].AsFloat()
 		px := int((x - x0) * (W - 1) / (x1 - x0))
 		py := int((y - y0) * (H - 1) / (y1 - y0))

@@ -13,7 +13,6 @@ import (
 	"datavirt/internal/index"
 	"datavirt/internal/metadata"
 	"datavirt/internal/query"
-	"datavirt/internal/schema"
 	"datavirt/internal/sqlparser"
 	"datavirt/internal/table"
 )
@@ -67,9 +66,9 @@ func RunAblationIndex(cfg Config) (*Table, error) {
 		dur, err := timeBest(cfg, func() error {
 			rows = 0
 			var e error
-			stats, e = extractor.Run(afcs, resolver, extractor.Options{
+			stats, e = extractor.RunBatchesContext(context.Background(), afcs, resolver, extractor.Options{
 				Cols: sch.Attrs(), Pred: pred,
-			}, func(table.Row) error { rows++; return nil })
+			}, false, func(batch []table.Row, _ bool) error { rows += int64(len(batch)); return nil })
 			return e
 		})
 		if err != nil {
@@ -134,14 +133,14 @@ func RunAblationChunks(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		sql := titanQueries(s.XMax, s.YMax, s.ZMax)[1].SQL("TitanData")
-		prep, err := svc.Prepare(sql)
+		prep, err := prepare(svc, sql)
 		if err != nil {
 			return nil, err
 		}
 		var rows int64
 		dur, err := timeBest(cfg, func() error {
-			rows = 0
-			_, err := prep.Run(core.Options{}, func(table.Row) error { rows++; return nil })
+			var err error
+			rows, _, err = countRows(prep, core.Options{})
 			return err
 		})
 		if err != nil {
@@ -200,7 +199,7 @@ func RunAblationCoalesce(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		prep, err := svc.Prepare("SELECT * FROM IparsData")
+		prep, err := prepare(svc, "SELECT * FROM IparsData")
 		if err != nil {
 			return nil, err
 		}
@@ -213,12 +212,9 @@ func RunAblationCoalesce(cfg Config) (*Table, error) {
 			var rows int64
 			var chunks int
 			dur, err := timeBest(cfg, func() error {
-				rows = 0
 				var stats extractor.Stats
-				stats, err := prep.Run(core.Options{Coalesce: coalesce}, func(table.Row) error {
-					rows++
-					return nil
-				})
+				var err error
+				rows, stats, err = countRows(prep, core.Options{Coalesce: coalesce})
 				chunks = stats.AFCs
 				return err
 			})
@@ -272,5 +268,3 @@ func Verify(cfg Config) error {
 	}
 	return nil
 }
-
-var _ = schema.Invalid // keep the schema import for Attrs() use above

@@ -6,12 +6,17 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+
+	"datavirt/internal/core"
+	"datavirt/internal/extractor"
+	"datavirt/internal/table"
 )
 
 // Config controls dataset sizes and workspace placement.
@@ -30,11 +35,6 @@ type Config struct {
 	Trials int
 	// Verbose echoes progress to stderr.
 	Verbose bool
-	// CacheBackend is the block-cache backend experiments use where
-	// they do not compare backends themselves (cache.BackendPread,
-	// cache.BackendMmap or cache.BackendAuto; empty follows the cache
-	// package default). The mmap experiment always measures both.
-	CacheBackend string
 }
 
 func (c Config) trials() int {
@@ -144,13 +144,6 @@ func Experiments() []Experiment {
 		{"ablation-index", "Ablation: chunk-index pruning on vs off (ours)", RunAblationIndex},
 		{"ablation-chunk", "Ablation: chunked vs monolithic Titan storage (ours)", RunAblationChunks},
 		{"ablation-coalesce", "Ablation: chunk coalescing on vs off (ours)", RunAblationCoalesce},
-		{"cache", "Block cache cold vs warm on repeated-range queries (ours)", RunCache},
-		{"plancache", "Semantic plan cache cold vs warm prepare on a repeated query mix (ours)", RunPlanCache},
-		{"mmap", "Cache backends pread vs mmap, cold and warm (ours)", RunMmap},
-		{"concurrency", "Closed-loop concurrent serving vs one-query-at-a-time (ours)", RunConcurrency},
-		{"failover", "Replica failover under a mid-workload node crash (ours)", RunFailover},
-		{"sparseindex", "Sparse block-index sidecars: data skipping on vs off (ours)", RunSparseIndex},
-		{"aggpush", "Push-down aggregation bytes + vectorized vs per-row filtering (ours)", RunAggPush},
 	}
 }
 
@@ -188,6 +181,18 @@ func timeBest(cfg Config, f func() error) (time.Duration, error) {
 		}
 	}
 	return best, nil
+}
+
+// prepare plans sql on svc; the experiments run uncancellable.
+func prepare(svc *core.Service, sql string) (*core.Prepared, error) {
+	return svc.PrepareContext(context.Background(), sql)
+}
+
+// countRows runs a prepared query and counts the rows it emits.
+func countRows(prep *core.Prepared, opt core.Options) (int64, extractor.Stats, error) {
+	var n int64
+	stats, err := prep.RunContext(context.Background(), opt, func(table.Row) error { n++; return nil })
+	return n, stats, err
 }
 
 // ms renders a duration in milliseconds.

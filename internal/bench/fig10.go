@@ -101,7 +101,7 @@ func RunFig10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		prep, err := svc.Prepare(sql)
+		prep, err := prepare(svc, sql)
 		if err != nil {
 			return nil, err
 		}
@@ -110,11 +110,7 @@ func RunFig10(cfg Config) (*Table, error) {
 		var genRows int64
 		_, err = timeBest(cfg, func() error {
 			w, m, r, err := nodeTimes(n, func(node int) (int64, error) {
-				var count int64
-				_, err := prep.Run(core.Options{NodeFilter: nodes[node]}, func(table.Row) error {
-					count++
-					return nil
-				})
+				count, _, err := countRows(prep, core.Options{NodeFilter: nodes[node]})
 				return count, err
 			})
 			if err == nil {

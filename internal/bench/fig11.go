@@ -60,14 +60,14 @@ func RunFig11a(cfg Config) (*Table, error) {
 			return nil, fmt.Errorf("fig11a hand %d%%: %w", 100/frac, err)
 		}
 
-		prep, err := svc.Prepare(sql)
+		prep, err := prepare(svc, sql)
 		if err != nil {
 			return nil, err
 		}
 		var genRows int64
 		genTime, err := timeBest(cfg, func() error {
-			genRows = 0
-			_, err := prep.Run(core.Options{}, func(table.Row) error { genRows++; return nil })
+			var err error
+			genRows, _, err = countRows(prep, core.Options{})
 			return err
 		})
 		if err != nil {
@@ -115,14 +115,14 @@ func RunFig11b(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fig11b hand %d%%: %w", pct, err)
 		}
-		prep, err := svc.Prepare(sql)
+		prep, err := prepare(svc, sql)
 		if err != nil {
 			return nil, err
 		}
 		var genRows int64
 		genTime, err := timeBest(cfg, func() error {
-			genRows = 0
-			_, err := prep.Run(core.Options{}, func(table.Row) error { genRows++; return nil })
+			var err error
+			genRows, _, err = countRows(prep, core.Options{})
 			return err
 		})
 		if err != nil {

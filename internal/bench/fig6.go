@@ -118,15 +118,11 @@ func RunFig6(cfg Config) (*Table, error) {
 
 		var dvRows int64
 		dvTime, err := timeBest(cfg, func() error {
-			prep, err := svc.Prepare(dvSQL)
+			prep, err := prepare(svc, dvSQL)
 			if err != nil {
 				return err
 			}
-			dvRows = 0
-			_, err = prep.Run(core.Options{}, func(table.Row) error {
-				dvRows++
-				return nil
-			})
+			dvRows, _, err = countRows(prep, core.Options{})
 			return err
 		})
 		if err != nil {

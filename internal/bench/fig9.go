@@ -95,13 +95,13 @@ func runFig9(cfg Config, id, title string, queryNos []int) (*Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				prep, err := svc.Prepare(sql)
+				prep, err := prepare(svc, sql)
 				if err != nil {
 					return nil, fmt.Errorf("%s %s Q%d: %w", id, variant, n, err)
 				}
 				dur, err := timeBest(cfg, func() error {
-					rows = 0
-					_, err := prep.Run(core.Options{}, func(table.Row) error { rows++; return nil })
+					var err error
+					rows, _, err = countRows(prep, core.Options{})
 					return err
 				})
 				if err != nil {

@@ -12,7 +12,7 @@ import (
 
 // BenchmarkWarmReads measures the warm (fully cached) serve path of
 // both backends: tiny reads sweeping a file that is entirely resident,
-// the regime the dvbench mmap experiment times.
+// the hit path behind the benchmark module's cache.warm_mb_s.
 func BenchmarkWarmReads(b *testing.B) {
 	dir := b.TempDir()
 	const size = 4 << 20

@@ -3,10 +3,13 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"datavirt/internal/core"
 	"datavirt/internal/gen"
+	"datavirt/internal/query"
+	"datavirt/internal/sqlparser"
 	"datavirt/internal/storm"
 	"datavirt/internal/table"
 )
@@ -45,11 +48,11 @@ func TestDistributedAggregateMatchesLocal(t *testing.T) {
 		"SELECT REL, COUNT(*) FROM IparsData WHERE TIME > 100 GROUP BY REL", // all chunks pruned
 		"SELECT COUNT(*) FROM IparsData WHERE SOIL > 2",                     // zero matches, global
 	} {
-		p, err := local.Prepare(sql)
+		p, err := local.PrepareContext(context.Background(), sql)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		want, _, err := p.Collect(core.Options{})
+		want, _, err := p.CollectContext(context.Background(), core.Options{})
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
@@ -57,18 +60,7 @@ func TestDistributedAggregateMatchesLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%q: distributed %d rows, local %d", sql, len(got), len(want))
-		}
-		for i := range want {
-			for j := range want[i] {
-				a, b := want[i][j], got[i][j]
-				if a.Kind != b.Kind || a.Int != b.Int ||
-					math.Float64bits(a.Float) != math.Float64bits(b.Float) {
-					t.Fatalf("%q: row %d col %d: distributed %+v, local %+v", sql, i, j, b, a)
-				}
-			}
-		}
+		sameAggRows(t, sql, got, want)
 		// Aggregate legs transfer partials, not tuples.
 		if res.Rows != 0 {
 			t.Errorf("%q: trailer counted %d tuple rows for an aggregate", sql, res.Rows)
@@ -80,6 +72,57 @@ func TestDistributedAggregateMatchesLocal(t *testing.T) {
 			t.Errorf("%q: AggPushedQueries not merged into QueryStats", sql)
 		}
 	}
+}
+
+// sameAggRows fails unless got and want agree bit for bit: same group
+// order, same kinds, same integer and float bit patterns.
+func sameAggRows(t *testing.T, label string, got, want []table.Row) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d rows, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			a, b := want[i][j], got[i][j]
+			if a.Kind != b.Kind || a.Int != b.Int ||
+				math.Float64bits(a.Float) != math.Float64bits(b.Float) {
+				t.Fatalf("%s: row %d col %d: got %+v, want %+v", label, i, j, b, a)
+			}
+		}
+	}
+}
+
+// TestDistributedAggregateMatchesRowsThenAggregate compares push-down
+// with what a client without it does: fetch the aggregate's input
+// columns as rows through the coordinator and fold them one row at a
+// time. The two must agree bit for bit.
+func TestDistributedAggregateMatchesRowsThenAggregate(t *testing.T) {
+	coord, _ := startCluster(t, defaultSpec())
+	const aggSQL = "SELECT TIME, COUNT(*), SUM(SOIL), AVG(SGAS) FROM IparsData WHERE SOIL > 0.2 GROUP BY TIME"
+	cols := []string{"TIME", "SOIL", "SGAS"}
+	pushed, _, err := coord.CollectQueryContext(context.Background(), aggSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, _, err := coord.CollectQueryContext(context.Background(), "SELECT TIME, SOIL, SGAS FROM IparsData WHERE SOIL > 0.2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := query.BuildAggPlan(sqlparser.MustParse(aggSQL), coord.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.Bind(func(name string) (int, bool) {
+		i := slices.Index(cols, name)
+		return i, i >= 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	state := query.NewAggState(plan)
+	for _, r := range inputs {
+		state.ObserveRow(r)
+	}
+	sameAggRows(t, aggSQL, pushed, state.Finalize())
 }
 
 // TestDistributedAggregateBytesScaleWithGroups demonstrates the point

@@ -2,6 +2,7 @@ package chaostest
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -50,6 +51,41 @@ func TestKillEachNodeMidQuery(t *testing.T) {
 			c.Coord.Close() //nolint:errcheck — always nil
 			WaitGoroutines(t, base)
 		})
+	}
+}
+
+// TestQueriesAfterNodeDeath keeps using one coordinator after a node
+// crash: the node dies mid-way through a full scan, and every later
+// query — window scans and pushed aggregates, over session pools that
+// held connections to the dead node — must still return rows
+// byte-identical to a healthy local run, with the failover recorded.
+func TestQueriesAfterNodeDeath(t *testing.T) {
+	const victim = "node1"
+	c := Start(t, Config{})
+	queries := []string{fullScan}
+	for tm := 1; tm <= 8; tm++ {
+		queries = append(queries, fmt.Sprintf("SELECT * FROM IparsData WHERE TIME = %d", tm))
+	}
+	queries = append(queries,
+		"SELECT REL, COUNT(*), SUM(TIME), AVG(SOIL) FROM IparsData GROUP BY REL",
+		"SELECT TIME, MIN(SOIL), MAX(SGAS) FROM IparsData WHERE SGAS > 0.3 GROUP BY TIME")
+	want := make([][]string, len(queries))
+	for i, sql := range queries {
+		want[i] = c.LocalSorted(t, sql)
+	}
+	// Warm the coordinator's pools to every node, then crash victim
+	// after its leg of the next query has streamed one row batch.
+	c.CollectSorted(t, fullScan)
+	c.Proxies[victim].KillAfter(c.Proxies[victim].DataFrames()+1, func() { c.Nodes[victim].Close() }) //nolint:errcheck — crash by design
+
+	var failovers int64
+	for i, sql := range queries {
+		got, res := c.CollectSorted(t, sql)
+		AssertSameRows(t, got, want[i])
+		failovers += res.QueryStats.ReplicaFailovers
+	}
+	if failovers < 1 {
+		t.Errorf("ReplicaFailovers over %d queries = %d, want >= 1", len(queries), failovers)
 	}
 }
 
@@ -252,12 +288,8 @@ func TestCorruptSidecarFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := healthy.Query(sql)
+	want := localSorted(t, healthy, sql)
 	healthy.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := SortedRows(rows)
 	corrupted := 0
 	err = filepath.WalkDir(filepath.Join(root, "node0"), func(path string, de os.DirEntry, err error) error {
 		if err != nil || de.IsDir() || !strings.HasSuffix(path, sparse.Suffix) {

@@ -186,7 +186,17 @@ func (c *Cluster) CollectSorted(t testing.TB, sql string) ([]string, *cluster.Re
 // LocalSorted runs sql on the baseline service.
 func (c *Cluster) LocalSorted(t testing.TB, sql string) []string {
 	t.Helper()
-	rows, err := c.Local.Query(sql)
+	return localSorted(t, c.Local, sql)
+}
+
+// localSorted prepares and collects sql on svc.
+func localSorted(t testing.TB, svc *core.Service, sql string) []string {
+	t.Helper()
+	prep, err := svc.PrepareContext(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("local %q: %v", sql, err)
+	}
+	rows, _, err := prep.CollectContext(context.Background(), core.Options{})
 	if err != nil {
 		t.Fatalf("local %q: %v", sql, err)
 	}

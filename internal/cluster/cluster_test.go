@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -23,12 +26,23 @@ func startCluster(t *testing.T, s gen.IparsSpec) (*Coordinator, gen.IparsSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return startClusterAt(t, descPath, root), s
+}
+
+// startClusterAt launches one node server per node the descriptor at
+// descPath names, over the dataset under root.
+func startClusterAt(t *testing.T, descPath, root string) *Coordinator {
+	t.Helper()
 	d, err := metadata.ParseFile(descPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addrs := map[string]string{}
-	for i := 0; i < s.Partitions; i++ {
+	for _, dir := range d.Storage.Dirs {
+		name := dir.Node
+		if _, ok := addrs[name]; ok {
+			continue
+		}
 		// Each node gets its own service over the shared root (on a real
 		// cluster each node sees only its local disk; the resolver makes
 		// that irrelevant here).
@@ -36,7 +50,6 @@ func startCluster(t *testing.T, s gen.IparsSpec) (*Coordinator, gen.IparsSpec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := svc.Nodes()[i]
 		node, err := StartNode(context.Background(), name, svc, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +63,7 @@ func startCluster(t *testing.T, s gen.IparsSpec) (*Coordinator, gen.IparsSpec) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { coord.Close() })
-	return coord, s
+	return coord
 }
 
 func defaultSpec() gen.IparsSpec {
@@ -231,6 +244,110 @@ func TestServerSidePartitioning(t *testing.T) {
 	// Mismatched sink count is rejected.
 	if _, err := coord.QueryPartitionedContext(context.Background(), "SELECT TIME FROM IparsData", spec, sinks[:1]); err == nil {
 		t.Error("sink count mismatch accepted")
+	}
+}
+
+// countingSink counts rows and closes, optionally failing Send.
+type countingSink struct {
+	rows, closes int
+	sendErr      error
+}
+
+func (s *countingSink) Send(table.Row) error { s.rows++; return s.sendErr }
+func (s *countingSink) Close() error         { s.closes++; return nil }
+
+// TestPartitionedSinksClosedOnFailure checks that every sink is closed
+// exactly once whether the partitioned query succeeds or fails, and
+// that a failed query reports its own error.
+func TestPartitionedSinksClosedOnFailure(t *testing.T) {
+	coord, _ := startCluster(t, defaultSpec())
+	spec := storm.PartitionSpec{Scheme: storm.RoundRobin, NumDests: 2}
+	boom := errors.New("sink full")
+	for _, tc := range []struct {
+		name, sql string
+		sendErr   error
+		wantErr   bool
+	}{
+		{"ok", "SELECT TIME FROM IparsData", nil, false},
+		{"bad sql", "SELECT NOPE FROM IparsData", nil, true},
+		{"send fails", "SELECT TIME FROM IparsData", boom, true},
+	} {
+		a, b := &countingSink{sendErr: tc.sendErr}, &countingSink{sendErr: tc.sendErr}
+		_, err := coord.QueryPartitionedContext(context.Background(), tc.sql, spec, []storm.Sink{a, b})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+		if tc.sendErr != nil && !errors.Is(err, tc.sendErr) {
+			t.Errorf("%s: err = %v, want the query's own error %v", tc.name, err, tc.sendErr)
+		}
+		if a.closes != 1 || b.closes != 1 {
+			t.Errorf("%s: sinks closed %d and %d times, want 1 and 1", tc.name, a.closes, b.closes)
+		}
+	}
+}
+
+// TestCrossNodeFileGroupRejected pins the co-location contract. The
+// dataset is layout L0 with COORDS on node0 and the variable files of
+// the same file group on node1: the local service reads it whole, but
+// each of its aligned file chunks spans both nodes, so every node leg
+// would drop it. The coordinator must refuse the query, naming the
+// chunk, instead of returning an empty result.
+func TestCrossNodeFileGroupRejected(t *testing.T) {
+	s := gen.IparsSpec{Realizations: 1, TimeSteps: 2, GridPoints: 64, Partitions: 1, Attrs: 3, Seed: 5}
+	root := t.TempDir()
+	descPath, err := gen.WriteIpars(root, s, "L0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(descPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc := strings.Replace(string(b), "DIR[0] = node0/ipars\n", "DIR[0] = node0/ipars\nDIR[1] = node1/ipars\n", 1)
+	desc = strings.ReplaceAll(desc, "DIR[0]/", "DIR[1]/")
+	desc = strings.ReplaceAll(desc, "DIR[1]/COORDS", "DIR[0]/COORDS")
+	if err := os.WriteFile(descPath, []byte(desc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	from, to := filepath.Join(root, "node0", "ipars"), filepath.Join(root, "node1", "ipars")
+	if err := os.MkdirAll(to, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if f.Name() != "COORDS" {
+			if err := os.Rename(filepath.Join(from, f.Name()), filepath.Join(to, f.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	local, err := core.Open(descPath, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+	prep, err := local.PrepareContext(context.Background(), "SELECT * FROM IparsData")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := prep.CollectContext(context.Background(), core.Options{})
+	if err != nil || int64(len(want)) != s.IparsTotalRows() {
+		t.Fatalf("local scan: %d rows, %v; want %d", len(want), err, s.IparsTotalRows())
+	}
+
+	coord := startClusterAt(t, descPath, root)
+	for _, sql := range []string{"SELECT * FROM IparsData", "SELECT TIME, AVG(SOIL), MAX(X) FROM IparsData GROUP BY TIME"} {
+		rows, res, err := coord.CollectQueryContext(context.Background(), sql)
+		if err == nil {
+			t.Fatalf("%q: %d rows, nil error (PerNode %v); want a cross-node chunk error", sql, len(rows), res.PerNode)
+		}
+		if !strings.Contains(err.Error(), "spans nodes node0 and node1: AFC{") {
+			t.Errorf("%q: error %q does not name the cross-node chunk", sql, err)
+		}
 	}
 }
 

@@ -236,14 +236,6 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows,
 	}), nil
 }
 
-// Query runs sql on every node with a background context.
-//
-// Deprecated: use QueryContext, which returns a streaming cursor and
-// honours cancellation.
-func (c *Coordinator) Query(sql string, emit func(row table.Row) error) (*Result, error) {
-	return c.QueryFuncContext(context.Background(), sql, emit)
-}
-
 // QueryFuncContext runs sql on every node and calls emit for each
 // returned row (from a single goroutine; the row is only valid during
 // the call, per the extractor.EmitFunc reuse contract).
@@ -258,17 +250,12 @@ func (c *Coordinator) QueryFuncContext(ctx context.Context, sql string, emit fun
 	})
 }
 
-// QueryPartitioned runs a partitioned query with a background context.
-//
-// Deprecated: use QueryPartitionedContext, which honours cancellation.
-func (c *Coordinator) QueryPartitioned(sql string, spec storm.PartitionSpec, sinks []storm.Sink) (*Result, error) {
-	return c.QueryPartitionedContext(context.Background(), sql, spec, sinks)
-}
-
 // QueryPartitionedContext runs sql with server-side partition
 // generation: each node tags every tuple with its destination among
 // spec.NumDests client processors, and the coordinator routes tuples
-// to the matching sink — the data mover service.
+// to the matching sink — the data mover service. Every sink is closed
+// once the query ends, whether it succeeded or failed; the query's
+// error takes precedence over the first close error.
 func (c *Coordinator) QueryPartitionedContext(ctx context.Context, sql string, spec storm.PartitionSpec, sinks []storm.Sink) (*Result, error) {
 	if spec.NumDests != len(sinks) {
 		return nil, fmt.Errorf("cluster: partition spec has %d destinations, got %d sinks",
@@ -285,9 +272,6 @@ func (c *Coordinator) QueryPartitionedContext(ctx context.Context, sql string, s
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	for _, s := range sinks {
 		if cerr := s.Close(); cerr != nil && err == nil {
 			err = cerr
@@ -296,15 +280,9 @@ func (c *Coordinator) QueryPartitionedContext(ctx context.Context, sql string, s
 	return res, err
 }
 
-// CollectQuery runs sql and returns all rows (copied), in a
-// deterministic order only within each node's stream.
-//
-// Deprecated: use QueryContext and iterate the cursor.
-func (c *Coordinator) CollectQuery(sql string) ([]table.Row, *Result, error) {
-	return c.CollectQueryContext(context.Background(), sql)
-}
-
-// CollectQueryContext is CollectQuery under a context.
+// CollectQueryContext runs sql and returns all rows, in a deterministic
+// order only within each node's stream. The rows are owned by the
+// caller (each decoded frame is fresh memory), so nothing is copied.
 func (c *Coordinator) CollectQueryContext(ctx context.Context, sql string) ([]table.Row, *Result, error) {
 	var rows []table.Row
 	res, err := c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, batch []table.Row) error {
@@ -359,6 +337,11 @@ type legCounters struct {
 // here touches again.
 func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Prepared, spec storm.PartitionSpec, deliver func(dest int, rows []table.Row) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// A chunk spanning nodes belongs to no single node server, so every
+	// leg would drop it; refuse the query before dispatching any leg.
+	if err := core.CheckColocated(prep.AFCs); err != nil {
 		return nil, err
 	}
 	codec := table.NewCodec(prep.OutSchema)

@@ -78,63 +78,71 @@ func sortedKeys(rows []table.Row) []string {
 // many clients fire queries concurrently over one coordinator's pooled
 // sessions (so queries genuinely interleave on shared connections) and
 // every one of them must see exactly the rows a sequential run sees.
+// The same clients then run over ephemeral connections (PoolSize < 0,
+// one dialed connection per leg) against the same baseline.
 func TestConcurrentClientsSharedPool(t *testing.T) {
-	coord, _ := startCluster(t, gen.IparsSpec{
+	spec := gen.IparsSpec{
 		Realizations: 2, TimeSteps: 10, GridPoints: 120, Partitions: 3,
 		Attrs: 6, Seed: 7,
-	})
+	}
 	queries := []string{
 		"SELECT * FROM IparsData WHERE TIME >= 2 AND TIME <= 6",
 		"SELECT TIME, SOIL FROM IparsData WHERE REL = 1",
 		"SELECT * FROM IparsData WHERE TIME > 1000", // empty
 		"SELECT TIME FROM IparsData",
 	}
-	// Sequential baselines through the same coordinator.
-	want := make([][]string, len(queries))
-	for i, sql := range queries {
-		rows, _, err := coord.CollectQueryContext(context.Background(), sql)
-		if err != nil {
-			t.Fatalf("baseline %q: %v", sql, err)
+	var want [][]string
+	for _, poolSize := range []int{0, -1} {
+		coord, _ := startCluster(t, spec)
+		coord.PoolSize = poolSize
+		if want == nil {
+			// Sequential baselines through the pooled coordinator.
+			for _, sql := range queries {
+				rows, _, err := coord.CollectQueryContext(context.Background(), sql)
+				if err != nil {
+					t.Fatalf("baseline %q: %v", sql, err)
+				}
+				want = append(want, sortedKeys(rows))
+			}
 		}
-		want[i] = sortedKeys(rows)
-	}
 
-	const clients = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		q := c % len(queries)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sql := queries[q]
-			rows, err := coord.QueryContext(context.Background(), sql)
-			if err != nil {
-				errs <- fmt.Errorf("%q: %v", sql, err)
-				return
-			}
-			got, err := collectRows(rows)
-			if err != nil {
-				errs <- fmt.Errorf("%q: %v", sql, err)
-				return
-			}
-			keys := sortedKeys(got)
-			if len(keys) != len(want[q]) {
-				errs <- fmt.Errorf("%q: %d rows, want %d", sql, len(keys), len(want[q]))
-				return
-			}
-			for i := range keys {
-				if keys[i] != want[q][i] {
-					errs <- fmt.Errorf("%q: row %d diverges: %s != %s", sql, i, keys[i], want[q][i])
+		const clients = 8
+		var wg sync.WaitGroup
+		errs := make(chan error, clients)
+		for c := 0; c < clients; c++ {
+			q := c % len(queries)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sql := queries[q]
+				rows, err := coord.QueryContext(context.Background(), sql)
+				if err != nil {
+					errs <- fmt.Errorf("PoolSize %d: %q: %v", poolSize, sql, err)
 					return
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
+				got, err := collectRows(rows)
+				if err != nil {
+					errs <- fmt.Errorf("PoolSize %d: %q: %v", poolSize, sql, err)
+					return
+				}
+				keys := sortedKeys(got)
+				if len(keys) != len(want[q]) {
+					errs <- fmt.Errorf("PoolSize %d: %q: %d rows, want %d", poolSize, sql, len(keys), len(want[q]))
+					return
+				}
+				for i := range keys {
+					if keys[i] != want[q][i] {
+						errs <- fmt.Errorf("PoolSize %d: %q: row %d diverges: %s != %s", poolSize, sql, i, keys[i], want[q][i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Error(err)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestAggregateQueryAgainstRowOracle(t *testing.T) {
 	defer svc.Close()
 
 	sql := "SELECT REL, COUNT(*), SUM(TIME), MIN(SOIL), MAX(SOIL), AVG(SOIL) FROM IparsData WHERE SGAS > 0.3 GROUP BY REL"
-	p, err := svc.Prepare(sql)
+	p, err := prepare(svc, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestAggregateQueryAgainstRowOracle(t *testing.T) {
 	if p.OutSchema.NumAttrs() != len(wantCols) {
 		t.Fatalf("out schema = %d attrs", p.OutSchema.NumAttrs())
 	}
-	got, stats, err := p.Collect(Options{})
+	got, stats, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAggregateQueryAgainstRowOracle(t *testing.T) {
 	}
 	// Oracle: the plain row path (its own correctness is covered by the
 	// projection tests), aggregated by hand in test code.
-	rows, err := svc.Query("SELECT REL, TIME, SOIL FROM IparsData WHERE SGAS > 0.3")
+	rows, err := queryAll(svc, "SELECT REL, TIME, SOIL FROM IparsData WHERE SGAS > 0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +112,15 @@ func TestAggregateQueryAgainstRowOracle(t *testing.T) {
 func TestAggregateParallelMatchesSequential(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	defer svc.Close()
-	p, err := svc.Prepare("SELECT TIME, COUNT(*), AVG(SOIL), SUM(SGAS) FROM IparsData GROUP BY TIME")
+	p, err := prepare(svc, "SELECT TIME, COUNT(*), AVG(SOIL), SUM(SGAS) FROM IparsData GROUP BY TIME")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := p.Collect(Options{})
+	seq, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.Collect(Options{Parallel: true, Workers: 4})
+	par, _, err := collect(p, Options{Parallel: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestAggregateParallelMatchesSequential(t *testing.T) {
 	rowsEqual(t, "parallel", seq, par)
 
 	// The scalar-filter diagnostic path must also agree.
-	scalar, sstats, err := p.Collect(Options{ScalarFilter: true})
+	scalar, sstats, err := collect(p, Options{ScalarFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestAggregateEmptyAndSkipped(t *testing.T) {
 		// Global aggregate over zero rows: zero result rows, not NULLs.
 		"SELECT COUNT(*) FROM IparsData WHERE SOIL > 2",
 	} {
-		rows, err := svc.Query(sql)
+		rows, err := queryAll(svc, sql)
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
@@ -162,7 +162,7 @@ func TestAggregateEmptyAndSkipped(t *testing.T) {
 func TestAggregateGlobalCount(t *testing.T) {
 	svc, s := iparsService(t, "CLUSTER")
 	defer svc.Close()
-	rows, err := svc.Query("SELECT COUNT(*) FROM IparsData")
+	rows, err := queryAll(svc, "SELECT COUNT(*) FROM IparsData")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestAggregateGlobalCount(t *testing.T) {
 		t.Fatalf("COUNT(*) = %v, want 1 row of %d", rows, s.IparsTotalRows())
 	}
 	// The zero-column block layout must survive the scalar path too.
-	p, err := svc.Prepare("SELECT COUNT(*) FROM IparsData")
+	p, err := prepare(svc, "SELECT COUNT(*) FROM IparsData")
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, _, err := p.Collect(Options{ScalarFilter: true})
+	scalar, _, err := collect(p, Options{ScalarFilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestAggregateUnionOverNodesMatchesWhole(t *testing.T) {
 	// states, merged, finalize exactly like one whole-table pass.
 	svc, _ := iparsService(t, "CLUSTER")
 	defer svc.Close()
-	p, err := svc.Prepare("SELECT TIME, COUNT(*), AVG(SOIL) FROM IparsData WHERE SGAS > 0.2 GROUP BY TIME")
+	p, err := prepare(svc, "SELECT TIME, COUNT(*), AVG(SOIL) FROM IparsData WHERE SGAS > 0.2 GROUP BY TIME")
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, _, err := p.Collect(Options{})
+	whole, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestAggregatePrepareErrors(t *testing.T) {
 		"SELECT AVG(SOIL) FROM IparsData GROUP BY REL, REL", // duplicate key
 	}
 	for _, sql := range bad {
-		if _, err := svc.Prepare(sql); err == nil {
+		if _, err := prepare(svc, sql); err == nil {
 			t.Errorf("Prepare(%q) accepted", sql)
 		}
 	}

@@ -43,11 +43,11 @@ func TestServiceBackendConformance(t *testing.T) {
 		svc.SetCacheConfig(cache.Config{BlockBytes: 4096, Backend: backend})
 		var res result
 		for _, sql := range queries {
-			p, err := svc.Prepare(sql)
+			p, err := prepare(svc, sql)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			rows, stats, err := p.Collect(Options{})
+			rows, stats, err := collect(p, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
@@ -78,6 +78,11 @@ func TestServiceBackendConformance(t *testing.T) {
 		if ms.FSBytesRead > ps.FSBytesRead {
 			t.Errorf("q%d: mmap copied more than pread: %d > %d", qi, ms.FSBytesRead, ps.FSBytesRead)
 		}
+		// Where mappings served blocks, they replaced copies outright.
+		if ms.MmapBlocksServed > 0 && ps.FSBytesRead > 0 && ms.FSBytesRead >= ps.FSBytesRead {
+			t.Errorf("q%d: mmap served %d blocks yet copied as much as pread (%d bytes)",
+				qi, ms.MmapBlocksServed, ms.FSBytesRead)
+		}
 	}
 }
 
@@ -88,18 +93,18 @@ func TestServiceBackendRefusalFallback(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	defer svc.Close()
 	sql := "SELECT * FROM IparsData WHERE TIME >= 1 AND TIME <= 2"
-	want, err := svc.Query(sql)
+	want, err := queryAll(svc, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	disk := &cachetest.Disk{RefuseMmap: true}
 	svc.SetCacheConfig(cache.Config{BlockBytes: 4096, Backend: cache.BackendMmap, OpenFile: disk.Open})
-	p, err := svc.Prepare(sql)
+	p, err := prepare(svc, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := p.Collect(Options{})
+	rows, stats, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestServiceBackendShutdownStorm(t *testing.T) {
 			}
 			want := map[string]int{}
 			for _, sql := range sqls {
-				rows, err := svc.Query(sql)
+				rows, err := queryAll(svc, sql)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -150,7 +155,7 @@ func TestServiceBackendShutdownStorm(t *testing.T) {
 						default:
 						}
 						sql := sqls[rng.Intn(len(sqls))]
-						rows, err := svc.Query(sql)
+						rows, err := queryAll(svc, sql)
 						if err != nil {
 							return // lost the race to Close
 						}

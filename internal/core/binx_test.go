@@ -54,7 +54,7 @@ func TestBinXEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open(binx): %v", err)
 	}
-	rows, err := svc.Query("SELECT TIME, GRID, SOIL FROM BinxDemo WHERE TIME >= 2 AND TIME <= 3 AND SGAS = 1")
+	rows, err := queryAll(svc, "SELECT TIME, GRID, SOIL FROM BinxDemo WHERE TIME >= 2 AND TIME <= 3 AND SGAS = 1")
 	if err != nil {
 		t.Fatal(err)
 	}

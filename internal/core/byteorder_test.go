@@ -79,7 +79,7 @@ func TestByteOrderEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := svc.Query("SELECT T, A, B FROM BoData WHERE T >= 3 AND T <= 5")
+		rows, err := queryAll(svc, "SELECT T, A, B FROM BoData WHERE T >= 3 AND T <= 5")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestByteOrderMismatchDetectable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := svc.Query("SELECT A FROM BoData WHERE T = 0")
+	rows, err := queryAll(svc, "SELECT A FROM BoData WHERE T = 0")
 	if err != nil {
 		t.Fatal(err)
 	}

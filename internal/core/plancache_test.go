@@ -32,11 +32,11 @@ func TestPlanCacheSemanticHit(t *testing.T) {
 
 	// Two textually different queries with the same normalized ranges
 	// and needed columns share one cached plan.
-	a, err := svc.Prepare("SELECT SOIL, TIME FROM IparsData WHERE TIME >= 1 AND REL = 0")
+	a, err := prepare(svc, "SELECT SOIL, TIME FROM IparsData WHERE TIME >= 1 AND REL = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := svc.Prepare("SELECT TIME, SOIL FROM IparsData WHERE REL = 0 AND NOT TIME < 1")
+	b, err := prepare(svc, "SELECT TIME, SOIL FROM IparsData WHERE REL = 0 AND NOT TIME < 1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPlanCacheSemanticHit(t *testing.T) {
 	}
 
 	// Different ranges or needed columns miss.
-	c, err := svc.Prepare("SELECT SOIL, TIME FROM IparsData WHERE TIME >= 2 AND REL = 0")
+	c, err := prepare(svc, "SELECT SOIL, TIME FROM IparsData WHERE TIME >= 2 AND REL = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestPlanCacheSemanticHit(t *testing.T) {
 	}
 
 	// A cached plan still executes correctly.
-	rows, _, err := b.Collect(Options{})
+	rows, _, err := collect(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := a.Collect(Options{})
+	want, _, err := collect(a, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,14 @@ func TestPlanCacheInvalidate(t *testing.T) {
 	defer svc.Close()
 
 	sql := "SELECT TIME FROM IparsData WHERE TIME = 1"
-	if _, err := svc.Prepare(sql); err != nil {
+	if _, err := prepare(svc, sql); err != nil {
 		t.Fatal(err)
 	}
 	svc.InvalidatePlans()
 	if st := svc.PlanCacheStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Errorf("after InvalidatePlans: %+v, want empty", st)
 	}
-	p, err := svc.Prepare(sql)
+	p, err := prepare(svc, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestPlanCacheDisabledAndResize(t *testing.T) {
 	svc.SetPlanCacheConfig(PlanCacheConfig{Disabled: true})
 	sql := "SELECT TIME FROM IparsData WHERE TIME = 1"
 	for i := 0; i < 2; i++ {
-		p, err := svc.Prepare(sql)
+		p, err := prepare(svc, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestPlanCacheDisabledAndResize(t *testing.T) {
 	// A tiny cache evicts under entry pressure instead of growing.
 	svc.SetPlanCacheConfig(PlanCacheConfig{MaxEntries: 1, Shards: 1})
 	for i := 0; i < 4; i++ {
-		if _, err := svc.Prepare(fmt.Sprintf("SELECT TIME FROM IparsData WHERE TIME = %d", i)); err != nil {
+		if _, err := prepare(svc, fmt.Sprintf("SELECT TIME FROM IparsData WHERE TIME = %d", i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,11 +21,11 @@ import (
 func TestRowsIterationMatchesCollect(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	sql := "SELECT SOIL, TIME FROM IparsData WHERE TIME >= 2"
-	p, err := svc.Prepare(sql)
+	p, err := prepare(svc, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := p.Collect(Options{})
+	want, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ rows filtered: 0`
 
 func TestOptionsValidate(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
-	p, err := svc.Prepare("SELECT TIME FROM IparsData")
+	p, err := prepare(svc, "SELECT TIME FROM IparsData")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, opt := range []Options{{Workers: -1}, {BlockBytes: -4096}} {
-		if _, err := p.Run(opt, func(table.Row) error { return nil }); err == nil {
+		if _, err := p.RunContext(context.Background(), opt, func(table.Row) error { return nil }); err == nil {
 			t.Errorf("Options %+v accepted", opt)
 		} else if !strings.Contains(err.Error(), "negative") {
 			t.Errorf("Options %+v: unhelpful error %v", opt, err)
@@ -381,7 +381,7 @@ func TestRowsRetainedMatchCollect(t *testing.T) {
 		"SELECT * FROM IparsData",
 		"SELECT SOIL, TIME, X FROM IparsData WHERE TIME >= 3 AND SOIL > 0.2", // projection + vector filter
 	} {
-		p, err := svc.Prepare(sql)
+		p, err := prepare(svc, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,7 +535,7 @@ func l0Service(tb testing.TB, steps, grid int) *Service {
 func TestRowsDrainAllocations(t *testing.T) {
 	const steps, grid = 32, 1024
 	svc := l0Service(t, steps, grid)
-	p, err := svc.Prepare("SELECT * FROM IparsData")
+	p, err := prepare(svc, "SELECT * FROM IparsData")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ var benchRows int
 
 func benchScan(b *testing.B) *Prepared {
 	svc := l0Service(b, 128, 1024)
-	p, err := svc.Prepare("SELECT * FROM IparsData")
+	p, err := prepare(svc, "SELECT * FROM IparsData")
 	if err != nil {
 		b.Fatal(err)
 	}

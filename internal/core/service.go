@@ -318,12 +318,6 @@ type Prepared struct {
 	planCacheMisses int64 // 1 when this prepare built (or waited on a failed build of) the AFC list
 }
 
-// Prepare parses, validates and plans a SQL query with a background
-// context; it is the convenience form of PrepareContext.
-func (s *Service) Prepare(sql string) (*Prepared, error) {
-	return s.PrepareContext(context.Background(), sql)
-}
-
 // PrepareContext parses, validates and plans a SQL query. The plan and
 // index stages are reported to the context's obs.Tracer and their wall
 // times recorded on the returned Prepared (surfaced later through
@@ -334,12 +328,6 @@ func (s *Service) PrepareContext(ctx context.Context, sql string) (*Prepared, er
 		return nil, err
 	}
 	return s.PrepareParsedContext(ctx, q)
-}
-
-// PrepareParsed plans an already-parsed query; the convenience form of
-// PrepareParsedContext.
-func (s *Service) PrepareParsed(q *sqlparser.Query) (*Prepared, error) {
-	return s.PrepareParsedContext(context.Background(), q)
 }
 
 // PrepareParsedContext plans an already-parsed query.
@@ -507,12 +495,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Run executes the prepared query with a background context; it is the
-// convenience form of RunContext.
-func (p *Prepared) Run(opt Options, emit func(row table.Row) error) (extractor.Stats, error) {
-	return p.RunContext(context.Background(), opt, emit)
-}
-
 // RunContext executes the prepared query, emitting projected rows
 // under the reuse contract of extractor.EmitFunc (the slice is reused;
 // copy to retain). Cancelling ctx stops extraction between block reads
@@ -589,14 +571,7 @@ func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*quer
 	tracer := obs.TracerFrom(ctx)
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	var state *query.AggState
-	var stats extractor.Stats
-	var err error
-	if opt.Parallel {
-		state, stats, err = extractor.RunAggregateParallelContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
-	} else {
-		state, stats, err = extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
-	}
+	state, stats, err := extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, opt.Parallel, p.Agg)
 	endExtract(err)
 	tracer.StageEnd(p.sqlText, obs.StageFilter, time.Duration(stats.FilterNS), err)
 	tracer.StageEnd(p.sqlText, obs.StageAggregate, time.Duration(stats.AggNS), err)
@@ -728,12 +703,6 @@ func (p *Prepared) identityProjection() bool {
 	return true
 }
 
-// Collect runs the query and returns all rows (copied); the
-// convenience form of CollectContext.
-func (p *Prepared) Collect(opt Options) ([]table.Row, extractor.Stats, error) {
-	return p.CollectContext(context.Background(), opt)
-}
-
 // CollectContext runs the query and returns all rows (copied). Large
 // results are better consumed incrementally through QueryContext's
 // Rows cursor, which does not materialize the result set.
@@ -748,21 +717,6 @@ func (p *Prepared) CollectContext(ctx context.Context, opt Options) ([]table.Row
 		return nil
 	})
 	return rows, stats, err
-}
-
-// Query is the one-call convenience: prepare, run sequentially,
-// collect, with a background context.
-//
-// Deprecated: use QueryContext and iterate the returned cursor (or
-// Prepare + CollectContext to materialize); Query cannot be cancelled
-// and buffers the entire result set.
-func (s *Service) Query(sql string) ([]table.Row, error) {
-	p, err := s.Prepare(sql)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := p.Collect(Options{})
-	return rows, err
 }
 
 // QueryContext prepares and executes sql, returning a streaming Rows
@@ -807,22 +761,22 @@ func FilterByNode(afcs []afc.AFC, node string) []afc.AFC {
 	return out
 }
 
-// SplitByNode partitions AFCs by the node holding them, failing on any
-// AFC whose segments span nodes (such chunks cannot be dispatched to a
-// single node server; co-locate aligned files when distributing data).
-func SplitByNode(afcs []afc.AFC) (map[string][]afc.AFC, error) {
-	out := map[string][]afc.AFC{}
-	for _, a := range afcs {
-		node := a.Node
+// CheckColocated fails on the first AFC whose segments span nodes.
+// Node servers each run only the AFCs wholly their own (FilterByNode),
+// so such a chunk would be silently dropped by every one of them; a
+// distributed query must refuse it instead (co-locate aligned files
+// when distributing data). It allocates nothing unless it fails.
+func CheckColocated(afcs []afc.AFC) error {
+	for i := range afcs {
+		a := &afcs[i]
 		for _, seg := range a.Segments {
-			if seg.Node != node {
-				return nil, fmt.Errorf("core: aligned file chunk spans nodes %s and %s: %s",
-					node, seg.Node, a.String())
+			if seg.Node != a.Node {
+				return fmt.Errorf("core: aligned file chunk spans nodes %s and %s: %s",
+					a.Node, seg.Node, a.String())
 			}
 		}
-		out[node] = append(out[node], a)
 	}
-	return out, nil
+	return nil
 }
 
 // Nodes returns the distinct node names of the service's storage

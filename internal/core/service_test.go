@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sort"
 	"strings"
@@ -32,6 +33,25 @@ func iparsService(t *testing.T, layoutID string) (*Service, gen.IparsSpec) {
 	return svc, s
 }
 
+// prepare, collect and queryAll run the context-taking entry points
+// under a background context.
+func prepare(svc *Service, sql string) (*Prepared, error) {
+	return svc.PrepareContext(context.Background(), sql)
+}
+
+func collect(p *Prepared, opt Options) ([]table.Row, extractor.Stats, error) {
+	return p.CollectContext(context.Background(), opt)
+}
+
+func queryAll(svc *Service, sql string) ([]table.Row, error) {
+	p, err := prepare(svc, sql)
+	if err != nil {
+		return nil, err
+	}
+	rows, _, err := collect(p, Options{})
+	return rows, err
+}
+
 func TestOpenAndQuery(t *testing.T) {
 	svc, s := iparsService(t, "CLUSTER")
 	if svc.TableName() != "IparsData" {
@@ -40,7 +60,7 @@ func TestOpenAndQuery(t *testing.T) {
 	if svc.Schema().NumAttrs() != 5+s.Attrs {
 		t.Errorf("schema attrs = %d", svc.Schema().NumAttrs())
 	}
-	rows, err := svc.Query("SELECT * FROM IparsData")
+	rows, err := queryAll(svc, "SELECT * FROM IparsData")
 	if err != nil {
 		t.Fatalf("Query: %v", err)
 	}
@@ -56,24 +76,24 @@ func TestOpenAndQuery(t *testing.T) {
 func TestQueryBySchemaName(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	// FROM accepts the schema name as well as the dataset name.
-	if _, err := svc.Query("SELECT TIME FROM IPARS WHERE TIME = 1"); err != nil {
+	if _, err := queryAll(svc, "SELECT TIME FROM IPARS WHERE TIME = 1"); err != nil {
 		t.Errorf("FROM IPARS: %v", err)
 	}
-	if _, err := svc.Query("SELECT TIME FROM Other"); err == nil {
+	if _, err := queryAll(svc, "SELECT TIME FROM Other"); err == nil {
 		t.Error("unknown table accepted")
 	}
 }
 
 func TestPreparedProjectionAndValues(t *testing.T) {
 	svc, s := iparsService(t, "CLUSTER")
-	p, err := svc.Prepare("SELECT SOIL, REL, TIME FROM IparsData WHERE REL = 1 AND TIME = 2 AND SGAS > 0.5")
+	p, err := prepare(svc, "SELECT SOIL, REL, TIME FROM IparsData WHERE REL = 1 AND TIME = 2 AND SGAS > 0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Cols) != 3 || p.Cols[0] != "SOIL" || p.OutSchema.NumAttrs() != 3 {
 		t.Fatalf("cols = %v", p.Cols)
 	}
-	rows, stats, err := p.Collect(Options{})
+	rows, stats, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,15 +129,15 @@ func TestPreparedProjectionAndValues(t *testing.T) {
 
 func TestParallelOption(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
-	p, err := svc.Prepare("SELECT * FROM IparsData WHERE SOIL > 0.5")
+	p, err := prepare(svc, "SELECT * FROM IparsData WHERE SOIL > 0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := p.Collect(Options{})
+	seq, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := p.Collect(Options{Parallel: true, Workers: 4})
+	par, _, err := collect(p, Options{Parallel: true, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +148,7 @@ func TestParallelOption(t *testing.T) {
 
 func TestNodeFilterPartitionsWork(t *testing.T) {
 	svc, s := iparsService(t, "CLUSTER")
-	p, err := svc.Prepare("SELECT * FROM IparsData")
+	p, err := prepare(svc, "SELECT * FROM IparsData")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +158,7 @@ func TestNodeFilterPartitionsWork(t *testing.T) {
 	}
 	var total int64
 	for _, n := range nodes {
-		rows, _, err := p.Collect(Options{NodeFilter: n})
+		rows, _, err := collect(p, Options{NodeFilter: n})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,14 +167,13 @@ func TestNodeFilterPartitionsWork(t *testing.T) {
 	if total != s.IparsTotalRows() {
 		t.Errorf("union over nodes = %d, want %d", total, s.IparsTotalRows())
 	}
-	// SplitByNode covers every AFC exactly once.
-	split, err := SplitByNode(p.AFCs)
-	if err != nil {
+	// Every AFC is co-located, so the node filters cover each exactly once.
+	if err := CheckColocated(p.AFCs); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
-	for _, as := range split {
-		count += len(as)
+	for _, n := range nodes {
+		count += len(FilterByNode(p.AFCs, n))
 	}
 	if count != len(p.AFCs) {
 		t.Errorf("split count = %d, want %d", count, len(p.AFCs))
@@ -163,15 +182,15 @@ func TestNodeFilterPartitionsWork(t *testing.T) {
 
 func TestCoalesceOptionMatches(t *testing.T) {
 	svc, s := iparsService(t, "CLUSTER")
-	p, err := svc.Prepare("SELECT * FROM IparsData WHERE SOIL > 0.4")
+	p, err := prepare(svc, "SELECT * FROM IparsData WHERE SOIL > 0.4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := p.Collect(Options{})
+	plain, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	coalesced, stats, err := p.Collect(Options{Coalesce: true})
+	coalesced, stats, err := collect(p, Options{Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,31 +216,46 @@ func TestCoalesceOptionMatches(t *testing.T) {
 }
 
 func TestSplitByNodeRejectsCrossNodeChunks(t *testing.T) {
-	afcs := []afc.AFC{{
+	local := afc.AFC{
+		NumRows: 2,
+		Node:    "node0",
+		Segments: []afc.Segment{
+			{Node: "node0", File: "a", RowStride: 4, RowBytes: 4},
+			{Node: "node0", File: "b", RowStride: 4, RowBytes: 4},
+		},
+	}
+	cross := afc.AFC{
 		NumRows: 1,
 		Node:    "node0",
 		Segments: []afc.Segment{
 			{Node: "node0", File: "a", RowStride: 4, RowBytes: 4},
 			{Node: "node1", File: "b", RowStride: 4, RowBytes: 4},
 		},
-	}}
-	if _, err := SplitByNode(afcs); err == nil {
-		t.Error("cross-node chunk accepted")
 	}
-	// Segmentless chunks split by their home node.
-	out, err := SplitByNode([]afc.AFC{{NumRows: 2, Node: "node1"}})
-	if err != nil || len(out["node1"]) != 1 {
-		t.Errorf("segmentless split = %v, %v", out, err)
+	err := CheckColocated([]afc.AFC{local, cross})
+	if err == nil {
+		t.Fatal("cross-node chunk accepted")
+	}
+	if !strings.Contains(err.Error(), cross.String()) {
+		t.Errorf("error %q does not name the offending chunk %s", err, cross.String())
+	}
+	// Segmentless chunks belong to their home node.
+	ok := []afc.AFC{local, {NumRows: 2, Node: "node1"}}
+	if err := CheckColocated(ok); err != nil {
+		t.Errorf("co-located chunks rejected: %v", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = CheckColocated(ok) }); n != 0 {
+		t.Errorf("CheckColocated allocated %v times on co-located chunks, want 0", n)
 	}
 }
 
 func TestCoalesceLayoutIThroughExtractor(t *testing.T) {
 	svc, s := iparsService(t, "I")
-	p, err := svc.Prepare("SELECT * FROM IparsData")
+	p, err := prepare(svc, "SELECT * FROM IparsData")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := p.Collect(Options{Coalesce: true})
+	rows, stats, err := collect(p, Options{Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +282,7 @@ func TestCustomFilterRegistration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := svc.Query("SELECT TIME FROM IparsData WHERE DOUBLE(TIME) = 4 AND REL = 0")
+	rows, err := queryAll(svc, "SELECT TIME FROM IparsData WHERE DOUBLE(TIME) = 4 AND REL = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +305,7 @@ func TestPrepareErrors(t *testing.T) {
 		"SELECT * FROM WrongTable",
 	}
 	for _, sql := range bad {
-		if _, err := svc.Prepare(sql); err == nil {
+		if _, err := prepare(svc, sql); err == nil {
 			t.Errorf("Prepare(%q) accepted", sql)
 		}
 	}
@@ -284,7 +318,7 @@ func TestEmptyResultQueries(t *testing.T) {
 		"SELECT * FROM IparsData WHERE REL = 9",
 		"SELECT * FROM IparsData WHERE SOIL > 2",
 	} {
-		rows, err := svc.Query(sql)
+		rows, err := queryAll(svc, sql)
 		if err != nil {
 			t.Errorf("%q: %v", sql, err)
 		}
@@ -296,13 +330,13 @@ func TestEmptyResultQueries(t *testing.T) {
 
 func TestRunReusesBuffer(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
-	p, err := svc.Prepare("SELECT TIME FROM IparsData WHERE REL = 0")
+	p, err := prepare(svc, "SELECT TIME FROM IparsData WHERE REL = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var first table.Row
 	n := 0
-	_, err = p.Run(Options{}, func(r table.Row) error {
+	_, err = p.RunContext(context.Background(), Options{}, func(r table.Row) error {
 		if n == 0 {
 			first = r // deliberately retain without copying
 		}
@@ -316,7 +350,7 @@ func TestRunReusesBuffer(t *testing.T) {
 		t.Fatal("need at least 2 rows")
 	}
 	// The retained slice aliases the reused buffer; Collect copies.
-	rows, _, err := p.Collect(Options{})
+	rows, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +374,7 @@ func TestTitanService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := svc.Query("SELECT * FROM TitanData WHERE X <= 100 AND Y <= 100")
+	rows, err := queryAll(svc, "SELECT * FROM TitanData WHERE X <= 100 AND Y <= 100")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +389,7 @@ func TestTitanService(t *testing.T) {
 		t.Errorf("rows = %d, want %d", len(rows), want)
 	}
 	// Index cache: a second query reuses the loaded index.
-	if _, err := svc.Query("SELECT * FROM TitanData WHERE Z <= 10"); err != nil {
+	if _, err := queryAll(svc, "SELECT * FROM TitanData WHERE Z <= 10"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -367,11 +401,11 @@ func TestServiceCacheWarmsAcrossQueries(t *testing.T) {
 
 	run := func(opt Options) ([]table.Row, extractor.Stats) {
 		t.Helper()
-		p, err := svc.Prepare(sql)
+		p, err := prepare(svc, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, stats, err := p.Collect(opt)
+		rows, stats, err := collect(p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,11 +448,11 @@ func TestServiceCacheWarmsAcrossQueries(t *testing.T) {
 	}
 
 	// queryStats surfaces the cache counters to obs.
-	p, err := svc.Prepare(sql)
+	p, err := prepare(svc, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := p.Collect(Options{})
+	_, stats, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +469,7 @@ func TestServiceCacheWarmsAcrossQueries(t *testing.T) {
 func TestSetCacheConfigReplacesCache(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	defer svc.Close()
-	if _, err := svc.Query("SELECT * FROM IparsData WHERE TIME = 1"); err != nil {
+	if _, err := queryAll(svc, "SELECT * FROM IparsData WHERE TIME = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if svc.CacheStats().Misses == 0 {
@@ -446,7 +480,7 @@ func TestSetCacheConfigReplacesCache(t *testing.T) {
 	if cs.Misses != 0 || cs.Blocks != 0 {
 		t.Errorf("SetCacheConfig kept old stats: %+v", cs)
 	}
-	if _, err := svc.Query("SELECT * FROM IparsData WHERE TIME = 1"); err != nil {
+	if _, err := queryAll(svc, "SELECT * FROM IparsData WHERE TIME = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if svc.CacheStats().Misses == 0 {
@@ -454,7 +488,7 @@ func TestSetCacheConfigReplacesCache(t *testing.T) {
 	}
 	// Disabled config: queries still work, no blocks cached.
 	svc.SetCacheConfig(cache.Config{Disabled: true})
-	if _, err := svc.Query("SELECT * FROM IparsData WHERE TIME = 1"); err != nil {
+	if _, err := queryAll(svc, "SELECT * FROM IparsData WHERE TIME = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if cs := svc.CacheStats(); cs.Blocks != 0 {

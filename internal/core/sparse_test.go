@@ -57,11 +57,11 @@ var sparseOpt = Options{BlockBytes: 512}
 
 func runSparse(t *testing.T, svc *Service, opt Options) ([]table.Row, extractor.Stats) {
 	t.Helper()
-	p, err := svc.Prepare(sparseSQL)
+	p, err := prepare(svc, sparseSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, stats, err := p.Collect(opt)
+	rows, stats, err := collect(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ Dataset "StrideData" {
 	}
 
 	// Full scan: 7 lattice steps × 5 grid points.
-	rows, err := svc.Query("SELECT * FROM StrideData")
+	rows, err := queryAll(svc, "SELECT * FROM StrideData")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ Dataset "StrideData" {
 	}
 
 	// Range clipping rounds inward to the lattice: T in [4, 13] → {6, 9, 12}.
-	rows, err = svc.Query("SELECT T FROM StrideData WHERE T >= 4 AND T <= 13")
+	rows, err = queryAll(svc, "SELECT T FROM StrideData WHERE T >= 4 AND T <= 13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ Dataset "StrideData" {
 	}
 
 	// A point query off the lattice selects nothing.
-	rows, err = svc.Query("SELECT T FROM StrideData WHERE T = 7")
+	rows, err = queryAll(svc, "SELECT T FROM StrideData WHERE T = 7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ Dataset "StrideData" {
 		t.Errorf("off-lattice point query returned %d rows", len(rows))
 	}
 	// On the lattice it selects one chunk.
-	rows, err = svc.Query("SELECT T FROM StrideData WHERE T = 9")
+	rows, err = queryAll(svc, "SELECT T FROM StrideData WHERE T = 9")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,49 +9,37 @@ import (
 	"datavirt/internal/query"
 )
 
-// RunAggregateContext extracts the AFCs sequentially, folding every row
-// that survives the residual predicate into partial aggregates for the
-// plan — no rows are materialized or emitted. The returned state holds
+// RunAggregateContext is the extractor's one aggregate entry: it
+// extracts the AFCs — sequentially, or with parallel set through a
+// bounded worker pool — folding every row that survives the residual
+// predicate into partial aggregates for the plan; no rows are
+// materialized or emitted. Parallel workers each fold into a private
+// AggState and the states merge at the end; aggregation is exact and
+// commutative (see internal/query), so the result is identical to the
+// sequential run regardless of AFC scheduling. The returned state holds
 // un-finalized partials; the caller finalizes locally or merges states
 // from several legs first. The plan must be bound against the same
-// working layout as opt.Cols.
-func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, plan *query.AggPlan) (*query.AggState, Stats, error) {
-	src, done := runSource(opt)
-	defer done()
-	var stats Stats
-	state := query.NewAggState(plan)
-	pool := newSegPool(src, resolver)
-	defer pool.release()
-	bb := &blockBuf{}
-	for i := range afcs {
-		if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, state, nil); err != nil {
-			return state, stats, err
-		}
-	}
-	stats.AggPushedQueries = 1
-	stats.AggPartialGroups = int64(state.Groups())
-	return state, stats, nil
-}
-
-// RunAggregateParallelContext is RunAggregateContext with a bounded
-// worker pool: each worker folds its AFCs into a private AggState, and
-// the states merge at the end. Aggregation is exact and commutative
-// (see internal/query), so the result is identical to the sequential
-// run regardless of AFC scheduling.
-func RunAggregateParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, plan *query.AggPlan) (*query.AggState, Stats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	if workers > len(afcs) {
-		workers = len(afcs)
-	}
-	if workers <= 1 {
-		return RunAggregateContext(ctx, afcs, resolver, opt, plan)
-	}
-
+// working layout as opt.Cols. Cancellation is as on RunBatchesContext.
+func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, plan *query.AggPlan) (*query.AggState, Stats, error) {
+	workers := runWorkers(opt, parallel, len(afcs))
 	src, srcDone := runSource(opt)
 	defer srcDone()
+
+	if workers <= 1 {
+		var stats Stats
+		state := query.NewAggState(plan)
+		pool := newSegPool(src, resolver)
+		defer pool.release()
+		bb := &blockBuf{}
+		for i := range afcs {
+			if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, state, nil); err != nil {
+				return state, stats, err
+			}
+		}
+		stats.AggPushedQueries = 1
+		stats.AggPartialGroups = int64(state.Groups())
+		return state, stats, nil
+	}
 
 	// Slot w is written by worker w alone and read after wg.Wait.
 	states := make([]*query.AggState, workers)

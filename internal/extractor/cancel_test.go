@@ -24,10 +24,10 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var n int64
-	_, err = RunContext(ctx, afcs, nodeResolver(root), opt, func(table.Row) error {
+	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, false, PerRow(func(table.Row) error {
 		n++
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run: err = %v", err)
 	}
@@ -40,13 +40,13 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	n = 0
-	_, err = RunContext(ctx, afcs, nodeResolver(root), opt, func(table.Row) error {
+	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, false, PerRow(func(table.Row) error {
 		n++
 		if n == 10 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream cancel: err = %v", err)
 	}
@@ -72,17 +72,17 @@ func TestRunParallelContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var n int64
-	_, err = RunParallelContext(ctx, afcs, nodeResolver(root), opt, func(table.Row) error {
+	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, true, PerRow(func(table.Row) error {
 		n++
 		if n == 10 {
 			cancel()
 		}
 		return nil
-	})
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("parallel cancel: err = %v", err)
 	}
-	// All pool goroutines (workers, feeder, closer) must have exited;
+	// All pool goroutines must have exited;
 	// allow the scheduler a moment to reap them.
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
@@ -102,8 +102,8 @@ func TestRunParallelContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = RunParallelContext(ctx, afcs, nodeResolver(root),
-		Options{Cols: p.Schema.Attrs(), Workers: 4}, func(table.Row) error { return nil })
+	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root),
+		Options{Cols: p.Schema.Attrs(), Workers: 4}, true, PerRow(func(table.Row) error { return nil }))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v", err)
 	}
@@ -116,7 +116,7 @@ func TestFilterTimeRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
+	stats, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
 		func(table.Row) error { time.Sleep(10 * time.Microsecond); return nil })
 	if err != nil {
 		t.Fatal(err)

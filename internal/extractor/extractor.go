@@ -69,7 +69,7 @@ type Stats struct {
 	BytesRead   int64
 	// FilterNS is the time spent evaluating the residual predicate and
 	// delivering rows, in nanoseconds, summed across workers (so it can
-	// exceed the run's wall time under RunParallel).
+	// exceed the run's wall time in a parallel run).
 	FilterNS int64
 
 	// CacheHits and CacheMisses count block-cache lookups made by this
@@ -112,7 +112,7 @@ type Stats struct {
 	// AggPushedQueries counts aggregate runs evaluated push-down style
 	// (no row materialization); AggPartialGroups is the number of
 	// partial groups those runs produced before any coordinator merge.
-	// Both are set once per RunAggregate* call, not per AFC.
+	// Both are set once per RunAggregateContext call, not per AFC.
 	AggPushedQueries int64
 	AggPartialGroups int64
 }
@@ -142,16 +142,17 @@ func (s *Stats) Add(o Stats) {
 // EmitFunc receives each surviving row.
 //
 // Delivery and row-reuse contract (the one canonical statement; every
-// emitting API in this module — extractor.Run*, core.Prepared.Run*, the
-// runner handed to core.NewRows, the cluster coordinator's callbacks,
-// and storm.Sink.Send — follows it). Rows travel a block at a time: the
-// survivors of one extraction block (1 to MaxBatchRows rows) reach a
-// BatchFunc as one batch, and an EmitFunc sees the same batches
-// unrolled row by row (PerRow). Every row an EmitFunc sees, and every
-// batch a BatchFunc is handed with owned == false, is borrowed: the row
-// slices and their backing array belong to the producer and are
-// overwritten by the next block, so a receiver that retains rows beyond
-// the call copies the batch once with table.CopyRows. A batch handed
+// emitting API in this module — RunBatchesContext, core.Prepared's
+// RunContext, the runner handed to core.NewRows, the cluster
+// coordinator's callbacks, and storm.Sink.Send — follows it). Rows
+// travel a block at a time: the survivors of one extraction block (1 to
+// MaxBatchRows rows) reach a BatchFunc as one batch, and an EmitFunc
+// sees the same batches unrolled row by row (PerRow). Every row an
+// EmitFunc sees, and every batch a BatchFunc is handed with owned ==
+// false, is borrowed: the row slices and their backing array belong to
+// the producer and are overwritten by the next block, so a receiver that
+// retains rows beyond the call copies the batch once with
+// table.CopyRows. A batch handed
 // over with owned == true is freshly allocated memory the producer
 // never touches again; the receiver keeps it as is. The core.Rows
 // cursor only ever hands out rows of the second kind: they are never
@@ -195,7 +196,7 @@ type Options struct {
 	ScalarFilter bool
 	// BlockBytes bounds the I/O buffer per segment (default 1 MiB).
 	BlockBytes int
-	// Workers sets the parallelism of RunParallel (default GOMAXPROCS
+	// Workers sets the parallelism of a parallel run (default GOMAXPROCS
 	// capped at 8).
 	Workers int
 	// Source supplies byte readers for segment files — typically the
@@ -328,54 +329,20 @@ func (p *segPool) release() {
 	clear(p.readers)
 }
 
-// Run extracts the AFCs sequentially with a background context; it is
-// the convenience form of RunContext.
-func Run(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	return RunContext(context.Background(), afcs, resolver, opt, emit)
-}
-
-// RunContext extracts the AFCs sequentially, calling emit for each
-// surviving row, and returns run statistics. Cancelling ctx stops the
-// run between block reads; the context's error is returned.
-func RunContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	return RunBatchesContext(ctx, afcs, resolver, opt, false, PerRow(emit))
-}
-
-// RunParallel extracts AFCs with a bounded worker pool and a background
-// context; it is the convenience form of RunParallelContext.
-func RunParallel(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	return RunParallelContext(context.Background(), afcs, resolver, opt, emit)
-}
-
-// RunParallelContext extracts AFCs with a bounded worker pool. Rows are
-// delivered to emit from a single collector goroutine, so emit needs no
-// locking; row order across AFCs is unspecified (as in the paper's
-// middleware, which partitions and ships tuples as they are produced).
-// Cancelling ctx stops every worker between block reads; all goroutines
-// have exited by the time the call returns.
-func RunParallelContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
-	return RunBatchesContext(ctx, afcs, resolver, opt, true, PerRow(emit))
-}
-
-// RunBatchesContext is the engine under every Run* form: it extracts
-// the AFCs — sequentially, or with parallel set through a bounded worker
-// pool — and hands each block's surviving rows to deliver as one batch.
-// Sequential batches are borrowed from the run's block buffer; parallel
-// workers copy each block's survivors into a slab of their own to cross
-// goroutines, so those batches arrive owned. deliver is only ever
-// called on the calling goroutine. Cancellation and goroutine lifetime
-// are as documented on RunContext and RunParallelContext.
+// RunBatchesContext is the extractor's one row entry: it extracts the
+// AFCs — sequentially, or with parallel set through a bounded worker
+// pool — and hands each block's surviving rows to deliver as one batch
+// (wrap a per-row callback with PerRow). Sequential batches are borrowed
+// from the run's block buffer; parallel workers copy each block's
+// survivors into a slab of their own to cross goroutines, so those
+// batches arrive owned. deliver is only ever called on the calling
+// goroutine, and row order across AFCs is unspecified when parallel (as
+// in the paper's middleware, which partitions and ships tuples as they
+// are produced). Cancelling ctx stops every worker between block reads
+// and returns the context's error; all goroutines have exited by the
+// time the call returns.
 func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, deliver BatchFunc) (Stats, error) {
-	workers := 1
-	if parallel {
-		workers = opt.Workers
-		if workers <= 0 {
-			workers = defaultWorkers()
-		}
-		if workers > len(afcs) {
-			workers = len(afcs)
-		}
-	}
+	workers := runWorkers(opt, parallel, len(afcs))
 	src, srcDone := runSource(opt)
 	defer srcDone()
 
@@ -473,6 +440,19 @@ func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, o
 // has failed elsewhere (done is closed, so the first error is already
 // recorded); it never leaves RunBatchesContext.
 var errStopped = errors.New("extractor: run stopped")
+
+// runWorkers sizes one run's worker pool: 1 unless parallel, else
+// opt.Workers (defaultWorkers when unset) capped at one per AFC.
+func runWorkers(opt Options, parallel bool, afcs int) int {
+	if !parallel {
+		return 1
+	}
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = defaultWorkers()
+	}
+	return min(workers, afcs)
+}
 
 func defaultWorkers() int {
 	n := runtime.GOMAXPROCS(0)
@@ -684,6 +664,8 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 	pred := opt.Pred
 	// The batch path needs the predicate in vectorized form (or no
 	// predicate at all); otherwise fall back to per-row evaluation.
+	// Unfiltered row scans stay on fillColumn: decode + gather measured
+	// +47 % on a 128 k-row SELECT * (EXPERIMENTS.md, "Why two decoders").
 	vectorized := !opt.ScalarFilter && (opt.VecPred != nil || (agg != nil && pred == nil))
 	constRead := false
 	var rowsSkipped int64

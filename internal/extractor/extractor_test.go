@@ -85,15 +85,21 @@ func naiveRows(s gen.IparsSpec, sch *schema.Schema, cols []string, keep func(val
 	return out
 }
 
+// runRows is RunBatchesContext under a background context, with the
+// batches unrolled into per-row emit calls.
+func runRows(afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, emit EmitFunc) (Stats, error) {
+	return RunBatchesContext(context.Background(), afcs, resolver, opt, parallel, PerRow(emit))
+}
+
 // runQuery executes SQL against a plan and returns rows as float slices.
 func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]float64, Stats) {
 	t.Helper()
 	return runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
 		if parallel {
 			opt.Workers = 4
-			return RunParallel(afcs, resolver, opt, emit)
+			return runRows(afcs, resolver, opt, true, emit)
 		}
-		return Run(afcs, resolver, opt, emit)
+		return runRows(afcs, resolver, opt, false, emit)
 	})
 }
 
@@ -373,12 +379,12 @@ func TestTruncatedFileError(t *testing.T) {
 	}
 	var work []schema.Attribute
 	work = append(work, p.Schema.Attrs()...)
-	_, err = Run(afcs, nodeResolver(root), Options{Cols: work}, func(table.Row) error { return nil })
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: work}, false, func(table.Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "shorter than layout requires") {
 		t.Errorf("truncated file: err = %v", err)
 	}
 	// Parallel run surfaces the same failure.
-	_, err = RunParallel(afcs, nodeResolver(root), Options{Cols: work, Workers: 4},
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: work, Workers: 4}, true,
 		func(table.Row) error { return nil })
 	if err == nil {
 		t.Error("parallel run ignored truncated file")
@@ -395,7 +401,7 @@ func TestMissingFileError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
 		func(table.Row) error { return nil })
 	if err == nil {
 		t.Error("missing file not reported")
@@ -411,7 +417,7 @@ func TestEmitError(t *testing.T) {
 	}
 	boom := fmt.Errorf("sink full")
 	n := 0
-	_, err = Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
 		func(table.Row) error {
 			n++
 			if n > 10 {
@@ -424,7 +430,7 @@ func TestEmitError(t *testing.T) {
 	}
 	// Parallel: emit errors stop the run promptly.
 	n = 0
-	_, err = RunParallel(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Workers: 4},
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Workers: 4}, true,
 		func(table.Row) error {
 			n++
 			if n > 10 {
@@ -442,8 +448,8 @@ func TestBindErrors(t *testing.T) {
 		{File: "f", RowStride: 4, RowBytes: 4,
 			Attrs: []afc.SegAttr{{Name: "A", Kind: schema.Float}}},
 	}}
-	_, err := Run([]afc.AFC{a}, DirResolver("/nonexistent"),
-		Options{Cols: []schema.Attribute{{Name: "B", Kind: schema.Float}}},
+	_, err := runRows([]afc.AFC{a}, DirResolver("/nonexistent"),
+		Options{Cols: []schema.Attribute{{Name: "B", Kind: schema.Float}}}, false,
 		func(table.Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "no source for attribute") {
 		t.Errorf("bind error = %v", err)
@@ -462,11 +468,11 @@ func TestSmallBlockSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rowsBig, rowsSmall int64
-	if _, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
+	if _, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
 		func(table.Row) error { rowsBig++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), BlockBytes: 16},
+	if _, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), BlockBytes: 16}, false,
 		func(table.Row) error { rowsSmall++; return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +537,7 @@ func TestHandleReuseAcrossAFCs(t *testing.T) {
 	src := cache.New(cache.Config{Disabled: true, OpenFile: disk.Open})
 	defer src.Close()
 	var rows int64
-	_, err = Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Source: src},
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Source: src}, false,
 		func(table.Row) error { rows++; return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -572,7 +578,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	opt := Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}
 	collect := func() ([][]float64, Stats) {
 		var rows [][]float64
-		stats, err := Run(afcs, nodeResolver(root), opt, func(r table.Row) error {
+		stats, err := runRows(afcs, nodeResolver(root), opt, false, func(r table.Row) error {
 			out := make([]float64, len(r))
 			for i := range r {
 				out[i] = r[i].AsFloat()
@@ -603,7 +609,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	// Parallel through the same shared cache agrees too.
 	opt.Workers = 4
 	var rows int64
-	pstats, err := RunParallel(afcs, nodeResolver(root), opt, func(table.Row) error { rows++; return nil })
+	pstats, err := runRows(afcs, nodeResolver(root), opt, true, func(table.Row) error { rows++; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -641,7 +647,7 @@ func TestMmapRefusalFallsBackToPread(t *testing.T) {
 	c := cache.New(cache.Config{BlockBytes: 4096, Backend: cache.BackendMmap, OpenFile: disk.Open})
 	defer c.Close()
 	var rows [][]float64
-	stats, err := Run(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c},
+	stats, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}, false,
 		func(r table.Row) error {
 			out := make([]float64, len(r))
 			for i := range r {

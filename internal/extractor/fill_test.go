@@ -61,7 +61,7 @@ func TestFillColumnAllKindsBothOrders(t *testing.T) {
 		dir := t.TempDir()
 		a, attrs := allKindsAFC(t, dir, big, 7)
 		var got []table.Row
-		_, err := Run([]afc.AFC{a}, DirResolver(dir), Options{Cols: attrs},
+		_, err := runRows([]afc.AFC{a}, DirResolver(dir), Options{Cols: attrs}, false,
 			func(r table.Row) error {
 				got = append(got, append(table.Row(nil), r...))
 				return nil
@@ -98,10 +98,10 @@ func TestDefaultWorkers(t *testing.T) {
 	}
 	var n int64
 	// Workers: 0 → defaultWorkers (may collapse to sequential on 1 CPU).
-	_, err := RunParallel(afcs, DirResolver(dir), Options{Cols: attrs, Workers: 0},
+	_, err := runRows(afcs, DirResolver(dir), Options{Cols: attrs, Workers: 0}, true,
 		func(table.Row) error { n++; return nil })
 	if err != nil || n != 12 {
-		t.Errorf("RunParallel default workers: %d rows, %v", n, err)
+		t.Errorf("parallel run with default workers: %d rows, %v", n, err)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestRowDimFloatKind(t *testing.T) {
 	}
 	cols := []schema.Attribute{{Name: "T", Kind: schema.Float}, {Name: "P", Kind: schema.Double}}
 	var ts []float64
-	_, err := Run([]afc.AFC{a}, DirResolver(dir), Options{Cols: cols},
+	_, err := runRows([]afc.AFC{a}, DirResolver(dir), Options{Cols: cols}, false,
 		func(r table.Row) error {
 			ts = append(ts, r[0].AsFloat())
 			return nil

@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CtxFlow enforces the context discipline PR 1 introduced in the query
@@ -11,10 +10,10 @@ import (
 // read and goroutine. In internal/core, internal/extractor and
 // internal/cluster:
 //
-//   - context.Background()/context.TODO() may not appear below the
-//     public API boundary — the only allowed shape is an exported shim
-//     whose entire body is a single return delegating to the *Context
-//     variant (e.g. Run → RunContext(context.Background(), ...));
+//   - context.Background()/context.TODO() may not appear at all: every
+//     entry point takes its caller's context, and a fresh one anywhere
+//     below would detach that call tree from cancellation — including
+//     in a one-line convenience shim;
 //   - a declared context.Context parameter must actually be forwarded
 //     (an unused ctx silently breaks cancellation downstream);
 //   - an exported function that spawns goroutines or performs direct
@@ -59,11 +58,9 @@ func checkCtxFunc(pass *Pass, bc *blockClassifier, fd *ast.FuncDecl) {
 		if fn.Name() != "Background" && fn.Name() != "TODO" {
 			return true
 		}
-		if !isShimDelegation(fd, call) {
-			pass.Reportf(call.Pos(),
-				"context.%s() below the public API boundary: accept a context.Context and forward it (or make %s a single-return shim delegating to the Context variant)",
-				fn.Name(), fd.Name.Name)
-		}
+		pass.Reportf(call.Pos(),
+			"context.%s() below the public API boundary: accept the caller's context.Context and forward it",
+			fn.Name())
 		return true
 	})
 
@@ -128,44 +125,4 @@ func contextParams(info *types.Info, fd *ast.FuncDecl) ([]*types.Var, bool) {
 		}
 	}
 	return vars, have
-}
-
-// isShimDelegation reports whether the Background/TODO call is the
-// allowed shim shape: an exported function whose whole body is one
-// return statement passing the fresh context into a *Context variant.
-func isShimDelegation(fd *ast.FuncDecl, bgCall *ast.CallExpr) bool {
-	if !fd.Name.IsExported() || len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok {
-		return false
-	}
-	found := false
-	ast.Inspect(ret, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		name := ""
-		switch fun := ast.Unparen(call.Fun).(type) {
-		case *ast.Ident:
-			name = fun.Name
-		case *ast.SelectorExpr:
-			name = fun.Sel.Name
-		}
-		if !strings.HasSuffix(name, "Context") {
-			return true
-		}
-		for _, arg := range call.Args {
-			if arg == ast.Expr(bgCall) || containsNode(arg, bgCall) {
-				found = true
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -70,18 +70,6 @@ func usesVar(info *types.Info, root ast.Node, v *types.Var) bool {
 	return found
 }
 
-// containsNode reports whether target appears under root.
-func containsNode(root, target ast.Node) bool {
-	found := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == target {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // exprString renders a simple expression (identifiers and selectors)
 // for use as a lock key or in messages; other shapes render as "?".
 func exprString(e ast.Expr) string {

@@ -10,9 +10,8 @@
 //	             and internal/cluster: exported functions that spawn
 //	             goroutines or do direct I/O must accept a
 //	             context.Context; a declared context parameter must be
-//	             forwarded; no context.Background()/context.TODO() below
-//	             the public API boundary except in single-return shims
-//	             delegating to a *Context variant.
+//	             forwarded; no context.Background()/context.TODO() at
+//	             all (no context-less shims).
 //	lockio     — no blocking call (file/net I/O, channel operation,
 //	             WaitGroup.Wait, one level of module-internal calls
 //	             that lead to one) while holding a mutex in

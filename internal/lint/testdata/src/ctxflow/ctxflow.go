@@ -13,9 +13,9 @@ func RunContext(ctx context.Context, x int) error {
 	return ctx.Err()
 }
 
-// Run is the allowed shim shape: exported, single return, delegating
-// the fresh context to the *Context variant (good).
-func Run(x int) error { return RunContext(context.Background(), x) }
+// Run is a context-less convenience shim: even a single return
+// delegating a fresh context to the *Context variant is banned.
+func Run(x int) error { return RunContext(context.Background(), x) } // want "below the public API boundary"
 
 // SpawnContext spawns goroutines under its caller's context (good).
 func SpawnContext(ctx context.Context) {
@@ -36,8 +36,7 @@ func BadIO(path string) ([]byte, error) { // want "performs blocking I/O"
 	return os.ReadFile(path)
 }
 
-// BadBackground manufactures a fresh context below the API boundary
-// instead of delegating in shim shape.
+// BadBackground manufactures a fresh context below the API boundary.
 func BadBackground(x int) error {
 	ctx := context.Background() // want "below the public API boundary"
 	return RunContext(ctx, x)
@@ -46,5 +45,5 @@ func BadBackground(x int) error {
 // BadUnforwarded accepts a context and silently drops it, breaking
 // cancellation for everything downstream.
 func BadUnforwarded(ctx context.Context, x int) error { // want "never forwarded"
-	return RunContext(context.TODO(), x)
+	return RunContext(context.TODO(), x) // want "context.TODO() below the public API boundary"
 }

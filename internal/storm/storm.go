@@ -3,12 +3,13 @@
 // and transfer over flat-file datasets on a parallel system (paper
 // §2.3). In this reproduction the services map to:
 //
-//	query service        — core.Service.Prepare (SQL → plan)
+//	query service        — core.Service.PrepareContext (SQL → plan)
 //	data source service  — internal/extractor over aligned file chunks
 //	indexing service     — internal/afc pruning + internal/index R-trees
 //	filtering service    — internal/filter + compiled predicates
 //	partition generation — this package's Partitioner implementations
-//	data mover           — this package's Mover over Sink implementations
+//	data mover           — cluster.Coordinator.QueryPartitionedContext,
+//	                       routing each tagged tuple to this package's Sinks
 //
 // The partition generation service "makes it possible ... to implement
 // the data distribution scheme employed in the client program at the
@@ -17,14 +18,11 @@
 package storm
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync"
 
-	"datavirt/internal/schema"
 	"datavirt/internal/table"
 )
 
@@ -158,51 +156,11 @@ type Sink interface {
 	Close() error
 }
 
-// Mover is the data mover service: it routes each selected row to the
-// sink of its destination processor.
-type Mover struct {
-	part  Partitioner
-	sinks []Sink
-	sent  []int64
-}
-
-// NewMover pairs a partitioner with one sink per destination.
-func NewMover(part Partitioner, sinks []Sink) (*Mover, error) {
-	if len(sinks) == 0 {
-		return nil, fmt.Errorf("storm: mover needs at least one sink")
-	}
-	return &Mover{part: part, sinks: sinks, sent: make([]int64, len(sinks))}, nil
-}
-
-// Move routes one row.
-func (m *Mover) Move(row table.Row) error {
-	d := m.part.Dest(row)
-	if d < 0 || d >= len(m.sinks) {
-		return fmt.Errorf("storm: partitioner produced destination %d of %d", d, len(m.sinks))
-	}
-	m.sent[d]++
-	return m.sinks[d].Send(row)
-}
-
-// Sent reports rows delivered per destination.
-func (m *Mover) Sent() []int64 { return append([]int64(nil), m.sent...) }
-
-// Close closes every sink, returning the first error.
-func (m *Mover) Close() error {
-	var first error
-	for _, s := range m.sinks {
-		if err := s.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 // SliceSink collects rows in memory (copies them).
 type SliceSink struct {
 	mu sync.Mutex
 	// Rows is guarded by mu while senders are active; read it only
-	// after the Mover completes. (Cross-package readers are outside
+	// after the query has completed. (Cross-package readers are outside
 	// guardedby's scope.)
 	Rows []table.Row //dvlint:guardedby mu
 }
@@ -217,33 +175,6 @@ func (s *SliceSink) Send(row table.Row) error {
 
 // Close implements Sink.
 func (s *SliceSink) Close() error { return nil }
-
-// StreamSink encodes rows with a fixed-width codec onto a writer — the
-// on-the-wire form of the data mover.
-type StreamSink struct {
-	w     *bufio.Writer
-	codec *table.Codec
-	buf   []byte
-}
-
-// NewStreamSink wraps w with the schema's codec.
-func NewStreamSink(w io.Writer, sch *schema.Schema) *StreamSink {
-	return &StreamSink{w: bufio.NewWriterSize(w, 1<<16), codec: table.NewCodec(sch)}
-}
-
-// Send implements Sink.
-func (s *StreamSink) Send(row table.Row) error {
-	b, err := s.codec.Append(s.buf[:0], row)
-	if err != nil {
-		return err
-	}
-	s.buf = b
-	_, err = s.w.Write(b)
-	return err
-}
-
-// Close implements Sink.
-func (s *StreamSink) Close() error { return s.w.Flush() }
 
 // FuncSink adapts a function to Sink.
 type FuncSink func(row table.Row) error

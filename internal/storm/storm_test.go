@@ -1,7 +1,6 @@
 package storm
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -104,13 +103,11 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
-// Property: for any scheme, the mover's per-destination outputs are a
+// Property: for any scheme, routing every row to the sink of its
+// destination — what the coordinator's data mover does — gives a
 // disjoint cover of the input rows.
-func TestMoverPartitionsAreCoverQuick(t *testing.T) {
+func TestPartitionsAreCoverQuick(t *testing.T) {
 	f := func(vals []float64, pick uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
 		specs := []PartitionSpec{
 			{Scheme: RoundRobin, NumDests: 3},
 			{Scheme: HashAttr, NumDests: 3, Attr: "A"},
@@ -121,77 +118,39 @@ func TestMoverPartitionsAreCoverQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sinks := []Sink{&SliceSink{}, &SliceSink{}, &SliceSink{}}
-		m, err := NewMover(p, sinks)
-		if err != nil {
-			return false
-		}
+		sinks := []*SliceSink{{}, {}, {}}
 		for i, v := range vals {
-			if err := m.Move(rowOf(v, float64(i))); err != nil {
+			d := p.Dest(rowOf(v, float64(i)))
+			if d < 0 || d >= len(sinks) {
+				return false
+			}
+			if err := sinks[d].Send(rowOf(v, float64(i))); err != nil {
 				return false
 			}
 		}
-		if err := m.Close(); err != nil {
-			return false
-		}
-		total := 0
+		seen := map[float64]bool{}
 		for _, s := range sinks {
-			total += len(s.(*SliceSink).Rows)
+			for _, r := range s.Rows {
+				if seen[r[1].AsFloat()] {
+					return false
+				}
+				seen[r[1].AsFloat()] = true
+			}
 		}
-		if total != len(vals) {
-			return false
-		}
-		var sent int64
-		for _, n := range m.Sent() {
-			sent += n
-		}
-		return sent == int64(len(vals))
+		return len(seen) == len(vals)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestStreamSink(t *testing.T) {
-	sch := schema.MustNew("T", []schema.Attribute{
-		{Name: "A", Kind: schema.Int}, {Name: "B", Kind: schema.Float},
-	})
-	var buf bytes.Buffer
-	s := NewStreamSink(&buf, sch)
-	rows := []table.Row{
-		{schema.IntValue(1), schema.FloatValue(0.5)},
-		{schema.IntValue(2), schema.FloatValue(-1.5)},
-	}
-	for _, r := range rows {
-		if err := s.Send(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
+func TestFuncSink(t *testing.T) {
+	var got []float64
+	var s Sink = FuncSink(func(r table.Row) error { got = append(got, r[0].AsFloat()); return nil })
+	if err := s.Send(rowOf(7)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := table.NewCodec(sch).DecodeAll(buf.Bytes())
-	if err != nil || len(got) != 2 {
-		t.Fatalf("decode: %v (%d rows)", err, len(got))
-	}
-	for i := range rows {
-		if !table.RowsEqual(rows[i], got[i]) {
-			t.Errorf("row %d: %v vs %v", i, rows[i], got[i])
-		}
-	}
-}
-
-func TestFuncSinkAndMoverErrors(t *testing.T) {
-	if _, err := NewMover(&roundRobin{n: 1}, nil); err == nil {
-		t.Error("mover without sinks accepted")
-	}
-	// A partitioner that misbehaves is caught.
-	bad := &rangePart{idx: 0, bounds: nil} // always dest 0, fine
-	m, err := NewMover(bad, []Sink{FuncSink(func(table.Row) error { return nil })})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Move(rowOf(1)); err != nil {
-		t.Errorf("Move: %v", err)
+	if err := s.Close(); err != nil || len(got) != 1 || got[0] != 7 {
+		t.Errorf("FuncSink: got %v, close err %v", got, err)
 	}
 }
