@@ -30,8 +30,6 @@ func main() {
 	trace := flag.Bool("trace", false, "log every query stage (implies -slow 0s for all stages)")
 	cacheMB := flag.Int("cache-mb", 64, "block cache budget in MiB (0 disables block caching; handles stay pooled)")
 	cacheBlock := flag.Int("cache-block", 256<<10, "block cache block size in bytes")
-	cacheBackend := flag.String("cache-backend", "", "block cache backend: pread, mmap or auto (default $DATAVIRT_CACHE_BACKEND, then pread)")
-	readahead := flag.Int("readahead", 0, "blocks to prefetch ahead of sequential scans (0 = off)")
 	planCache := flag.Bool("plan-cache", true, "memoize query plans by semantic fingerprint (range-equal queries share one plan)")
 	planCacheEntries := flag.Int("plan-cache-entries", core.DefaultPlanCacheEntries, "plan cache capacity in entries")
 	maxConcurrent := flag.Int("max-concurrent", 0, "queries executing at once across all sessions (0 = 2x GOMAXPROCS, at least 4)")
@@ -59,14 +57,9 @@ func main() {
 	if !known {
 		fatal(fmt.Errorf("node %q is not in the descriptor's storage table %v", *nodeName, svc.AllNodes()))
 	}
-	if _, err := cache.ResolveBackend(*cacheBackend); err != nil {
-		fatal(err)
-	}
 	svc.SetCacheConfig(cache.Config{
 		MaxBytes:   int64(*cacheMB) << 20,
 		BlockBytes: *cacheBlock,
-		Backend:    *cacheBackend,
-		Readahead:  *readahead,
 		Disabled:   *cacheMB == 0,
 	})
 	svc.SetPlanCacheConfig(core.PlanCacheConfig{

@@ -39,12 +39,10 @@ type config struct {
 	scalar   bool
 	timeout  time.Duration
 
-	cacheMB      int
-	cacheBlock   int
-	cacheBackend string
-	readahead    int
-	noCache      bool
-	noSparse     bool
+	cacheMB    int
+	cacheBlock int
+	noCache    bool
+	noSparse   bool
 
 	planCache        bool
 	planCacheEntries int
@@ -60,8 +58,6 @@ func (c config) cacheConfig() cache.Config {
 	return cache.Config{
 		MaxBytes:   int64(c.cacheMB) << 20,
 		BlockBytes: c.cacheBlock,
-		Backend:    c.cacheBackend,
-		Readahead:  c.readahead,
 		Disabled:   c.cacheMB == 0,
 	}
 }
@@ -89,8 +85,6 @@ func main() {
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "cancel the query after this duration (0 = none)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "block cache budget in MiB (0 disables block caching; handles stay pooled)")
 	flag.IntVar(&cfg.cacheBlock, "cache-block", 256<<10, "block cache block size in bytes")
-	flag.StringVar(&cfg.cacheBackend, "cache-backend", "", "block cache backend: pread, mmap or auto (default $DATAVIRT_CACHE_BACKEND, then pread)")
-	flag.IntVar(&cfg.readahead, "readahead", 0, "blocks to prefetch ahead of sequential scans (0 = off)")
 	flag.BoolVar(&cfg.noCache, "no-cache", false, "bypass the block cache for this query")
 	flag.BoolVar(&cfg.noSparse, "no-sparse", false, "ignore sparse block-index sidecars (no data skipping)")
 	flag.BoolVar(&cfg.planCache, "plan-cache", true, "memoize query plans by semantic fingerprint (range-equal queries share one plan)")
@@ -106,9 +100,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: dvq -desc FILE [-root DIR | -nodes NAME=ADDR,...] [flags] \"SELECT ...\"   or   dvq -desc FILE -i")
 		flag.PrintDefaults()
 		os.Exit(2)
-	}
-	if _, err := cache.ResolveBackend(cfg.cacheBackend); err != nil {
-		fatal(err)
 	}
 
 	// Ctrl-C cancels the in-flight query instead of killing the process

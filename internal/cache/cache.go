@@ -5,18 +5,16 @@
 // when interactive clients zoom and pan over overlapping spatial
 // ranges. The cache turns those repeated chunk reads into memory hits.
 //
-// Three cooperating pieces:
+// Two cooperating pieces, and no background goroutine:
 //
 //   - a bounded file-handle cache (LRU over open files, close-on-evict,
 //     reference-counted so a handle is never closed under a concurrent
 //     ReadAt) — see handles.go;
 //   - a sharded block cache: fixed-size aligned blocks keyed by
-//     (path, blockNo), per-shard LRU eviction under a byte budget, with
+//     (path, blockNo), copied out of the file with one positional read
+//     on a miss, per-shard LRU eviction under a byte budget, with
 //     single-flight loading so N concurrent workers asking for the same
-//     block issue exactly one filesystem read;
-//   - an optional sequential readahead prefetcher that detects forward
-//     scans within a reader and pre-populates the next blocks off the
-//     critical path — see readahead.go.
+//     block issue exactly one filesystem read.
 //
 // The extractor consumes the cache through the Source/Reader interfaces
 // and never touches os.Open directly; one Cache instance is shared
@@ -59,17 +57,13 @@ type Reader interface {
 	// Release returns the reader's handle reference; the reader must
 	// not be used afterwards. Release is idempotent.
 	Release()
-	// Counters snapshots the reader's demand-read counters (readahead
-	// I/O is accounted only on the cache's global Stats).
+	// Counters snapshots the reader's read counters.
 	Counters() Counters
 }
 
 // Viewer is the optional Reader extension for zero-copy access: when a
-// span fits inside one cache block, ViewAt hands out the cached bytes
-// themselves — a slice of the immutable block buffer on the pread
-// backend, a slice of the file mapping on the mmap backend — instead
-// of copying them out. Both backends implement it, so callers probe
-// once and keep a single code path.
+// span fits inside one cache block, ViewAt hands out a slice of the
+// immutable cached block buffer instead of copying the bytes out.
 type Viewer interface {
 	// ViewAt returns a read-only slice over [off, off+n), valid until
 	// the Reader is Released; the caller must not write to it or retain
@@ -84,40 +78,25 @@ type Counters struct {
 	// Hits and Misses count block lookups (zero in disabled mode).
 	Hits   int64
 	Misses int64
-	// BytesRead is the bytes this reader's demand loads pulled from the
-	// filesystem (positional reads only; mmap views touch no read path).
+	// BytesRead is the bytes this reader's loads pulled from the
+	// filesystem.
 	BytesRead int64
 	// BytesServed is the bytes delivered to the caller.
 	BytesServed int64
-	// MmapBlocksServed counts block lookups served zero-copy from a
-	// file mapping; MmapRemaps counts mapping windows this reader's
-	// loads created beyond each file's first.
-	MmapBlocksServed int64
-	MmapRemaps       int64
 }
 
 // Stats is a snapshot of the cache's global counters.
 type Stats struct {
-	// Hits and Misses count demand block lookups.
+	// Hits and Misses count block lookups.
 	Hits   int64
 	Misses int64
 	// Evictions counts blocks dropped under byte pressure.
 	Evictions int64
-	// Prefetches counts blocks loaded by the readahead worker;
-	// PrefetchHits counts demand lookups served by a prefetched block.
-	Prefetches   int64
-	PrefetchHits int64
-	// BytesRead is bytes pulled from the filesystem (demand + readahead);
-	// BytesServed is bytes delivered to readers. The difference is the
-	// I/O the cache saved.
+	// BytesRead is bytes pulled from the filesystem; BytesServed is
+	// bytes delivered to readers. The difference is the I/O the cache
+	// saved.
 	BytesRead   int64
 	BytesServed int64
-	// MmapBlocksServed counts demand block lookups served zero-copy
-	// from a file mapping (such blocks contribute nothing to
-	// BytesRead); MmapRemaps counts mapping windows created beyond each
-	// file's first.
-	MmapBlocksServed int64
-	MmapRemaps       int64
 	// HandleOpens and HandleEvicts count file-handle churn.
 	HandleOpens  int64
 	HandleEvicts int64
@@ -127,7 +106,8 @@ type Stats struct {
 }
 
 // BytesSaved is the filesystem I/O avoided: bytes served minus bytes
-// actually read (clamped at zero for cold caches with readahead waste).
+// actually read (clamped at zero for cold caches, where whole-block
+// loads can exceed the bytes served).
 func (s Stats) BytesSaved() int64 {
 	if v := s.BytesServed - s.BytesRead; v > 0 {
 		return v
@@ -137,56 +117,14 @@ func (s Stats) BytesSaved() int64 {
 
 // Defaults applied by New for zero Config fields.
 const (
-	DefaultMaxBytes        = 64 << 20
-	DefaultBlockBytes      = 256 << 10
-	DefaultMaxHandles      = 128
-	DefaultMmapWindowBytes = 1 << 30
-	defaultShards          = 16
+	DefaultMaxBytes   = 64 << 20
+	DefaultBlockBytes = 256 << 10
+	DefaultMaxHandles = 128
+	defaultShards     = 16
 )
-
-// Backend names accepted by Config.Backend and ResolveBackend.
-const (
-	// BackendPread copies blocks out of files with positional reads.
-	BackendPread = "pread"
-	// BackendMmap serves resident blocks as zero-copy views of chunked
-	// read-only file mappings, falling back to pread per file when a
-	// file cannot be mapped (fakes without descriptors, non-regular
-	// files, a refused mmap syscall).
-	BackendMmap = "mmap"
-	// BackendAuto picks mmap where the platform supports it, pread
-	// elsewhere.
-	BackendAuto = "auto"
-)
-
-// backendEnv overrides the backend for an empty Config.Backend — the
-// seam CI uses to run the whole test matrix under both backends.
-const backendEnv = "DATAVIRT_CACHE_BACKEND"
-
-// ResolveBackend canonicalizes a backend name to pread or mmap. Empty
-// consults the DATAVIRT_CACHE_BACKEND environment variable and then
-// defaults to pread; auto resolves by platform support; mmap on an
-// unsupported platform degrades to pread, so configurations stay
-// portable and only the zero-copy serving is lost. Unknown names are
-// an error.
-func ResolveBackend(name string) (string, error) {
-	if name == "" {
-		name = os.Getenv(backendEnv)
-	}
-	switch name {
-	case "", BackendPread:
-		return BackendPread, nil
-	case BackendMmap, BackendAuto:
-		if mmapSupported {
-			return BackendMmap, nil
-		}
-		return BackendPread, nil
-	default:
-		return "", fmt.Errorf("cache: unknown backend %q (want %s, %s or %s)", name, BackendPread, BackendMmap, BackendAuto)
-	}
-}
 
 // Config sizes a Cache. The zero value gives a 64 MiB cache of 256 KiB
-// blocks over at most 128 open handles, with readahead off.
+// blocks over at most 128 open handles.
 type Config struct {
 	// MaxBytes is the block cache byte budget (approximate: it is split
 	// evenly across shards and each shard keeps at least one block).
@@ -197,26 +135,12 @@ type Config struct {
 	// Handles pinned by active readers can exceed the bound transiently;
 	// they are closed as soon as the last reference is released.
 	MaxHandles int
-	// Readahead is how many blocks the prefetcher loads ahead of a
-	// detected forward scan; 0 disables readahead.
-	Readahead int
 	// Disabled bypasses the block layer entirely: readers perform direct
 	// positional reads, but handles are still pooled and byte counters
 	// still maintained. This is the configuration for `-cache-mb 0`.
 	Disabled bool
 	// Shards is the number of block-cache shards (default 16).
 	Shards int
-	// Backend selects how cold blocks are loaded: BackendPread (the
-	// default) copies through positional reads, BackendMmap serves
-	// blocks as views of read-only file mappings, BackendAuto picks
-	// mmap where supported. Empty consults DATAVIRT_CACHE_BACKEND; see
-	// ResolveBackend.
-	Backend string
-	// MmapWindowBytes caps each mapping segment under BackendMmap
-	// (default 1 GiB, rounded up to a whole number of pages); larger
-	// files get several windows, mapped on demand. Blocks straddling a
-	// window boundary load via pread.
-	MmapWindowBytes int64
 	// OpenFile opens underlying files; defaults to os.Open. Tests use it
 	// to count physical opens and reads.
 	OpenFile func(path string) (File, error)
@@ -228,40 +152,23 @@ type blockKey struct {
 	blockNo int64
 }
 
-// entry is one resident block. On the pread backend data is an
-// immutable heap buffer, so readers may copy from it without holding
-// the shard lock. On the mmap backend data may instead alias a file
-// mapping; such an entry holds a reference (h) on the handle owning
-// the mapping, so "eviction unmaps": dropping the entry releases the
-// reference, and the last release closes the handle, which unmaps.
+// entry is one resident block. data is an immutable heap buffer, so
+// readers may copy from (or view) it without holding the shard lock,
+// and a slice handed out stays valid after the entry is evicted.
 type entry struct {
-	key        blockKey
-	data       []byte
-	eof        bool    // the block ends at (or past) the end of the file
-	prefetched bool    // loaded by the readahead worker, not yet demanded
-	h          *handle // non-nil iff data aliases h's file mapping
-	elem       *list.Element
+	key  blockKey
+	data []byte
+	eof  bool // the block ends at (or past) the end of the file
+	elem *list.Element
 }
 
 // flight is one in-progress block load; concurrent callers for the
 // same block wait on done instead of issuing their own read.
 type flight struct {
-	done   chan struct{}
-	data   []byte
-	eof    bool
-	viewed bool // data aliases a mapping pinned only by the cache entry
-	err    error
-}
-
-// blockRes is one getBlock result. When pin is non-nil the data slice
-// aliases a mapping owned by a handle other than the caller's, and the
-// call transferred one reference on it to the caller, who must release
-// it once done with the data (readers keep such pins until Release).
-type blockRes struct {
-	data   []byte
-	eof    bool
-	viewed bool // served zero-copy from a file mapping
-	pin    *handle
+	done chan struct{}
+	data []byte
+	eof  bool
+	err  error
 }
 
 // shard is one lock domain of the block cache.
@@ -281,25 +188,15 @@ type Cache struct {
 	handles *handleCache
 	shards  []shard
 
-	hits         atomic.Int64
-	misses       atomic.Int64
-	evictions    atomic.Int64
-	prefetches   atomic.Int64
-	prefetchHits atomic.Int64
-	bytesRead    atomic.Int64
-	bytesServed  atomic.Int64
-	mmapServed   atomic.Int64
-	mmapRemaps   atomic.Int64
-
-	pfCh      chan prefetchReq
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	hits        atomic.Int64
+	misses      atomic.Int64
+	evictions   atomic.Int64
+	bytesRead   atomic.Int64
+	bytesServed atomic.Int64
 }
 
 // New builds a cache, normalizing zero Config fields to the defaults.
-// Close must be called to release pooled handles and stop the
-// readahead worker.
+// Close must be called to release pooled handles.
 func New(cfg Config) *Cache {
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
@@ -316,35 +213,10 @@ func New(cfg Config) *Cache {
 	if cfg.OpenFile == nil {
 		cfg.OpenFile = func(path string) (File, error) { return os.Open(path) }
 	}
-	if b, err := ResolveBackend(cfg.Backend); err == nil {
-		cfg.Backend = b
-	} else {
-		cfg.Backend = BackendPread
-	}
-	if cfg.MmapWindowBytes <= 0 {
-		cfg.MmapWindowBytes = DefaultMmapWindowBytes
-	}
-	if ps := int64(os.Getpagesize()); cfg.MmapWindowBytes%ps != 0 {
-		cfg.MmapWindowBytes += ps - cfg.MmapWindowBytes%ps
-	}
-	if cfg.Backend == BackendMmap && !cfg.Disabled {
-		// Wrap the opener so pooled handles come back mmap-backed where
-		// possible. Disabled mode skips the block layer entirely, so
-		// views would never be asked for — leave its reads positional.
-		open, window := cfg.OpenFile, cfg.MmapWindowBytes
-		cfg.OpenFile = func(path string) (File, error) {
-			f, err := open(path)
-			if err != nil {
-				return nil, err
-			}
-			return wrapMmap(f, window), nil
-		}
-	}
 	c := &Cache{
 		cfg:     cfg,
 		handles: newHandleCache(cfg.MaxHandles, cfg.OpenFile),
 		shards:  make([]shard, cfg.Shards),
-		done:    make(chan struct{}),
 	}
 	perShard := cfg.MaxBytes / int64(cfg.Shards)
 	if perShard < int64(cfg.BlockBytes) {
@@ -356,41 +228,21 @@ func New(cfg Config) *Cache {
 		c.shards[i].lru = list.New()
 		c.shards[i].maxBytes = perShard
 	}
-	if !cfg.Disabled && cfg.Readahead > 0 {
-		c.pfCh = make(chan prefetchReq, prefetchQueue)
-		c.wg.Add(1)
-		go c.prefetchLoop()
-	}
 	return c
 }
 
-// Close stops the readahead worker, closes every pooled handle and
-// drops all cached blocks. Readers still open keep their handle alive
-// until Release; new reads through them fail once the handle is
-// released and closed. Close is idempotent.
+// Close closes every pooled handle and drops all cached blocks.
+// Readers still open keep their handle alive until Release; new reads
+// through them fail once the handle is released and closed. Close is
+// idempotent.
 func (c *Cache) Close() error {
-	c.closeOnce.Do(func() { close(c.done) })
-	c.wg.Wait()
-	// Drop resident blocks first, releasing the handle references of
-	// view-backed entries (outside the shard locks — a release may
-	// close, which may unmap), so closeAll then sees them unreferenced.
-	var pinned []*handle
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, e := range s.entries {
-			if e.h != nil {
-				pinned = append(pinned, e.h)
-				e.h = nil
-			}
-		}
 		s.entries = map[blockKey]*entry{}
 		s.lru.Init()
 		s.bytes = 0
 		s.mu.Unlock()
-	}
-	for _, h := range pinned {
-		c.handles.release(h)
 	}
 	c.handles.closeAll()
 	return nil
@@ -402,22 +254,17 @@ func (c *Cache) Open(path string) (Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &reader{c: c, path: path, h: h, lastBlock: -2, memoNo: -1}, nil
+	return &reader{c: c, path: path, h: h, memoNo: -1}, nil
 }
 
 // Stats snapshots the global counters.
 func (c *Cache) Stats() Stats {
 	st := Stats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Evictions:    c.evictions.Load(),
-		Prefetches:   c.prefetches.Load(),
-		PrefetchHits: c.prefetchHits.Load(),
-		BytesRead:    c.bytesRead.Load(),
-		BytesServed:  c.bytesServed.Load(),
-
-		MmapBlocksServed: c.mmapServed.Load(),
-		MmapRemaps:       c.mmapRemaps.Load(),
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
+		BytesRead:   c.bytesRead.Load(),
+		BytesServed: c.bytesServed.Load(),
 	}
 	st.HandleOpens, st.HandleEvicts = c.handles.stats()
 	for i := range c.shards {
@@ -444,120 +291,41 @@ func (c *Cache) shard(k blockKey) *shard {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// contains reports block residency without promoting it (used by the
-// prefetcher to skip work cheaply).
-func (c *Cache) contains(k blockKey) bool {
+// getBlock returns the named block's immutable bytes, loading it
+// through the single-flight path on a miss; ctr receives the caller's
+// attribution.
+func (c *Cache) getBlock(h *handle, k blockKey, ctr *Counters) (data []byte, eof bool, err error) {
 	s := c.shard(k)
 	s.mu.Lock()
-	_, resident := s.entries[k]
-	_, loading := s.flights[k]
-	s.mu.Unlock()
-	return resident || loading
-}
-
-// getBlock returns the named block, loading it through the
-// single-flight path on a miss. ctr receives the demand attribution
-// (nil for prefetch loads). Pread-backed results are immutable heap
-// slices; view-backed results stay valid for as long as the caller
-// holds the loading handle h (plus the returned pin, when set).
-func (c *Cache) getBlock(h *handle, k blockKey, ctr *Counters, prefetch bool) (blockRes, error) {
-	s := c.shard(k)
-	waited := false
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[k]; ok {
-			s.lru.MoveToFront(e.elem)
-			wasPrefetched := e.prefetched
-			e.prefetched = false
-			res := blockRes{data: e.data, eof: e.eof, viewed: e.h != nil}
-			if !prefetch && e.h != nil && e.h != h {
-				// The view belongs to another handle's mapping (ours was
-				// evicted and the path reopened); pin it for the caller so
-				// the data survives this entry's eviction. ref is a bare
-				// counter bump — safe under the shard lock.
-				c.handles.ref(e.h)
-				res.pin = e.h
-			}
-			s.mu.Unlock()
-			if !prefetch {
-				if waited {
-					// We waited out another goroutine's load: that is a
-					// miss from this caller's perspective, as before the
-					// retry loop existed.
-					c.misses.Add(1)
-					ctr.Misses++
-				} else {
-					c.hits.Add(1)
-					ctr.Hits++
-					if wasPrefetched {
-						c.prefetchHits.Add(1)
-					}
-				}
-				if res.viewed {
-					ctr.MmapBlocksServed++
-				}
-			}
-			return res, nil
-		}
-		if f, ok := s.flights[k]; ok {
-			s.mu.Unlock()
-			if prefetch {
-				return blockRes{}, nil // someone is already loading it
-			}
-			<-f.done
-			if f.err != nil {
-				c.misses.Add(1)
-				ctr.Misses++
-				return blockRes{}, f.err
-			}
-			if !f.viewed {
-				c.misses.Add(1)
-				ctr.Misses++
-				return blockRes{data: f.data, eof: f.eof}, nil
-			}
-			// View-backed flight: its slice is pinned only by the cache
-			// entry, which may be evicted (and the mapping unmapped) any
-			// time after done closes. Retry the lookup to take a pin of
-			// our own — or to reload if the entry is already gone.
-			waited = true
-			continue
-		}
-		f := &flight{done: make(chan struct{})}
-		s.flights[k] = f
+	if e, ok := s.entries[k]; ok {
+		s.lru.MoveToFront(e.elem)
 		s.mu.Unlock()
-		return c.loadBlock(s, h, k, f, ctr, prefetch)
+		c.hits.Add(1)
+		ctr.Hits++
+		return e.data, e.eof, nil
 	}
+	c.misses.Add(1)
+	ctr.Misses++
+	if f, ok := s.flights[k]; ok {
+		s.mu.Unlock()
+		<-f.done
+		return f.data, f.eof, f.err
+	}
+	f := &flight{done: make(chan struct{})}
+	s.flights[k] = f
+	s.mu.Unlock()
+	return c.loadBlock(s, h, k, f, ctr)
 }
 
-// loadBlock performs the cold half of getBlock: read or map the block,
+// loadBlock performs the cold half of getBlock: read the block,
 // publish the flight, install the entry, evict under byte pressure.
 // The caller has already registered f in s.flights.
-func (c *Cache) loadBlock(s *shard, h *handle, k blockKey, f *flight, ctr *Counters, prefetch bool) (blockRes, error) {
-	off := k.blockNo * int64(c.cfg.BlockBytes)
-	var (
-		data   []byte
-		eof    bool
-		viewed bool
-		remaps int64
-		err    error
-	)
-	if v, ok := h.f.(blockViews); ok {
-		data, eof, remaps, err = v.view(off, int64(c.cfg.BlockBytes))
-		viewed = err == nil
-	}
-	if !viewed {
-		// The pread path: the default backend, and the mmap backend's
-		// fallback when this file cannot be mapped.
-		buf := make([]byte, c.cfg.BlockBytes)
-		var n int
-		n, err = h.f.ReadAt(buf, off)
-		eof = false
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			eof, err = true, nil
-		}
-		if err == nil {
-			data = buf[:n]
-		}
+func (c *Cache) loadBlock(s *shard, h *handle, k blockKey, f *flight, ctr *Counters) ([]byte, bool, error) {
+	buf := make([]byte, c.cfg.BlockBytes)
+	n, err := h.f.ReadAt(buf, k.blockNo*int64(c.cfg.BlockBytes))
+	eof := false
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		eof, err = true, nil
 	}
 	if err != nil {
 		f.err = fmt.Errorf("cache: reading %s block %d: %w", k.path, k.blockNo, err)
@@ -565,44 +333,19 @@ func (c *Cache) loadBlock(s *shard, h *handle, k blockKey, f *flight, ctr *Count
 		delete(s.flights, k)
 		s.mu.Unlock()
 		close(f.done)
-		if !prefetch {
-			c.misses.Add(1)
-			ctr.Misses++
-		}
-		return blockRes{}, f.err
+		return nil, false, f.err
 	}
-	f.data, f.eof, f.viewed = data, eof, viewed
-	if viewed {
-		c.mmapRemaps.Add(remaps)
-	} else {
-		c.bytesRead.Add(int64(len(data)))
-	}
-	if prefetch {
-		c.prefetches.Add(1)
-	} else {
-		c.misses.Add(1)
-		ctr.Misses++
-		if viewed {
-			ctr.MmapBlocksServed++
-			ctr.MmapRemaps += remaps
-		} else {
-			ctr.BytesRead += int64(len(data))
-		}
-	}
+	data := buf[:n]
+	f.data, f.eof = data, eof
+	c.bytesRead.Add(int64(n))
+	ctr.BytesRead += int64(n)
 
-	e := &entry{key: k, data: data, eof: eof, prefetched: prefetch}
-	if viewed {
-		// The entry keeps the mapping alive past our caller's handle
-		// reference; evicting the entry drops it again.
-		c.handles.ref(h)
-		e.h = h
-	}
-	var victims []*handle
+	e := &entry{key: k, data: data, eof: eof}
 	s.mu.Lock()
 	delete(s.flights, k)
 	e.elem = s.lru.PushFront(e)
 	s.entries[k] = e
-	s.bytes += int64(len(data))
+	s.bytes += int64(n)
 	for s.bytes > s.maxBytes && s.lru.Len() > 1 {
 		tail := s.lru.Back()
 		victim := tail.Value.(*entry)
@@ -610,71 +353,51 @@ func (c *Cache) loadBlock(s *shard, h *handle, k blockKey, f *flight, ctr *Count
 		delete(s.entries, victim.key)
 		s.bytes -= int64(len(victim.data))
 		c.evictions.Add(1)
-		if victim.h != nil {
-			// Handle releases may close (and unmap) — run them after the
-			// shard lock is dropped.
-			victims = append(victims, victim.h)
-			victim.h = nil
-		}
 	}
 	s.mu.Unlock()
 	close(f.done)
-	for _, vh := range victims {
-		c.handles.release(vh)
-	}
-	return blockRes{data: data, eof: eof, viewed: viewed}, nil
+	return data, eof, nil
 }
 
 // reader is the Reader implementation for both cached and disabled
-// modes. It is single-goroutine by contract, so its counters and scan
-// state need no synchronization.
+// modes. It is single-goroutine by contract, so its counters and memo
+// need no synchronization.
 type reader struct {
-	c    *Cache
-	path string
-	h    *handle
-	ctr  Counters
-
-	// lastBlock tracks the most recent demand block for sequential-scan
-	// detection (-2 = no access yet, so the very first block does not
-	// count as "forward progress").
-	lastBlock int64
-	released  bool
+	c        *Cache
+	path     string
+	h        *handle
+	ctr      Counters
+	released bool
 
 	// memo holds the most recent block touched by this reader, served
 	// without the shard lock: sequential small reads land in the same
 	// block hundreds of times in a row, and this keeps the hot path at
-	// memcpy cost. Pread block data is immutable, so the memo stays
-	// valid even after the block is evicted (it pins at most one block
-	// per reader); view-backed data stays valid because the mapping it
-	// aliases belongs either to r.h (held until Release) or to a pinned
-	// handle in pins.
+	// memcpy cost. Block data is immutable, so the memo stays valid
+	// even after the block is evicted (it pins at most one block per
+	// reader).
 	memoNo   int64 // -1 = empty
 	memoData []byte
 	memoEOF  bool
-	memoView bool
-
-	// pins are extra handle references adopted from getBlock when a
-	// cached view aliases a mapping other than r.h's (the path was
-	// reopened after a handle eviction). They keep every slice this
-	// reader has been handed valid until Release; one pin per distinct
-	// handle suffices, so the slice stays tiny.
-	pins []*handle
 }
 
-// adopt takes ownership of a pin returned by getBlock. A duplicate of
-// an already-held pin is released immediately — the held one already
-// keeps the mapping alive until Release.
-func (r *reader) adopt(pin *handle) {
-	if pin == nil {
-		return
+// block returns block bn's bytes, from the memo or through the cache.
+// It is kept small enough to inline, so a memo hit costs no call.
+func (r *reader) block(bn int64) ([]byte, bool, error) {
+	if bn != r.memoNo {
+		return r.fetch(bn)
 	}
-	for _, p := range r.pins {
-		if p == pin {
-			r.c.handles.release(pin)
-			return
-		}
+	r.ctr.Hits++
+	r.c.hits.Add(1)
+	return r.memoData, r.memoEOF, nil
+}
+
+// fetch looks block bn up in the cache and memoizes it.
+func (r *reader) fetch(bn int64) ([]byte, bool, error) {
+	data, eof, err := r.c.getBlock(r.h, blockKey{r.path, bn}, &r.ctr)
+	if err == nil {
+		r.memoNo, r.memoData, r.memoEOF = bn, data, eof
 	}
-	r.pins = append(r.pins, pin)
+	return data, eof, err
 }
 
 // ReadAt implements io.ReaderAt through the block cache (or directly
@@ -686,35 +409,18 @@ func (r *reader) ReadAt(p []byte, off int64) (int, error) {
 	if r.c.cfg.Disabled {
 		n, err := r.h.f.ReadAt(p, off)
 		r.ctr.BytesRead += int64(n)
-		r.ctr.BytesServed += int64(n)
 		r.c.bytesRead.Add(int64(n))
-		r.c.bytesServed.Add(int64(n))
+		r.account(n)
 		return n, err
 	}
 	bs := int64(r.c.cfg.BlockBytes)
 	n := 0
 	for n < len(p) {
-		pos := off + int64(n)
-		bn, boff := chunkAt(pos, bs)
-		var data []byte
-		var eof bool
-		if bn == r.memoNo {
-			data, eof = r.memoData, r.memoEOF
-			r.ctr.Hits++
-			r.c.hits.Add(1)
-			if r.memoView {
-				r.ctr.MmapBlocksServed++
-			}
-		} else {
-			res, err := r.c.getBlock(r.h, blockKey{r.path, bn}, &r.ctr, false)
-			if err != nil {
-				r.account(n)
-				return n, err
-			}
-			r.adopt(res.pin)
-			data, eof = res.data, res.eof
-			r.memoNo, r.memoData, r.memoEOF, r.memoView = bn, data, eof, res.viewed
-			r.note(bn, eof)
+		bn, boff := chunkAt(off+int64(n), bs)
+		data, eof, err := r.block(bn)
+		if err != nil {
+			r.account(n)
+			return n, err
 		}
 		if int64(len(data)) <= boff {
 			r.account(n)
@@ -725,8 +431,7 @@ func (r *reader) ReadAt(p []byte, off int64) (int, error) {
 			// file shrank under us after the block was cached.
 			return n, io.ErrUnexpectedEOF
 		}
-		m := copy(p[n:], data[boff:])
-		n += m
+		n += copy(p[n:], data[boff:])
 		if n < len(p) && eof {
 			r.account(n)
 			return n, io.EOF
@@ -741,24 +446,10 @@ func (r *reader) account(n int) {
 	r.c.bytesServed.Add(int64(n))
 }
 
-// note updates the sequential-scan state after touching block bn and
-// schedules readahead when the scan moved forward to the next block.
-func (r *reader) note(bn int64, eof bool) {
-	forward := bn == r.lastBlock+1
-	if bn != r.lastBlock {
-		r.lastBlock = bn
-	}
-	if forward && !eof && r.c.cfg.Readahead > 0 {
-		r.c.schedulePrefetch(r.path, bn, r.c.cfg.Readahead)
-	}
-}
-
 // ViewAt implements Viewer: spans inside one cache block are served as
-// a slice of the cached bytes themselves — no copy on either backend,
-// no mapping memory on pread (the block buffer is heap-held and
-// immutable). The block lookup is the same one ReadAt performs, so
-// hit/miss accounting is identical whichever entry point a caller
-// uses.
+// a slice of the immutable block buffer itself, with no copy. The
+// block lookup is the same one ReadAt performs, so hit/miss accounting
+// is identical whichever entry point a caller uses.
 func (r *reader) ViewAt(off int64, n int) ([]byte, bool) {
 	if n <= 0 || off < 0 || r.c.cfg.Disabled {
 		return nil, false
@@ -768,26 +459,11 @@ func (r *reader) ViewAt(off int64, n int) ([]byte, bool) {
 		return nil, false
 	}
 	bn, boff := chunkAt(off, bs)
-	var data []byte
-	if bn == r.memoNo {
-		data = r.memoData
-		r.ctr.Hits++
-		r.c.hits.Add(1)
-		if r.memoView {
-			r.ctr.MmapBlocksServed++
-		}
-	} else {
-		res, err := r.c.getBlock(r.h, blockKey{r.path, bn}, &r.ctr, false)
-		if err != nil {
-			return nil, false // let the ReadAt fallback surface the error
-		}
-		r.adopt(res.pin)
-		r.memoNo, r.memoData, r.memoEOF, r.memoView = bn, res.data, res.eof, res.viewed
-		r.note(bn, res.eof)
-		data = res.data
-	}
-	if int64(len(data)) < boff+int64(n) {
-		return nil, false // short block: the span runs past EOF
+	data, _, err := r.block(bn)
+	if err != nil || int64(len(data)) < boff+int64(n) {
+		// A failed read (let the ReadAt fallback surface the error) or
+		// a short block: the span runs past EOF.
+		return nil, false
 	}
 	r.account(n)
 	return data[boff : boff+int64(n)], true
@@ -799,18 +475,7 @@ func (r *reader) Release() {
 		return
 	}
 	r.released = true
-	// The global mmap-served counter is batched per reader: an atomic
-	// add per serve is the difference between the backends' warm paths
-	// (tens of thousands of memo hits per scan). Demand paths count only
-	// into ctr; the flush here is the sole writer of the global.
-	if r.ctr.MmapBlocksServed > 0 {
-		r.c.mmapServed.Add(r.ctr.MmapBlocksServed)
-	}
 	r.memoNo, r.memoData = -1, nil
-	for _, p := range r.pins {
-		r.c.handles.release(p)
-	}
-	r.pins = nil
 	r.c.handles.release(r.h)
 }
 

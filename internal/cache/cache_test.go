@@ -267,7 +267,7 @@ func TestConcurrentStorm(t *testing.T) {
 	}
 	c := cache.New(cache.Config{
 		BlockBytes: 512, MaxBytes: 16 << 10, MaxHandles: 3,
-		Shards: 4, Readahead: 2, OpenFile: fs.Open,
+		Shards: 4, OpenFile: fs.Open,
 	})
 
 	const workers = 12
@@ -315,27 +315,26 @@ func TestConcurrentStorm(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Give lossy in-flight prefetch handle releases nothing to leak:
-	// every opened file must be closed after Close.
+	// Every opened file must be closed after Close.
 	if fs.Opens.Load() != fs.Closes.Load() {
 		t.Errorf("fd leak after Close: %d opens, %d closes", fs.Opens.Load(), fs.Closes.Load())
 	}
 }
 
-// TestCloseLeavesNoGoroutines starts a cache with readahead (the only
-// goroutine owner) and checks Close joins it — the goroutine-hygiene
-// style of internal/cluster/cancel_test.go.
+// TestCloseLeavesNoGoroutines drives a sequential scan and checks the
+// cache owns no goroutine once closed — the goroutine-hygiene style of
+// internal/cluster/cancel_test.go.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	fs := cachetest.NewFS()
 	fs.Put("a", 1<<20, 7)
 	before := runtime.NumGoroutine()
-	c := cache.New(cache.Config{BlockBytes: 4096, Readahead: 8, OpenFile: fs.Open})
+	c := cache.New(cache.Config{BlockBytes: 4096, OpenFile: fs.Open})
 	r, err := c.Open("a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4096)
-	for off := int64(0); off < 64*4096; off += 4096 { // sequential scan feeds the prefetcher
+	for off := int64(0); off < 64*4096; off += 4096 {
 		r.ReadAt(buf, off) //nolint:errcheck
 	}
 	r.Release()
@@ -355,42 +354,6 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	if fs.Opens.Load() != fs.Closes.Load() {
 		t.Errorf("fd leak after Close: %d opens, %d closes", fs.Opens.Load(), fs.Closes.Load())
 	}
-}
-
-// TestReadahead drives a forward scan and checks the prefetcher
-// populates blocks ahead of it (prefetches happen, and later demand
-// reads hit prefetched blocks).
-func TestReadahead(t *testing.T) {
-	fs := cachetest.NewFS()
-	want := fs.Put("a", 1<<20, 8)
-	c := cache.New(cache.Config{BlockBytes: 4096, Readahead: 4, OpenFile: fs.Open})
-	defer c.Close()
-	r, err := c.Open("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Release()
-
-	buf := make([]byte, 4096)
-	for off := int64(0); off < 1<<20; off += 4096 {
-		if _, err := r.ReadAt(buf, off); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, want[off:off+4096]) {
-			t.Fatalf("corrupt bytes at %d", off)
-		}
-		if off%16384 == 0 {
-			time.Sleep(time.Millisecond) // let the worker run ahead
-		}
-	}
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if st := c.Stats(); st.Prefetches > 0 && st.PrefetchHits > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Errorf("readahead ineffective: %+v", c.Stats())
 }
 
 func TestDisabledModePoolsHandlesAndCounts(t *testing.T) {
@@ -438,7 +401,7 @@ func TestRealFiles(t *testing.T) {
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c := cache.New(cache.Config{BlockBytes: 1 << 12, Readahead: 2})
+	c := cache.New(cache.Config{BlockBytes: 1 << 12})
 	defer c.Close()
 	for i := 0; i < 2; i++ {
 		got := readAll(t, c, path, 4000, 50_000)

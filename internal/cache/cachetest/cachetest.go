@@ -2,10 +2,9 @@
 // reads through internal/cache: an in-memory fake filesystem (FS) and
 // a counting wrapper over real files (Disk), both pluggable into
 // cache.Config.OpenFile and both with injectable fault points — open
-// failures, an I/O error on the Nth physical read, short reads, and
-// (for Disk) mmap refusal forcing the mmap backend's pread fallback.
-// The cache, extractor and core test suites all build on it, so every
-// layer exercises the same failure modes.
+// failures, an I/O error on the Nth physical read, short reads and
+// slow reads. The cache, extractor and core test suites all build on
+// it, so every layer exercises the same failure modes.
 package cachetest
 
 import (
@@ -14,7 +13,6 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,9 +85,6 @@ func (f *Faults) readFault(readNo int64, p []byte) ([]byte, error) {
 
 // FS is an in-memory fake filesystem that counts physical opens, reads
 // and closes — the observability leak and single-flight tests need.
-// Its files carry no descriptor, so under the mmap cache backend they
-// are unmappable and served through the pread path; use Disk for
-// mapping-path coverage.
 type FS struct {
 	Faults
 	Opens  atomic.Int64
@@ -124,25 +119,6 @@ func (fs *FS) Bytes(path string) []byte {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.files[path]
-}
-
-// WriteDir materializes every file under dir on the real filesystem,
-// so the same workload can run against fake and real files (the
-// cross-backend conformance suite does this to put the mmap backend
-// over identical content).
-func (fs *FS) WriteDir(dir string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	for path, data := range fs.files {
-		full := filepath.Join(dir, filepath.FromSlash(path))
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(full, data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Open is the cache.Config.OpenFile hook.
@@ -196,23 +172,12 @@ func (f *memFile) Close() error {
 // Disk opens real files through os.Open with the same counters and
 // fault points as FS — the opener extractor and core tests hand to
 // cache.Config.OpenFile when they want physical-I/O accounting over
-// generated datasets. Configure the Mappable/RefuseMmap knobs before
-// the first Open.
+// generated datasets.
 type Disk struct {
 	Faults
 	Opens  atomic.Int64
 	Reads  atomic.Int64
 	Closes atomic.Int64
-
-	// Mappable passes the real descriptor through, so the mmap cache
-	// backend can map the file (mapped reads bypass the Reads counter —
-	// that is the point of the backend). Default: the descriptor is
-	// hidden and every backend reads through ReadAt.
-	Mappable bool
-	// RefuseMmap advertises an invalid descriptor instead: the mmap
-	// backend attempts to map, fails, and must fall back to pread
-	// without data loss. Takes precedence over Mappable.
-	RefuseMmap bool
 }
 
 // Open is the cache.Config.OpenFile hook.
@@ -225,14 +190,7 @@ func (d *Disk) Open(path string) (cache.File, error) {
 		return nil, err
 	}
 	d.Opens.Add(1)
-	df := &diskFile{d: d, f: f}
-	switch {
-	case d.RefuseMmap:
-		return refusingFile{df}, nil
-	case d.Mappable:
-		return mappableFile{df}, nil
-	}
-	return df, nil
+	return &diskFile{d: d, f: f}, nil
 }
 
 type diskFile struct {
@@ -264,16 +222,3 @@ func (f *diskFile) Close() error {
 	f.d.Closes.Add(1)
 	return f.f.Close()
 }
-
-// mappableFile exposes the real descriptor for the mmap backend.
-type mappableFile struct{ *diskFile }
-
-func (m mappableFile) Fd() uintptr                { return m.diskFile.f.Fd() }
-func (m mappableFile) Stat() (os.FileInfo, error) { return m.diskFile.f.Stat() }
-
-// refusingFile advertises an invalid descriptor: mapping attempts fail
-// at the mmap syscall and the cache degrades the file to pread.
-type refusingFile struct{ *diskFile }
-
-func (r refusingFile) Fd() uintptr                { return ^uintptr(0) }
-func (r refusingFile) Stat() (os.FileInfo, error) { return r.diskFile.f.Stat() }

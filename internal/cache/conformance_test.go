@@ -13,24 +13,20 @@ import (
 	"datavirt/internal/cache/cachetest"
 )
 
-// The cross-backend conformance suite: every workload below runs
-// against the pread and mmap backends over identical real files and
-// asserts byte-identical results with identical hit/miss/eviction
-// sequences. Where the backends may differ is HOW a cold block gets
-// its bytes — so FSBytesRead (bytes copied through the read path) is
-// compared with ≤, never ==.
+// The conformance suite: every workload below runs through the default
+// os.Open path over real files and asserts every byte served matches
+// the file, with the cache's counters consistent with the traffic.
 
 // writeConfFiles writes a deterministic set of awkwardly-sized files
-// under a real directory (so the mmap backend can map them) and
-// returns path → contents.
+// under a real directory and returns path → contents.
 func writeConfFiles(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
 	sizes := map[string]int{
 		"empty":      0,
 		"tiny":       7,         // smaller than any block
 		"oneblock":   512,       // exactly one block at bs=512
-		"big":        64 * 1024, // many blocks, several windows
-		"pagecross":  4096 + 33, // spills past one page/window
+		"big":        64 * 1024, // many blocks
+		"pagecross":  4096 + 33, // spills past one page
 		"blockcross": 512*5 + 1, // final block is a single byte
 	}
 	files := make(map[string][]byte, len(sizes))
@@ -47,50 +43,34 @@ func writeConfFiles(t *testing.T, dir string) map[string][]byte {
 	return files
 }
 
-// backendPair runs fn once per backend over the same file set and
-// returns the two caches' final stats for cross-backend comparison.
-func backendPair(t *testing.T, cfg cache.Config, files map[string][]byte,
-	fn func(t *testing.T, c *cache.Cache, files map[string][]byte)) map[string]cache.Stats {
+// runConf runs fn against a fresh cache over the file set, closes it,
+// and checks the counters every workload must satisfy: each byte
+// served was counted, and no block was read from disk more often than
+// it missed.
+func runConf(t *testing.T, cfg cache.Config, files map[string][]byte,
+	fn func(t *testing.T, c *cache.Cache, files map[string][]byte)) cache.Stats {
 	t.Helper()
-	stats := map[string]cache.Stats{}
-	for _, backend := range []string{cache.BackendPread, cache.BackendMmap} {
-		bcfg := cfg
-		bcfg.Backend = backend
-		c := cache.New(bcfg)
-		fn(t, c, files)
-		st := c.Stats()
-		if err := c.Close(); err != nil {
-			t.Fatalf("%s: Close: %v", backend, err)
-		}
-		stats[backend] = st
+	c := cache.New(cfg)
+	fn(t, c, files)
+	st := c.Stats()
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	return stats
-}
-
-// assertParity checks the invariants both backends must share: the
-// lookup sequence (hits/misses/evictions) is identical, and mmap never
-// copies more through the read path than pread.
-func assertParity(t *testing.T, stats map[string]cache.Stats) {
-	t.Helper()
-	p, m := stats[cache.BackendPread], stats[cache.BackendMmap]
-	if p.Hits != m.Hits || p.Misses != m.Misses || p.Evictions != m.Evictions {
-		t.Errorf("lookup sequences diverge:\npread %+v\nmmap  %+v", p, m)
+	if st.Hits+st.Misses == 0 || st.BytesServed == 0 {
+		t.Errorf("workload saw no traffic: %+v", st)
 	}
-	if p.BytesServed != m.BytesServed {
-		t.Errorf("served bytes diverge: pread %d mmap %d", p.BytesServed, m.BytesServed)
+	if st.BytesRead > st.Misses*int64(cfg.BlockBytes) {
+		t.Errorf("read %d bytes over %d misses of %d-byte blocks", st.BytesRead, st.Misses, cfg.BlockBytes)
 	}
-	if m.BytesRead > p.BytesRead {
-		t.Errorf("mmap copied more than pread: %d > %d", m.BytesRead, p.BytesRead)
-	}
+	return st
 }
 
 // TestConformanceScripted runs a deterministic script of edge-case
-// reads — block straddles, EOF boundaries, empty files, re-reads —
-// against both backends.
+// reads — block straddles, EOF boundaries, empty files, re-reads.
 func TestConformanceScripted(t *testing.T) {
 	files := writeConfFiles(t, t.TempDir())
-	cfg := cache.Config{BlockBytes: 512, MaxBytes: 1 << 20, MmapWindowBytes: 4096}
-	stats := backendPair(t, cfg, files, func(t *testing.T, c *cache.Cache, files map[string][]byte) {
+	cfg := cache.Config{BlockBytes: 512, MaxBytes: 1 << 20}
+	runConf(t, cfg, files, func(t *testing.T, c *cache.Cache, files map[string][]byte) {
 		for path, want := range files {
 			r, err := c.Open(path)
 			if err != nil {
@@ -125,7 +105,7 @@ func TestConformanceScripted(t *testing.T) {
 					}
 				}
 			}
-			// Single-block views on both backends.
+			// Single-block views.
 			if v, ok := r.(cache.Viewer); ok {
 				for _, off := range []int64{0, 512, 1024} {
 					if off+256 > size {
@@ -141,21 +121,20 @@ func TestConformanceScripted(t *testing.T) {
 			r.Release()
 		}
 	})
-	assertParity(t, stats)
 }
 
-// TestConformanceRandomized replays the same seeded random workload —
-// interleaved reads across files, sizes spanning many blocks — on both
-// backends and requires byte-identical results and lookup parity.
+// TestConformanceRandomized replays a seeded random workload —
+// interleaved reads across files, sizes spanning many blocks — under a
+// budget small enough to evict, and requires byte-identical results.
 func TestConformanceRandomized(t *testing.T) {
 	files := writeConfFiles(t, t.TempDir())
 	var paths []string
 	for p := range files {
 		paths = append(paths, p)
 	}
-	// Small budget forces evictions; a small window forces remaps.
-	cfg := cache.Config{BlockBytes: 512, MaxBytes: 8 << 10, Shards: 2, MmapWindowBytes: 4096}
-	stats := backendPair(t, cfg, files, func(t *testing.T, c *cache.Cache, files map[string][]byte) {
+	// A small budget forces evictions.
+	cfg := cache.Config{BlockBytes: 512, MaxBytes: 8 << 10, Shards: 2}
+	st := runConf(t, cfg, files, func(t *testing.T, c *cache.Cache, files map[string][]byte) {
 		rng := rand.New(rand.NewSource(99))
 		readers := map[string]cache.Reader{}
 		defer func() {
@@ -203,14 +182,13 @@ func TestConformanceRandomized(t *testing.T) {
 			}
 		}
 	})
-	assertParity(t, stats)
-	if mmapOK() && stats[cache.BackendMmap].MmapBlocksServed == 0 {
-		t.Error("mmap backend served no blocks from mappings on this platform")
+	if st.Evictions == 0 {
+		t.Errorf("randomized workload never evicted: %+v", st)
 	}
 }
 
 // TestConformanceWarmPassesReadNothing checks the defining cache
-// invariant on both backends: a warm re-scan does zero physical I/O.
+// invariant: a warm re-scan does zero physical I/O.
 func TestConformanceWarmPassesReadNothing(t *testing.T) {
 	dir := t.TempDir()
 	want := make([]byte, 32*1024)
@@ -219,74 +197,44 @@ func TestConformanceWarmPassesReadNothing(t *testing.T) {
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{cache.BackendPread, cache.BackendMmap} {
-		t.Run(backend, func(t *testing.T) {
-			c := cache.New(cache.Config{BlockBytes: 1024, Backend: backend})
-			defer c.Close()
-			scan := func() cache.Counters {
-				r, err := c.Open(path)
-				if err != nil {
+	t.Run("pread", func(t *testing.T) {
+		c := cache.New(cache.Config{BlockBytes: 1024})
+		defer c.Close()
+		scan := func() cache.Counters {
+			r, err := c.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Release()
+			buf := make([]byte, 1024)
+			for off := int64(0); off < int64(len(want)); off += 1024 {
+				if _, err := r.ReadAt(buf, off); err != nil {
 					t.Fatal(err)
 				}
-				defer r.Release()
-				buf := make([]byte, 1024)
-				for off := int64(0); off < int64(len(want)); off += 1024 {
-					if _, err := r.ReadAt(buf, off); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(buf, want[off:off+1024]) {
-						t.Fatalf("bytes differ at %d", off)
-					}
+				if !bytes.Equal(buf, want[off:off+1024]) {
+					t.Fatalf("bytes differ at %d", off)
 				}
-				return r.Counters()
 			}
-			cold := scan()
-			warm := scan()
-			if cold.Misses == 0 || cold.BytesRead+int64(cold.MmapBlocksServed) == 0 {
-				t.Errorf("cold scan saw no traffic: %+v", cold)
-			}
-			if warm.BytesRead != 0 || warm.Misses != 0 {
-				t.Errorf("warm scan was not free: %+v", warm)
-			}
-			if warm.Hits != cold.Hits+cold.Misses {
-				t.Errorf("warm hits = %d, want %d", warm.Hits, cold.Hits+cold.Misses)
-			}
-		})
-	}
+			return r.Counters()
+		}
+		cold := scan()
+		warm := scan()
+		if cold.Misses == 0 || cold.BytesRead == 0 {
+			t.Errorf("cold scan saw no traffic: %+v", cold)
+		}
+		if warm.BytesRead != 0 || warm.Misses != 0 {
+			t.Errorf("warm scan was not free: %+v", warm)
+		}
+		if warm.Hits != cold.Hits+cold.Misses {
+			t.Errorf("warm hits = %d, want %d", warm.Hits, cold.Hits+cold.Misses)
+		}
+	})
 }
 
-// TestConformanceMmapRefusalFallback injects the mmap-refusal fault
-// (an unmappable descriptor) under the mmap backend and checks the
-// pread fallback serves every byte.
-func TestConformanceMmapRefusalFallback(t *testing.T) {
-	dir := t.TempDir()
-	want := make([]byte, 16*1024)
-	rand.New(rand.NewSource(321)).Read(want)
-	path := filepath.Join(dir, "data")
-	if err := os.WriteFile(path, want, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	disk := &cachetest.Disk{RefuseMmap: true}
-	c := cache.New(cache.Config{BlockBytes: 1024, Backend: cache.BackendMmap, OpenFile: disk.Open})
-	defer c.Close()
-	got := readAll(t, c, path, 0, len(want))
-	if !bytes.Equal(got, want) {
-		t.Fatal("fallback served wrong bytes")
-	}
-	st := c.Stats()
-	if st.MmapBlocksServed != 0 {
-		t.Errorf("refused mapping still served %d blocks", st.MmapBlocksServed)
-	}
-	if st.BytesRead != int64(len(want)) || disk.Reads.Load() == 0 {
-		t.Errorf("fallback did not pread the file: %+v (%d physical reads)", st, disk.Reads.Load())
-	}
-}
-
-// TestConformanceFaultsUnderBothBackends runs the injected open and
-// read faults through a Disk opener under each backend (RefuseMmap
-// keeps even the mmap backend on the counted pread path) and checks
-// identical error-and-recovery behavior.
-func TestConformanceFaultsUnderBothBackends(t *testing.T) {
+// TestConformanceFaults runs the injected open and read faults through
+// a Disk opener over a real file and checks each surfaces once and the
+// cache recovers.
+func TestConformanceFaults(t *testing.T) {
 	dir := t.TempDir()
 	want := make([]byte, 8192)
 	rand.New(rand.NewSource(55)).Read(want)
@@ -294,39 +242,37 @@ func TestConformanceFaultsUnderBothBackends(t *testing.T) {
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{cache.BackendPread, cache.BackendMmap} {
-		t.Run(backend, func(t *testing.T) {
-			disk := &cachetest.Disk{RefuseMmap: true}
-			c := cache.New(cache.Config{BlockBytes: 1024, Backend: backend, OpenFile: disk.Open})
-			defer c.Close()
+	t.Run("pread", func(t *testing.T) {
+		disk := &cachetest.Disk{}
+		c := cache.New(cache.Config{BlockBytes: 1024, OpenFile: disk.Open})
+		defer c.Close()
 
-			disk.FailNextOpens(1)
-			if _, err := c.Open(path); err == nil {
-				t.Fatal("open fault did not surface")
-			}
-			r, err := c.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Release()
-			disk.FailReadNumber(disk.Reads.Load() + 1)
-			buf := make([]byte, 1024)
-			if _, err := r.ReadAt(buf, 0); err == nil {
-				t.Fatal("read fault did not surface")
-			}
-			if _, err := r.ReadAt(buf, 0); err != nil {
-				t.Fatalf("retry after read fault: %v", err)
-			}
-			if !bytes.Equal(buf, want[:1024]) {
-				t.Fatal("retry served wrong bytes")
-			}
-		})
-	}
+		disk.FailNextOpens(1)
+		if _, err := c.Open(path); err == nil {
+			t.Fatal("open fault did not surface")
+		}
+		r, err := c.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Release()
+		disk.FailReadNumber(disk.Reads.Load() + 1)
+		buf := make([]byte, 1024)
+		if _, err := r.ReadAt(buf, 0); err == nil {
+			t.Fatal("read fault did not surface")
+		}
+		if _, err := r.ReadAt(buf, 0); err != nil {
+			t.Fatalf("retry after read fault: %v", err)
+		}
+		if !bytes.Equal(buf, want[:1024]) {
+			t.Fatal("retry served wrong bytes")
+		}
+	})
 }
 
-// TestConformanceCloseStorm races concurrent readers against Close on
-// both backends under -race: reads that lose the race may error, but
-// nothing may panic, leak, or return wrong bytes.
+// TestConformanceCloseStorm races concurrent readers against Close
+// under -race: reads that lose the race may error, but nothing may
+// panic, leak, or return wrong bytes.
 func TestConformanceCloseStorm(t *testing.T) {
 	files := writeConfFiles(t, t.TempDir())
 	var paths []string
@@ -335,43 +281,43 @@ func TestConformanceCloseStorm(t *testing.T) {
 			paths = append(paths, p)
 		}
 	}
-	for _, backend := range []string{cache.BackendPread, cache.BackendMmap} {
-		t.Run(backend, func(t *testing.T) {
-			c := cache.New(cache.Config{
-				BlockBytes: 512, MaxBytes: 8 << 10, Shards: 2,
-				MmapWindowBytes: 4096, Backend: backend, Readahead: 2,
-			})
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)))
-					for i := 0; i < 400; i++ {
-						path := paths[rng.Intn(len(paths))]
-						want := files[path]
-						r, err := c.Open(path)
-						if err != nil {
-							return // lost the race to Close
-						}
-						off := rng.Int63n(int64(len(want)))
-						n := 1 + rng.Intn(1024)
-						buf := make([]byte, n)
-						got, _ := r.ReadAt(buf, off) // losing the race to Close is an error, never corruption
-						if !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
-							r.Release()
-							panic(fmt.Sprintf("%s @%d+%d: corrupt bytes", path, off, n))
-						}
-						r.Release()
+	t.Run("pread", func(t *testing.T) {
+		disk := &cachetest.Disk{}
+		c := cache.New(cache.Config{BlockBytes: 512, MaxBytes: 8 << 10, Shards: 2, OpenFile: disk.Open})
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for i := 0; i < 400; i++ {
+					path := paths[rng.Intn(len(paths))]
+					want := files[path]
+					r, err := c.Open(path)
+					if err != nil {
+						return // lost the race to Close
 					}
-				}(w)
-			}
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
-			wg.Wait()
-		})
-	}
+					off := rng.Int63n(int64(len(want)))
+					n := 1 + rng.Intn(1024)
+					buf := make([]byte, n)
+					got, _ := r.ReadAt(buf, off) // losing the race to Close is an error, never corruption
+					if !bytes.Equal(buf[:got], want[off:off+int64(got)]) {
+						r.Release()
+						panic(fmt.Sprintf("%s @%d+%d: corrupt bytes", path, off, n))
+					}
+					r.Release()
+				}
+			}(w)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		c.Close() //nolint:errcheck — sweeps handles reopened after the first Close
+		if disk.Opens.Load() != disk.Closes.Load() {
+			t.Errorf("fd leak: %d opens, %d closes", disk.Opens.Load(), disk.Closes.Load())
+		}
+	})
 }
 
 func min64(a, b int64) int64 {
@@ -379,11 +325,4 @@ func min64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// mmapOK reports whether this platform's mmap backend actually maps
-// (ResolveBackend("auto") picks mmap only where supported).
-func mmapOK() bool {
-	b, err := cache.ResolveBackend(cache.BackendAuto)
-	return err == nil && b == cache.BackendMmap
 }

@@ -6,10 +6,9 @@ import (
 	"sync"
 )
 
-// handle is one pooled open file. refs counts the readers (and the
-// prefetch worker) currently using it; a handle evicted or closed
-// while referenced is marked dead and closed by the last release, so
-// no ReadAt ever races a Close.
+// handle is one pooled open file. refs counts the readers currently
+// using it; a handle evicted or closed while referenced is marked dead
+// and closed by the last release, so no ReadAt ever races a Close.
 //
 // A handle is inserted before its file is opened: ready is closed when
 // the open completes (f or err set), so concurrent acquires of the
@@ -120,17 +119,6 @@ func (c *handleCache) acquire(path string) (*handle, error) {
 	return h, nil
 }
 
-// ref takes an additional reference on h. The caller must already hold
-// a live reference (block-cache entries ref the handle their views
-// alias while the loading reader's own reference is still held), so h
-// cannot be concurrently closed out from under the bump. A bare
-// counter update — safe to call with a block-cache shard lock held.
-func (c *handleCache) ref(h *handle) {
-	c.mu.Lock()
-	h.refs++
-	c.mu.Unlock()
-}
-
 // release drops one reference; a dead handle is closed — outside the
 // lock — when the last reference goes away.
 func (c *handleCache) release(h *handle) {
@@ -175,11 +163,4 @@ func (c *handleCache) stats() (opens, evicts int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.opens, c.evicts
-}
-
-// len reports current residency (for tests).
-func (c *handleCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }

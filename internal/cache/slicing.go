@@ -1,13 +1,10 @@
 package cache
 
-// Block- and window-slicing math, factored out of the reader and the
-// mmap backend so the two layers agree by construction and the fuzz
-// suite (slicing_fuzz_test.go) can check them against a naive oracle.
-// Both layers partition a file into fixed-size aligned chunks — the
-// reader into cache blocks of Config.BlockBytes, the mmap backend into
-// mapping windows of Config.MmapWindowBytes — and both need the same
-// two answers: which chunk holds a byte, and whether a span stays
-// inside one chunk.
+// Block-slicing math, factored out of the reader so the fuzz suite
+// (slicing_fuzz_test.go) can check it against a naive oracle. The
+// reader partitions a file into aligned cache blocks of
+// Config.BlockBytes and needs two answers: which block holds a byte,
+// and whether a span stays inside one block (so ViewAt can serve it).
 
 // chunkAt returns the index of the fixed-size chunk containing pos and
 // the offset of pos within that chunk. pos must be non-negative and

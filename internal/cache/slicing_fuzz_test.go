@@ -7,21 +7,19 @@ import (
 )
 
 // The block-slicing math (offset/length → block index and intra-block
-// range) backs every ReadAt, every memo hit, and the mmap backend's
-// window placement — a wrong answer is silent data corruption. These
-// fuzz targets check it against a big-integer oracle that cannot
-// overflow, seeded with the block- and remap-window edges the
-// implementation special-cases.
+// range) backs every ReadAt, every memo hit and every ViewAt — a wrong
+// answer is silent data corruption. These fuzz targets check it
+// against a big-integer oracle that cannot overflow, seeded with the
+// block edges the implementation special-cases.
 
-// slicingSeeds are the boundary cases: block edges, window edges
-// (DefaultMmapWindowBytes and the 4 KiB page-rounded minimum the
-// conformance suite uses), and the extremes of int64.
+// slicingSeeds are the boundary cases: edges of small blocks, of
+// DefaultBlockBytes, and the extremes of int64.
 var slicingSeeds = [][2]int64{
 	{0, 512}, {511, 512}, {512, 512}, {513, 512},
 	{4095, 4096}, {4096, 4096}, {4097, 4096},
-	{DefaultMmapWindowBytes - 1, DefaultMmapWindowBytes},
-	{DefaultMmapWindowBytes, DefaultMmapWindowBytes},
-	{DefaultMmapWindowBytes + 1, DefaultMmapWindowBytes},
+	{DefaultBlockBytes - 1, DefaultBlockBytes},
+	{DefaultBlockBytes, DefaultBlockBytes},
+	{DefaultBlockBytes + 1, DefaultBlockBytes},
 	{math.MaxInt64, 1}, {math.MaxInt64, 512}, {math.MaxInt64, math.MaxInt64},
 	{1 << 62, 4096}, {0, 1}, {1, 1},
 }

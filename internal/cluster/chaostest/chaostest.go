@@ -42,7 +42,7 @@ type Config struct {
 	// tracer) before it accepts traffic.
 	Node func(name string, n *cluster.Node)
 	// Service, when set, configures each node's core service (cache
-	// backends, fault-injecting OpenFile hooks) before it serves.
+	// sizing, fault-injecting OpenFile hooks) before it serves.
 	Service func(name string, svc *core.Service)
 }
 

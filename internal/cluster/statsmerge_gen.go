@@ -44,8 +44,6 @@ func mergeQueryStats(x extractor.Stats, d mergedStatsExtras) obs.QueryStats {
 		CacheMisses:       x.CacheMisses,
 		FSBytesRead:       x.FSBytesRead,
 		CacheBytesServed:  x.CacheBytesServed,
-		MmapBlocksServed:  x.MmapBlocksServed,
-		MmapRemaps:        x.MmapRemaps,
 		PlanCacheHits:     d.PlanCacheHits,
 		PlanCacheMisses:   d.PlanCacheMisses,
 		BlocksSkipped:     x.BlocksSkipped,

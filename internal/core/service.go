@@ -90,8 +90,8 @@ func Compile(d *metadata.Descriptor, resolver extractor.Resolver) (*Service, err
 		scCache:  make(map[string]*sidecarEntry),
 		// The node-local block cache, shared by every query this service
 		// runs (the paper's data source service sits on exactly this
-		// boundary). Defaults: 64 MiB, 256 KiB blocks, no readahead — so
-		// compiling a service starts no goroutines.
+		// boundary). Defaults: 64 MiB, 256 KiB blocks; the cache starts no
+		// goroutines.
 		blockCache: cache.New(cache.Config{}),
 		// The semantic plan cache memoizes AFC lists across queries,
 		// keyed by fingerprint rather than SQL text (see afc.Fingerprint).
@@ -166,10 +166,9 @@ func (s *Service) blockSource() cache.Source {
 	return s.blockCache
 }
 
-// Close releases the service's pooled file handles and cached blocks
-// and stops its readahead worker, if any. Queries must have finished.
-// The cache shutdown (which joins the readahead worker) runs outside
-// s.cmu so a concurrent CacheStats cannot deadlock against it.
+// Close releases the service's pooled file handles and cached blocks.
+// Queries must have finished. The cache shutdown runs outside s.cmu so
+// a concurrent CacheStats does not wait on it.
 func (s *Service) Close() error {
 	s.cmu.Lock()
 	bc := s.blockCache
@@ -666,8 +665,6 @@ func (p *Prepared) queryStats(x extractor.Stats, extract time.Duration) obs.Quer
 		CacheMisses:      x.CacheMisses,
 		FSBytesRead:      x.FSBytesRead,
 		CacheBytesServed: x.CacheBytesServed,
-		MmapBlocksServed: x.MmapBlocksServed,
-		MmapRemaps:       x.MmapRemaps,
 
 		PlanCacheHits:   p.planCacheHits,
 		PlanCacheMisses: p.planCacheMisses,

@@ -413,9 +413,7 @@ func TestServiceCacheWarmsAcrossQueries(t *testing.T) {
 	}
 
 	cold, coldStats := run(Options{})
-	// Under the mmap backend cold blocks arrive as mapping views, not
-	// bytes copied through the read path.
-	if coldStats.CacheMisses == 0 || coldStats.FSBytesRead+coldStats.MmapBlocksServed == 0 {
+	if coldStats.CacheMisses == 0 || coldStats.FSBytesRead == 0 {
 		t.Fatalf("cold query saw no cache traffic: %+v", coldStats)
 	}
 	warm, warmStats := run(Options{})

@@ -180,23 +180,23 @@ func TestSparseFallbackOpenFault(t *testing.T) {
 	sameRows(t, got2, want)
 }
 
-// TestSparseBackends runs the pruned query under both cache backends:
-// identical rows and identical skip counts.
-func TestSparseBackends(t *testing.T) {
+// TestSparseCachedPasses runs the pruned query cold and then warm
+// through the block cache: identical rows and identical skip counts.
+func TestSparseCachedPasses(t *testing.T) {
 	svc, _ := sparseService(t)
 	want, _ := runSparse(t, svc, Options{BlockBytes: 512, NoSparse: true})
+	svc.SetCacheConfig(cache.Config{BlockBytes: 4096})
 	var skipped []int64
-	for _, backend := range []string{cache.BackendPread, cache.BackendMmap} {
-		svc.SetCacheConfig(cache.Config{BlockBytes: 4096, Backend: backend})
+	for _, pass := range []string{"cold", "warm"} {
 		got, stats := runSparse(t, svc, sparseOpt)
 		sameRows(t, got, want)
 		if stats.BlocksSkipped == 0 {
-			t.Errorf("%s: skipped 0 blocks", backend)
+			t.Errorf("%s: skipped 0 blocks", pass)
 		}
 		skipped = append(skipped, stats.BlocksSkipped)
 	}
 	if skipped[0] != skipped[1] {
-		t.Errorf("skip counts diverge across backends: %v", skipped)
+		t.Errorf("skip counts diverge across passes: %v", skipped)
 	}
 }
 

@@ -80,18 +80,10 @@ type Stats struct {
 	// FSBytesRead is the bytes physically read from the filesystem by
 	// this run's demand reads; a warm cache drives it toward zero while
 	// BytesRead (the logical payload bytes, above) stays constant.
-	// Readahead I/O is accounted on the cache's global Stats, not here.
 	FSBytesRead int64
 	// CacheBytesServed is the bytes delivered through the cache layer
 	// (hits and misses combined, including stride gaps within spans).
 	CacheBytesServed int64
-	// MmapBlocksServed counts block lookups served zero-copy from a
-	// file mapping by this run's demand reads (such blocks add nothing
-	// to FSBytesRead); MmapRemaps counts mapping windows those reads
-	// created beyond each file's first. Both stay zero under the pread
-	// cache backend.
-	MmapBlocksServed int64
-	MmapRemaps       int64
 
 	// BlocksSkipped counts extraction blocks proven row-free by a sparse
 	// sidecar and never read (whole-AFC grid skips count as their
@@ -128,8 +120,6 @@ func (s *Stats) Add(o Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.FSBytesRead += o.FSBytesRead
 	s.CacheBytesServed += o.CacheBytesServed
-	s.MmapBlocksServed += o.MmapBlocksServed
-	s.MmapRemaps += o.MmapRemaps
 	s.BlocksSkipped += o.BlocksSkipped
 	s.SparseIndexHits += o.SparseIndexHits
 	s.SparseIndexMisses += o.SparseIndexMisses
@@ -234,8 +224,7 @@ func runSource(opt Options) (cache.Source, func()) {
 
 // segKey identifies one pooled segment reader. dup distinguishes
 // multiple segments of a single AFC that reference the same file, so
-// each keeps its own reader — its own block memo and its own forward
-// scan as seen by the cache's readahead.
+// each keeps its own reader and so its own block memo.
 type segKey struct {
 	node, file string
 	dup        int
@@ -314,8 +303,6 @@ func (p *segPool) fold(stats *Stats) {
 		stats.CacheMisses += c.Misses - e.folded.Misses
 		stats.FSBytesRead += c.BytesRead - e.folded.BytesRead
 		stats.CacheBytesServed += c.BytesServed - e.folded.BytesServed
-		stats.MmapBlocksServed += c.MmapBlocksServed - e.folded.MmapBlocksServed
-		stats.MmapRemaps += c.MmapRemaps - e.folded.MmapRemaps
 		e.folded = c
 	}
 }
@@ -524,11 +511,9 @@ const MaxBatchRows = maxBlockRows
 // extraction goroutine: a column-major-filled matrix of rows plus the
 // per-segment byte buffers.
 //
-// Buffer-ownership discipline (checked by the cross-backend
-// conformance tests): spans holds the bytes each decode loop reads
-// from, and may alias cache-owned memory — a block buffer or, under
-// the mmap backend, a file mapping — borrowed through
-// cache.Viewer.ViewAt. Borrowed spans are only valid while the
+// Buffer-ownership discipline: spans holds the bytes each decode loop
+// reads from, and may alias a cache-owned block buffer borrowed
+// through cache.Viewer.ViewAt. Borrowed spans are only valid while the
 // extraction's readers are open, so extractOne clears every spans slot
 // before it releases them; nothing may write into spans or retain one
 // across extractOne calls. own holds the goroutine-owned scratch
@@ -598,8 +583,7 @@ func (bb *blockBuf) dropSpans() {
 // counterpart of the generated extraction code's straight-line
 // decoding), then filters and delivers rows. The context is checked
 // between blocks, bounding cancellation latency to one block read
-// (≤ maxBlockRows rows). One reader per segment means the cache's
-// readahead sees each segment as its own forward scan.
+// (≤ maxBlockRows rows).
 //
 // Delivery has three modes. With a vectorized predicate the block is
 // decoded into column vectors, the predicate narrows a selection index

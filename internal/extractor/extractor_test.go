@@ -573,7 +573,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := cache.New(cache.Config{BlockBytes: 4096, Readahead: 2})
+	c := cache.New(cache.Config{BlockBytes: 4096})
 	defer c.Close()
 	opt := Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}
 	collect := func() ([][]float64, Stats) {
@@ -595,9 +595,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	warm, warmStats := collect()
 	assertSameRows(t, "cold-vs-plain", cold, plain)
 	assertSameRows(t, "warm-vs-plain", warm, plain)
-	// Under the mmap backend a cold pass serves blocks as mapping views
-	// instead of copying them through the read path.
-	if coldStats.CacheMisses == 0 || coldStats.FSBytesRead+coldStats.MmapBlocksServed == 0 {
+	if coldStats.CacheMisses == 0 || coldStats.FSBytesRead == 0 {
 		t.Errorf("cold pass did not read: %+v", coldStats)
 	}
 	if warmStats.FSBytesRead != 0 {
@@ -618,53 +616,5 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	}
 	if pstats.FSBytesRead != 0 {
 		t.Errorf("parallel warm pass read %d fs bytes", pstats.FSBytesRead)
-	}
-}
-
-// TestMmapRefusalFallsBackToPread requests the mmap backend over files
-// whose descriptor cannot be mapped (cachetest.Disk's refusal fault):
-// every block must still arrive, byte-identical, through the pread
-// fallback, with zero blocks served from mappings.
-func TestMmapRefusalFallsBackToPread(t *testing.T) {
-	s := spec()
-	p, root := setupIpars(t, s, "CLUSTER")
-	sql := "SELECT * FROM IparsData WHERE TIME >= 2 AND TIME <= 5"
-	plain, _ := runQuery(t, p, root, sql, false)
-
-	q := sqlparser.MustParse(sql)
-	afcs, err := p.Generate(query.ExtractRanges(q.Where), p.Schema.Names(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := query.CompilePredicate(q.Where, func(name string) (int, bool) {
-		i := p.Schema.Index(name)
-		return i, i >= 0
-	}, filter.NewRegistry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := &cachetest.Disk{RefuseMmap: true}
-	c := cache.New(cache.Config{BlockBytes: 4096, Backend: cache.BackendMmap, OpenFile: disk.Open})
-	defer c.Close()
-	var rows [][]float64
-	stats, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}, false,
-		func(r table.Row) error {
-			out := make([]float64, len(r))
-			for i := range r {
-				out[i] = r[i].AsFloat()
-			}
-			rows = append(rows, out)
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameRows(t, "mmap-refused-vs-plain", rows, plain)
-	if stats.MmapBlocksServed != 0 {
-		t.Errorf("refused mappings still served %d blocks", stats.MmapBlocksServed)
-	}
-	if stats.FSBytesRead == 0 || disk.Reads.Load() == 0 {
-		t.Errorf("fallback did not read through pread: %+v (%d physical reads)",
-			stats, disk.Reads.Load())
 	}
 }

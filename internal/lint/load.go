@@ -3,14 +3,12 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -156,10 +154,7 @@ func (l *Loader) Load(dir, importPath string) (*Package, error) {
 // far (directly or as a dependency), or a zero FuncSource.
 func (l *Loader) FuncSource(fn *types.Func) FuncSource { return l.funcs[fn] }
 
-// goFilesIn lists the package's non-test Go files, sorted. Files whose
-// //go:build constraint excludes the current platform are skipped —
-// without this, platform-gated pairs (cache's mmap_unix.go and
-// mmap_other.go) would collide as duplicate declarations.
+// goFilesIn lists the package's non-test Go files, sorted.
 func goFilesIn(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -172,60 +167,10 @@ func goFilesIn(dir string) ([]string, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if !buildTagSatisfied(filepath.Join(dir, name)) {
-			continue
-		}
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names, nil
-}
-
-// buildTagSatisfied evaluates a file's //go:build line (the first one
-// before the package clause) for the current GOOS/GOARCH. Files with
-// no constraint, or an unparseable one, are included — the build is
-// the authority; the loader only needs to avoid pulling in files the
-// build would exclude here.
-func buildTagSatisfied(path string) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return true
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(line) {
-			continue
-		}
-		expr, err := constraint.Parse(line)
-		if err != nil {
-			return true
-		}
-		return expr.Eval(buildTagMatches)
-	}
-	return true
-}
-
-// unixGOOS mirrors the platforms the "unix" build tag covers among
-// those this module targets.
-var unixGOOS = map[string]bool{
-	"aix": true, "darwin": true, "dragonfly": true, "freebsd": true,
-	"linux": true, "netbsd": true, "openbsd": true, "solaris": true,
-}
-
-func buildTagMatches(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH:
-		return true
-	case "unix":
-		return unixGOOS[runtime.GOOS]
-	case "cgo":
-		return false
-	}
-	// Release tags (go1.22, ...): the toolchain in use satisfies them.
-	return strings.HasPrefix(tag, "go1")
 }
 
 // ModulePackageDirs walks the module for directories containing Go

@@ -14,8 +14,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.CacheMisses += o.CacheMisses
 	s.FSBytesRead += o.FSBytesRead
 	s.CacheBytesServed += o.CacheBytesServed
-	s.MmapBlocksServed += o.MmapBlocksServed
-	s.MmapRemaps += o.MmapRemaps
 	s.PlanCacheHits += o.PlanCacheHits
 	s.PlanCacheMisses += o.PlanCacheMisses
 	s.BlocksSkipped += o.BlocksSkipped

@@ -78,12 +78,6 @@ type QueryStats struct {
 	FSBytesRead int64
 	// CacheBytesServed is the bytes copied out of cached blocks.
 	CacheBytesServed int64
-	// MmapBlocksServed counts block lookups served zero-copy from a
-	// file mapping (the mmap cache backend); MmapRemaps counts mapping
-	// windows created beyond each file's first. Both stay zero under
-	// the pread backend.
-	MmapBlocksServed int64
-	MmapRemaps       int64
 
 	// PlanCacheHits counts prepares whose AFC list came from the
 	// semantic plan cache (the index stage was skipped); PlanCacheMisses
@@ -197,9 +191,6 @@ func (s *QueryStats) String() string {
 	if s.CacheHits+s.CacheMisses > 0 {
 		fmt.Fprintf(&b, "\ncache: %d hits / %d misses, %d fs bytes, %d bytes served, %d bytes saved",
 			s.CacheHits, s.CacheMisses, s.FSBytesRead, s.CacheBytesServed, s.CacheBytesSaved())
-	}
-	if s.MmapBlocksServed+s.MmapRemaps > 0 {
-		fmt.Fprintf(&b, "\nmmap: %d blocks served, %d remaps", s.MmapBlocksServed, s.MmapRemaps)
 	}
 	if s.PlanCacheHits+s.PlanCacheMisses > 0 {
 		fmt.Fprintf(&b, "\nplans: %d hits / %d misses", s.PlanCacheHits, s.PlanCacheMisses)
