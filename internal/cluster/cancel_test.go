@@ -44,12 +44,12 @@ func buildCoordinator(t *testing.T, addr string) *Coordinator {
 	return coord
 }
 
-// collectRows drains a cursor into a slice, returning the iteration
-// error.
+// collectRows drains a cursor into a slice, copying each row before
+// the next Next, and returns the iteration error.
 func collectRows(rows *core.Rows) ([]table.Row, error) {
 	var out []table.Row
 	for rows.Next() {
-		out = append(out, rows.Row())
+		out = table.CopyRows(out, []table.Row{rows.Row()})
 	}
 	err := rows.Err()
 	rows.Close()

@@ -123,7 +123,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		}
 		var want []table.Row
 		for lrows.Next() {
-			want = append(want, lrows.Row())
+			want = table.CopyRows(want, []table.Row{lrows.Row()})
 		}
 		if err := lrows.Close(); err != nil {
 			t.Fatal(err)
@@ -155,8 +155,8 @@ func TestDistributedMatchesLocal(t *testing.T) {
 }
 
 // TestCursorMatchesCallback drains the same queries from a two-node
-// cluster three ways — the cursor (rows retained and read only after
-// Close), the per-row callback (rows read inside the call, as its
+// cluster three ways — the cursor (rows copied at each Next and read
+// only after Close), the per-row callback (rows read inside the call, as its
 // contract demands) and CollectQueryContext — and requires identical
 // row sets. Each node ships several 'R' frames, so frame-sized batches
 // cross the merge and the cursor in both interleavings.
@@ -178,7 +178,7 @@ func TestCursorMatchesCallback(t *testing.T) {
 		}
 		var kept []table.Row
 		for rows.Next() {
-			kept = append(kept, rows.Row())
+			kept = table.CopyRows(kept, []table.Row{rows.Row()})
 		}
 		if err := rows.Close(); err != nil {
 			t.Fatalf("%q: cursor: %v", sql, err)

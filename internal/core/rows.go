@@ -11,11 +11,12 @@ import (
 )
 
 // rowsBuffer is the channel depth, in batches, between the extraction
-// goroutine and the consumer; it decouples bursty block extraction from
-// row-at-a-time iteration. A batch is one block's survivors (at most
-// extractor.MaxBatchRows = 512 rows), so beyond the batch the consumer
-// is walking and the one the producer is building, a cursor holds no
-// more than rowsBuffer × 512 undelivered rows however large the result.
+// goroutine and the consumer. It applies to owned batches (coordinator
+// frames, parallel-worker slabs, aggregate results), which the producer
+// hands over and forgets, so the channel decouples bursty production
+// from row-at-a-time iteration: a cursor holds no more than rowsBuffer
+// undelivered owned batches. A borrowed batch never queues behind
+// another one: its producer waits until the consumer is done with it.
 const rowsBuffer = 4
 
 // Rows is a streaming cursor over a query's result, in the spirit of
@@ -31,62 +32,88 @@ const rowsBuffer = 4
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
-// Rows handed out are the caller's to keep: their memory is never
-// reused, and a retained row pins at most the batch (≤ 512 rows) it
-// arrived in. A Rows is not safe for concurrent use. Abandoning a
+// The row Row returns is valid until the next call to Next or Close,
+// like bufio.Scanner.Bytes: the cursor hands the producer's block
+// buffer out in place, and the producer overwrites it once Next moves
+// past the block. A caller that keeps rows copies them with
+// table.CopyRows. A Rows is not safe for concurrent use. Abandoning a
 // cursor without Close leaks the extraction goroutine until the parent
 // context is cancelled; always defer Close.
 type Rows struct {
-	parent context.Context // the caller's ctx, to tell its cancellation from Close's
-	cancel context.CancelFunc
-	ch     chan []table.Row
-	done   chan struct{} // closed after runErr and stats are written
+	parent  context.Context // the caller's ctx, to tell its cancellation from Close's
+	cancel  context.CancelFunc
+	ch      chan rowsBatch
+	release chan struct{} // one token per borrowed batch the consumer has moved past
+	done    chan struct{} // closed after runErr and stats are written
 
-	cols   []string
-	batch  []table.Row // the batch being walked; batch[next:] are still to come
-	next   int
-	cur    table.Row
-	err    error
-	closed bool
+	cols     []string
+	batch    []table.Row // the batch being walked; batch[next:] are still to come
+	borrowed bool        // batch belongs to the producer, which waits on release
+	next     int
+	cur      table.Row
+	err      error
+	closed   bool
 
 	// Written by the extraction goroutine before done closes.
 	runErr error
 	stats  obs.QueryStats
 }
 
+// rowsBatch is one delivered batch on its way to the consumer.
+type rowsBatch struct {
+	rows     []table.Row
+	borrowed bool
+}
+
 // NewRows adapts a push-style runner into a streaming cursor: run is
 // started on its own goroutine with a deliver function that hands each
-// batch of rows to the cursor (blocking when the consumer lags), and the
-// QueryStats it returns become the cursor's Stats. Delivery follows the
-// extractor.EmitFunc contract: a batch delivered owned is forwarded as
-// is, a borrowed one is copied once into a slab of its own
-// (table.CopyRows) before the call returns, so the runner may reuse its
-// rows either way. A batch becomes visible to Next as soon as it is
-// delivered; the cursor never waits to fill one. The runner must honour
-// ctx cancellation — Close cancels it. This is the bridge both the local
-// service and the cluster coordinator use to present one cursor API
-// over push-style execution engines.
+// batch of rows to the cursor, and the QueryStats it returns become the
+// cursor's Stats. Delivery follows the extractor.EmitFunc contract. An
+// owned batch is queued (blocking only when rowsBuffer batches wait)
+// and deliver returns at once. A borrowed batch is handed to the
+// consumer in place, not copied: deliver returns only once Next has
+// moved past the batch's last row, or the cursor was closed or its
+// context cancelled, so the runner may then reuse its rows. A batch
+// becomes visible to Next as soon as it is delivered; the cursor never
+// waits to fill one. The runner must honour ctx cancellation — Close
+// cancels it — and, once deliver has returned an error, return without
+// writing to the rows it last delivered. This is the bridge both the
+// local service and the cluster coordinator use to present one cursor
+// API over push-style execution engines.
 func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error)) *Rows {
 	runCtx, cancel := context.WithCancel(ctx)
 	r := &Rows{
-		parent: ctx,
-		cancel: cancel,
-		ch:     make(chan []table.Row, rowsBuffer),
-		done:   make(chan struct{}),
-		cols:   cols,
+		parent:  ctx,
+		cancel:  cancel,
+		ch:      make(chan rowsBatch, rowsBuffer),
+		release: make(chan struct{}, 1),
+		done:    make(chan struct{}),
+		cols:    cols,
 	}
 	go func() {
 		defer close(r.done)
 		defer close(r.ch)
+		// The goroutine hand-off below is the pull adapter; iter.Pull
+		// would do the same job no faster, but it needs Go 1.23 and the
+		// module (with the benchmark module that builds against it)
+		// stays on go 1.22.
 		stats, err := run(runCtx, func(rows []table.Row, owned bool) error {
 			if len(rows) == 0 {
 				return nil
 			}
-			if !owned {
-				rows = table.CopyRows(nil, rows)
+			if err := runCtx.Err(); err != nil {
+				return err // nothing is handed out once the cursor is cancelled
 			}
 			select {
-			case r.ch <- rows:
+			case r.ch <- rowsBatch{rows, !owned}:
+			case <-runCtx.Done():
+				return runCtx.Err()
+			}
+			if owned {
+				return nil
+			}
+			select {
+			case <-r.release:
 				return nil
 			case <-runCtx.Done():
 				return runCtx.Err()
@@ -118,29 +145,34 @@ func (r *Rows) Columns() []string { return r.cols }
 
 // Next advances to the next row, blocking until one is available or
 // the query finishes. It returns false at the end of the result set,
-// on error (see Err), or after Close.
+// on error (see Err), or after Close. Moving past the last row of a
+// borrowed batch hands the batch back to its producer.
 func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
 	if r.next == len(r.batch) {
-		batch, ok := <-r.ch
+		if r.borrowed {
+			r.borrowed = false
+			r.release <- struct{}{} // never blocks: one borrowed batch is out at a time
+		}
+		b, ok := <-r.ch
 		if !ok {
 			<-r.done // runErr and stats are now visible
 			r.err = r.terminalErr()
 			r.batch, r.next, r.cur = nil, 0, nil
 			return false
 		}
-		r.batch, r.next = batch, 0
+		r.batch, r.borrowed, r.next = b.rows, b.borrowed, 0
 	}
 	r.cur = r.batch[r.next]
 	r.next++
 	return true
 }
 
-// Row returns the current row. It is owned by the caller: it remains
-// valid across subsequent Next calls and after Close, and its memory is
-// never reused (retaining it keeps its batch of ≤ 512 rows alive).
+// Row returns the current row. It is valid until the next call to Next
+// or Close, which may let the producer overwrite it; copy it with
+// table.CopyRows to keep it.
 func (r *Rows) Row() table.Row { return r.cur }
 
 // Err returns the error that terminated iteration, if any. It is nil
@@ -158,7 +190,7 @@ func (r *Rows) Close() error {
 	}
 	r.closed = true
 	r.cancel()
-	r.batch, r.next = nil, 0
+	r.batch, r.borrowed, r.next, r.cur = nil, false, 0, nil
 	for range r.ch { // unblock the producer and drain
 	}
 	<-r.done

@@ -145,8 +145,10 @@ func (s *Stats) Add(o Stats) {
 // table.CopyRows. A batch handed
 // over with owned == true is freshly allocated memory the producer
 // never touches again; the receiver keeps it as is. The core.Rows
-// cursor only ever hands out rows of the second kind: they are never
-// reused, and a retained row pins at most the batch it arrived in.
+// cursor hands out either kind in place, without a copy: its deliver
+// call holds a borrowed batch until the consumer's Next moves past it,
+// and its Row is valid until the next Next or Close — a caller that
+// keeps rows copies them with table.CopyRows.
 type EmitFunc func(row table.Row) error
 
 // BatchFunc receives one block's surviving rows; see EmitFunc for the
