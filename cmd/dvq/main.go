@@ -47,10 +47,8 @@ type config struct {
 	planCache        bool
 	planCacheEntries int
 
-	poolSize   int
-	hedgeAfter time.Duration
-	legStall   time.Duration
-	stageMB    int
+	legStall time.Duration
+	stageMB  int
 }
 
 // cacheConfig translates the cache flags into a cache.Config.
@@ -89,8 +87,6 @@ func main() {
 	flag.BoolVar(&cfg.noSparse, "no-sparse", false, "ignore sparse block-index sidecars (no data skipping)")
 	flag.BoolVar(&cfg.planCache, "plan-cache", true, "memoize query plans by semantic fingerprint (range-equal queries share one plan)")
 	flag.IntVar(&cfg.planCacheEntries, "plan-cache-entries", core.DefaultPlanCacheEntries, "plan cache capacity in entries")
-	flag.IntVar(&cfg.poolSize, "pool", 0, "with -nodes: persistent sessions per node (0 = default 2, negative = one connection per query)")
-	flag.DurationVar(&cfg.hedgeAfter, "hedge", 0, "with -nodes: hedge a node leg that has not answered within this duration (0 = off)")
 	flag.DurationVar(&cfg.legStall, "stall", 0, "with -nodes: fail a node leg whose stream makes no frame progress within this duration and re-dispatch it (0 = off)")
 	flag.IntVar(&cfg.stageMB, "failover-stage-mb", 0, "with -nodes: MiB of a replicated leg's results to withhold for exactly-once failover replay (0 = default 8)")
 	interactive := flag.Bool("i", false, "interactive mode: read queries from stdin, one per line")
@@ -243,8 +239,6 @@ func runCluster(ctx context.Context, descPath, nodeTable, sql string, cfg config
 		fatal(err)
 	}
 	coord.SetPlanCacheConfig(cfg.planCacheConfig())
-	coord.PoolSize = cfg.poolSize
-	coord.HedgeAfter = cfg.hedgeAfter
 	coord.LegStallAfter = cfg.legStall
 	coord.FailoverStageBytes = int64(cfg.stageMB) << 20
 	defer coord.Close()

@@ -2,6 +2,7 @@ package chaostest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,6 +20,7 @@ import (
 	"datavirt/internal/gen"
 	"datavirt/internal/metadata"
 	"datavirt/internal/sparse"
+	"datavirt/internal/table"
 )
 
 const fullScan = "SELECT * FROM IparsData"
@@ -324,29 +326,55 @@ func TestCorruptSidecarFailover(t *testing.T) {
 	}
 }
 
-// TestHedgeFailoverNoDoubleDelivery races the hedging path against
-// failover: the first stream to node0 stalls before its first frame
-// (forcing a hedge), the hedge stream claims the leg, delivers one
-// row batch, and then the whole node drops. The staged batch must be
-// discarded and the standby's replay delivered exactly once — row
-// counts prove no duplication, equality proves no loss.
-func TestHedgeFailoverNoDoubleDelivery(t *testing.T) {
+// TestStallKillFailoverNoDoubleDelivery puts a stall and a crash into
+// one query: node0 dies after streaming one row batch, and the first
+// session to its standby is blackholed from byte zero, so the standby's
+// own leg stalls and the stall watchdog moves it on while node0's leg
+// is replayed on the standby over a fresh pooled session. Every staged
+// partial stream must be discarded and each partition delivered
+// exactly once — row counts prove no duplication, equality proves no
+// loss.
+func TestStallKillFailoverNoDoubleDelivery(t *testing.T) {
 	c := Start(t, Config{})
-	c.Coord.HedgeAfter = 50 * time.Millisecond
+	c.Coord.LegStallAfter = 300 * time.Millisecond
 	want := c.LocalSorted(t, fullScan)
 	base := runtime.NumGoroutine()
 
-	p := c.Proxies["node0"]
-	p.StallFirstConn()
-	p.KillAfter(1, func() { c.Nodes["node0"].Close() }) //nolint:errcheck — crash by design
+	standby := c.Local.Replicas()["node0"][1]
+	c.Proxies[standby].StallFirstConn()
+	c.Proxies["node0"].KillAfter(1, func() { c.Nodes["node0"].Close() }) //nolint:errcheck — crash by design
 	got, res := c.CollectSorted(t, fullScan)
 
 	AssertSameRows(t, got, want)
-	if res.QueryStats.HedgedLegs < 1 {
-		t.Errorf("HedgedLegs = %d, want >= 1 (stalled first conn should have hedged)", res.QueryStats.HedgedLegs)
+	if res.Rows != int64(len(want)) {
+		t.Errorf("trailers count %d rows, want %d", res.Rows, len(want))
 	}
-	if res.QueryStats.ReplicaFailovers < 1 {
-		t.Errorf("ReplicaFailovers = %d, want >= 1", res.QueryStats.ReplicaFailovers)
+	if res.QueryStats.ReplicaFailovers < 2 {
+		t.Errorf("ReplicaFailovers = %d, want >= 2 (one for the crash, one for the stall)", res.QueryStats.ReplicaFailovers)
+	}
+	c.Coord.Close() //nolint:errcheck — always nil
+	WaitGoroutines(t, base)
+}
+
+// TestDeliverErrorCancelsLegs checks that a failing consumer stops the
+// cluster: the emit callback rejects the first row while node0's leg is
+// blackholed mid-stream, and the query must return that error at once,
+// not wait out the blackholed leg until the caller's deadline.
+func TestDeliverErrorCancelsLegs(t *testing.T) {
+	c := Start(t, Config{})
+	base := runtime.NumGoroutine()
+	c.Proxies["node0"].BlackholeAfter(1)
+
+	errStop := errors.New("consumer stops")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := c.Coord.QueryFuncContext(ctx, fullScan, func(table.Row) error { return errStop })
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("query took %v to surface the emit error", elapsed)
+	}
+	if !errors.Is(err, errStop) {
+		t.Fatalf("err = %v, want the emit error", err)
 	}
 	c.Coord.Close() //nolint:errcheck — always nil
 	WaitGoroutines(t, base)

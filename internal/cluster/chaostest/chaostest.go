@@ -251,8 +251,8 @@ func WaitGoroutines(t testing.TB, base int) {
 //     per-leg watchdog can see.
 //
 // StallFirstConn additionally blackholes the first accepted
-// connection from byte zero, deterministically forcing the
-// coordinator's hedge path before any scripted fault fires.
+// connection from byte zero, deterministically tripping the
+// coordinator's stall watchdog before any scripted fault fires.
 type Proxy struct {
 	ln     net.Listener
 	target string

@@ -24,15 +24,18 @@ import (
 )
 
 // Coordinator is the client-side entry point of the distributed system:
-// it holds the descriptor (for planning and row decoding), keeps a pool
-// of persistent multiplexed sessions to every node server, fans each
-// query out, and merges or routes the returned tuple streams. It
-// performs no file I/O.
+// it holds the descriptor (for planning and row decoding), keeps two
+// persistent multiplexed sessions to every node server, fans each query
+// out, and merges or routes the returned tuple streams. It performs no
+// file I/O.
 //
 // The knob fields may be adjusted after NewCoordinator and before the
 // first query; they tolerate slow, overloaded or dead nodes in the
-// spirit of the paper's loosely coupled STORM services. Call Close when
-// done to release the pooled connections.
+// spirit of the paper's loosely coupled STORM services. A failed leg
+// has one recovery path, runLeg's loop: dial retries, overload retries,
+// and the re-dispatch of a leg that stalled or lost its node before
+// anything reached the merge. Call Close when done to release the
+// pooled connections.
 type Coordinator struct {
 	svc   *core.Service
 	addrs map[string]string // node name → host:port
@@ -49,23 +52,6 @@ type Coordinator struct {
 	// RetryBackoff is the first retry's delay, doubled per attempt
 	// (default 50ms).
 	RetryBackoff time.Duration
-	// IOTimeout, when positive, bounds every frame write and the gap
-	// between frames received while queries are in flight; a node that
-	// stalls longer mid-stream fails its session. Zero relies on
-	// context deadlines alone.
-	IOTimeout time.Duration
-
-	// PoolSize is how many persistent multiplexed sessions to keep per
-	// node; concurrent queries share them round-robin. Zero means 2; a
-	// negative value disables pooling entirely — every query leg dials
-	// its own connection and closes it afterwards (the one-query-per-
-	// connection shape of protocol v1, kept as a benchmark baseline).
-	PoolSize int
-	// HedgeAfter, when positive, hedges straggler legs: if a node has
-	// not produced a first frame within this duration, a duplicate leg
-	// is launched and the first stream to deliver wins while the loser
-	// is cancelled. Zero disables hedging.
-	HedgeAfter time.Duration
 	// OverloadRetries is how many times a leg shed by a node's
 	// admission control (ErrOverloaded) is retried with backoff before
 	// the error is surfaced (default 2; negative means none).
@@ -73,16 +59,14 @@ type Coordinator struct {
 	// OverloadBackoff is the first overload retry's delay, doubled per
 	// attempt (default 25ms).
 	OverloadBackoff time.Duration
-	// WindowBytes is the per-query flow-control window granted to each
-	// node (how far a node may run ahead of the merging consumer).
-	// Zero means the protocol default (1 MiB).
-	WindowBytes int64
 	// LegStallAfter, when positive, bounds the gap between frames
 	// received by one leg's stream: a leg with no frame progress for
-	// this long fails with errLegStalled and, when its partition has
-	// standby replicas, is re-dispatched to one. Unlike IOTimeout it is
-	// per-leg, so a blackholed query does not tear down the session it
-	// shares with healthy ones. Zero disables the watchdog.
+	// this long fails with errLegStalled. If nothing of it reached the
+	// merge yet, it is re-dispatched — to a standby replica when its
+	// partition has a live one, else once more to the same node over a
+	// pooled session. The watchdog is per leg, so a blackholed query
+	// does not tear down the session it shares with healthy ones. Zero
+	// disables it.
 	LegStallAfter time.Duration
 	// FailoverStageBytes bounds how many result-payload bytes a
 	// replicated leg stages before the coordinator commits them to the
@@ -153,8 +137,7 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// pool returns the session pool for node, creating it on first use
-// (freezing PoolSize and IOTimeout for that node at that point).
+// pool returns the session pool for node, creating it on first use.
 func (c *Coordinator) pool(node string) *nodePool {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
@@ -164,18 +147,7 @@ func (c *Coordinator) pool(node string) *nodePool {
 	if p, ok := c.pools[node]; ok {
 		return p
 	}
-	size := c.PoolSize
-	if size == 0 {
-		size = 2
-	}
-	if size < 0 {
-		size = 0 // ephemeral: one conn per leg
-	}
-	p := &nodePool{
-		dial: func(ctx context.Context) (net.Conn, error) { return c.dialNode(ctx, node) },
-		size: size,
-		io:   c.IOTimeout,
-	}
+	p := &nodePool{dial: func(ctx context.Context) (net.Conn, error) { return c.dialNode(ctx, node) }}
 	c.pools[node] = p
 	return p
 }
@@ -198,7 +170,7 @@ type Result struct {
 	// times are the coordinator's, extract time is the slowest node's
 	// (the straggler), filter time sums over nodes, net time is the
 	// fan-out wall time, and the serving counters report admission
-	// queueing, load shedding and hedging across the legs.
+	// queueing, load shedding and re-dispatches across the legs.
 	QueryStats obs.QueryStats
 }
 
@@ -209,7 +181,7 @@ type Result struct {
 // within each node's stream. Cancelling ctx (or Close on the cursor)
 // abandons every node leg promptly, and a context deadline is
 // forwarded to the nodes so they stop extracting server-side. The
-// cursor's Stats include the serving counters (queued/shed/hedged).
+// cursor's Stats include the serving counters (queued/shed/redispatched).
 func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -317,8 +289,7 @@ func (c *Coordinator) run(ctx context.Context, sql string, spec storm.PartitionS
 
 // legCounters aggregates serving events across a query's legs.
 type legCounters struct {
-	shed   atomic.Int64
-	hedged atomic.Int64
+	shed atomic.Int64
 	// redispatched counts legs dispatched more than once (any reason);
 	// failovers counts re-dispatches to a different replica after the
 	// serving node failed or stalled; retries counts same-node overload
@@ -334,7 +305,8 @@ type legCounters struct {
 // finalized groups of an aggregate) with its partition destination —
 // from this goroutine only. Every batch is owned in the sense of
 // extractor.EmitFunc: DecodeAll and Finalize build fresh memory nothing
-// here touches again.
+// here touches again. The first deliver error cancels every leg, so a
+// failing consumer does not wait for the rest of the cluster's result.
 func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Prepared, spec storm.PartitionSpec, deliver func(dest int, rows []table.Row) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -348,11 +320,10 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 	tracer := obs.TracerFrom(ctx)
 
 	req := Request{
-		Version:     protocolVersion,
-		SQL:         sql,
-		Partition:   spec,
-		Parallel:    true,
-		WindowBytes: c.WindowBytes,
+		Version:   protocolVersion,
+		SQL:       sql,
+		Partition: spec,
+		Parallel:  true,
 	}
 	// Forward the deadline so the node stops extracting server-side
 	// when the client's budget runs out.
@@ -395,6 +366,11 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 	donec := make(chan nodeDone, len(nodes))
 	var counters legCounters
 	var wg sync.WaitGroup
+	// The legs run under their own context so a deliver error can stop
+	// them; the caller's ctx still decides whether that error or the
+	// caller's cancellation is reported.
+	legCtx, cancelLegs := context.WithCancel(ctx)
+	defer cancelLegs()
 
 	netStart := time.Now()
 	for _, node := range nodes {
@@ -402,7 +378,7 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		go func(node string) {
 			defer wg.Done()
 			endNet := obs.Begin(tracer, sql, obs.StageNet)
-			tr, err := c.runLeg(ctx, node, req, codec, &counters, func(dest int, rows []table.Row) {
+			tr, err := c.runLeg(legCtx, node, req, codec, &counters, func(dest int, rows []table.Row) {
 				batchc <- nodeBatch{node: node, dest: dest, rows: rows}
 			}, onAgg)
 			endNet(err)
@@ -420,7 +396,9 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		if firstErr != nil {
 			continue // drain
 		}
-		firstErr = deliver(b.dest, b.rows)
+		if firstErr = deliver(b.dest, b.rows); firstErr != nil {
+			cancelLegs()
+		}
 	}
 	var slowestExtract int64
 	var pcHits, pcMisses int64
@@ -477,10 +455,9 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		PlanCacheMisses: ownMisses + pcMisses,
 
 		// Serving counters: admission queueing reported by the nodes,
-		// shedding and hedging observed by the legs.
+		// shedding observed by the legs.
 		QueuedQueries: queuedLegs,
 		ShedQueries:   counters.shed.Load(),
-		HedgedLegs:    counters.hedged.Load(),
 
 		// Failover counters: dispatches beyond a leg's first, and why.
 		LegRedispatches:  counters.redispatched.Load(),
@@ -497,13 +474,19 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 }
 
 // runLeg drives one partition's leg: replica placement, session
-// checkout, hedging, bounded retry of legs shed by admission control,
-// and — when the partition has standby replicas — staged failover of
-// a leg whose serving node dies or stalls mid-stream.
+// checkout, bounded retry of legs shed by admission control, and the
+// re-dispatch of a leg whose serving node dies or stalls before any of
+// its results reached the merge. A replicated leg stages its results
+// (legStage) so "before" lasts until the stage commits; an unreplicated
+// leg streams straight into the merge, so only a leg that has delivered
+// no frame is replayed. A failed leg moves to a standby replica when a
+// live one exists; a stalled leg with none left is retried once on the
+// same node, whose pool hands it a session round-robin.
 //
 // The loop terminates: every iteration either returns, permanently
-// adds a node to failed (candidates only shrink), or consumes one
-// unit of the overload-retry budget.
+// adds a node to failed (candidates only shrink), consumes one unit of
+// the overload-retry budget, or consumes the single same-node stall
+// retry.
 func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request, codec *table.Codec,
 	counters *legCounters, onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (Trailer, error) {
 
@@ -542,6 +525,7 @@ func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request,
 
 	failed := map[string]bool{}
 	dispatched := false
+	stallRetried := false
 	avoid := ""
 	for {
 		node, ok := c.pickReplica(replicas, failed, avoid)
@@ -556,7 +540,7 @@ func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request,
 
 		pool := c.pool(node)
 		pool.legStarted()
-		tr, err := c.legHedged(ctx, pool, req, codec, counters, onBatch, onAgg)
+		tr, delivered, err := c.legStream(ctx, pool, req, codec, onBatch, onAgg)
 		pool.legDone()
 		pool.reportResult(healthErr(err), c.RetryBackoff)
 		if err == nil {
@@ -597,20 +581,31 @@ func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request,
 			backoff *= 2
 			continue
 		}
-		// Hard failure: connection loss, stall, or a server error.
-		if stage == nil || stage.committed {
-			// Unreplicated, or rows already released to the merge — the
-			// leg cannot be replayed without duplicating them.
+		// Hard failure: connection loss, stall, or a server error. Once
+		// results reached the merge the leg cannot be replayed without
+		// duplicating them.
+		if stage != nil {
+			delivered = stage.committed
+		}
+		if delivered {
 			return Trailer{}, err
 		}
 		failed[node] = true
-		if _, ok := c.pickReplica(replicas, failed, ""); !ok {
+		if _, ok := c.pickReplica(replicas, failed, ""); ok {
+			counters.failovers.Add(1)
+		} else if errors.Is(err, errLegStalled) && !stallRetried {
+			// A stalled stream on a live node: its session may be stuck
+			// while the node is not, so the node gets one more try.
+			stallRetried = true
+			delete(failed, node)
+		} else {
 			return Trailer{}, err
 		}
-		// Nothing reached the merge: discard the staged partial stream
-		// and replay the whole leg on a standby.
-		stage.reset()
-		counters.failovers.Add(1)
+		// Nothing reached the merge: discard any staged partial stream
+		// and replay the whole leg.
+		if stage != nil {
+			stage.reset()
+		}
 	}
 }
 
@@ -651,104 +646,13 @@ func healthErr(err error) error {
 	return err
 }
 
-// errHedgeLost is returned by the stream that lost the hedge race;
-// it never surfaces to callers.
-var errHedgeLost = errors.New("cluster: hedged leg lost the race")
-
-// legHedged runs the leg, optionally duplicating it onto a second
-// stream when the first has not produced a frame within HedgeAfter.
-// Exactly one stream claims the right to deliver rows (an atomic CAS
-// at its first delivered frame), so the merged result never sees
-// duplicates; the loser is cancelled.
-func (c *Coordinator) legHedged(ctx context.Context, pool *nodePool, req Request, codec *table.Codec,
-	counters *legCounters, onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (Trailer, error) {
-
-	var claim atomic.Int32
-	if c.HedgeAfter <= 0 {
-		tr, _, err := c.legStream(ctx, pool, req, codec, &claim, 1, onBatch, onAgg)
-		return tr, err
-	}
-
-	type streamRes struct {
-		tr      Trailer
-		claimed bool
-		err     error
-	}
-	// Loser-abandonment contract (checked by the golife analyzer's
-	// bounded-body rule — the spawned closure below has no loop): at
-	// most two streams ever launch, resc is buffered to hold both
-	// results, so a loser's send never blocks even after legHedged has
-	// returned; the deferred scancel cancels the losing stream's
-	// context, and legStream's context.AfterFunc abandons its leg,
-	// unblocking any wait inside it. A hedge loser therefore always
-	// runs to its send and exits — it cannot leak.
-	resc := make(chan streamRes, 2)
-	sctx, scancel := context.WithCancel(ctx)
-	defer scancel()
-	launch := func(id int32) {
-		go func() {
-			tr, claimed, err := c.legStream(sctx, pool, req, codec, &claim, id, onBatch, onAgg)
-			resc <- streamRes{tr: tr, claimed: claimed, err: err}
-		}()
-	}
-	launch(1)
-
-	// The hedge timer and the result loop race; hmu linearizes the
-	// "launch a hedge" vs "give up on this leg" decision so a hedge is
-	// never launched after the leg has returned (a stray stream could
-	// otherwise deliver rows into a closed merge).
-	var hmu sync.Mutex
-	hedged := false
-	abandoned := false
-	timer := time.AfterFunc(c.HedgeAfter, func() {
-		hmu.Lock()
-		defer hmu.Unlock()
-		if abandoned || claim.Load() != 0 || sctx.Err() != nil {
-			return
-		}
-		hedged = true
-		counters.hedged.Add(1)
-		launch(2)
-	})
-	defer timer.Stop()
-
-	var lastErr error
-	finished := 0
-	for {
-		r := <-resc
-		finished++
-		if r.err == nil {
-			return r.tr, nil
-		}
-		if r.claimed {
-			// The delivering stream failed mid-way; rows may already be
-			// merged, so the leg cannot be retried or re-hedged.
-			return Trailer{}, r.err
-		}
-		if !errors.Is(r.err, errHedgeLost) {
-			lastErr = r.err
-		}
-		hmu.Lock()
-		if !hedged {
-			abandoned = true
-			hmu.Unlock()
-			return Trailer{}, lastErr
-		}
-		launched := 2
-		hmu.Unlock()
-		if finished >= launched {
-			return Trailer{}, lastErr
-		}
-	}
-}
-
-// legStream runs one wire stream of a leg over a (possibly shared)
-// session: sends the query, consumes its frames, grants flow-control
-// credit, and decodes row batches ('R') or merges partial aggregates
-// ('A', via onAgg). It only delivers rows or partials after winning
-// the claim shared with a hedged twin.
+// legStream runs one wire stream of a leg over a shared session:
+// sends the query, consumes its frames, grants flow-control credit, and
+// decodes row batches ('R') or merges partial aggregates ('A', via
+// onAgg). delivered reports whether any frame was handed to onBatch or
+// onAgg, i.e. whether a failed stream can still be replayed.
 func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request, codec *table.Codec,
-	claim *atomic.Int32, id int32, onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (Trailer, bool, error) {
+	onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (tr Trailer, delivered bool, err error) {
 
 	// ctxErr prefers the context's error over the failure it induced.
 	ctxErr := func(err error) error {
@@ -758,11 +662,10 @@ func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request
 		return err
 	}
 
-	sess, release, err := pool.session(ctx)
+	sess, err := pool.session(ctx)
 	if err != nil {
 		return Trailer{}, false, ctxErr(err)
 	}
-	defer release()
 	leg, err := sess.start(req)
 	if err != nil {
 		return Trailer{}, false, ctxErr(err)
@@ -776,28 +679,17 @@ func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request
 	defer stop()
 	// The stall watchdog abandons a leg with no frame progress within
 	// LegStallAfter — a blackholed stream on an otherwise live session,
-	// which no session-level timeout can see. It is reset after every
+	// which the connection itself never reports. It is reset after every
 	// frame; a fire racing a late frame only costs a spurious
 	// re-dispatch, never a duplicate delivery (the leg's remaining
-	// events drain before next returns the stall error, and on a
-	// replicated partition the stage withholds them anyway).
+	// events drain before next returns the stall error, so delivered
+	// already covers them when runLeg decides).
 	var watchdog *time.Timer
 	if c.LegStallAfter > 0 {
 		watchdog = time.AfterFunc(c.LegStallAfter, func() {
 			sess.abandon(leg, errLegStalled)
 		})
 		defer watchdog.Stop()
-	}
-
-	claimed := false
-	tryClaim := func() bool {
-		if claimed {
-			return true
-		}
-		if claim.CompareAndSwap(0, id) || claim.Load() == id {
-			claimed = true
-		}
-		return claimed
 	}
 
 	for {
@@ -807,66 +699,56 @@ func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request
 		}
 		if err != nil {
 			sess.abandon(leg, err)
-			return Trailer{}, claimed, ctxErr(err)
+			return Trailer{}, delivered, ctxErr(err)
 		}
 		switch ev.typ {
 		case frameRows:
-			if !tryClaim() {
-				sess.abandon(leg, errHedgeLost)
-				return Trailer{}, false, errHedgeLost
+			var dest int
+			var rows []table.Row
+			if dest, rows, err = decodeRowsFrame(codec, ev.payload); err == nil {
+				delivered = true
+				onBatch(dest, rows)
 			}
-			if len(ev.payload) < 8 {
-				sess.abandon(leg, errHedgeLost)
-				return Trailer{}, claimed, fmt.Errorf("cluster: short row batch")
-			}
-			dest := int(binary.LittleEndian.Uint32(ev.payload[0:]))
-			count := int(binary.LittleEndian.Uint32(ev.payload[4:]))
-			body := ev.payload[8:]
-			if count < 0 || len(body) != count*codec.RowBytes() {
-				sess.abandon(leg, errHedgeLost)
-				return Trailer{}, claimed, fmt.Errorf("cluster: row batch of %d bytes does not hold %d rows",
-					len(body), count)
-			}
-			rows, err := codec.DecodeAll(body)
-			if err != nil {
-				sess.abandon(leg, err)
-				return Trailer{}, claimed, err
-			}
-			onBatch(dest, rows)
-			leg.consumedRows(len(ev.payload))
 		case frameAgg:
-			if !tryClaim() {
-				sess.abandon(leg, errHedgeLost)
-				return Trailer{}, false, errHedgeLost
-			}
 			if onAgg == nil {
-				err := fmt.Errorf("cluster: unexpected aggregate frame for a row query")
-				sess.abandon(leg, err)
-				return Trailer{}, claimed, err
+				err = fmt.Errorf("cluster: unexpected aggregate frame for a row query")
+			} else {
+				delivered = true
+				err = onAgg(ev.payload)
 			}
-			if err := onAgg(ev.payload); err != nil {
-				sess.abandon(leg, err)
-				return Trailer{}, claimed, err
-			}
-			leg.consumedRows(len(ev.payload))
 		case frameDone:
-			if !tryClaim() {
-				return Trailer{}, false, errHedgeLost
-			}
-			var tr Trailer
 			if err := json.Unmarshal(ev.payload, &tr); err != nil {
-				return Trailer{}, claimed, fmt.Errorf("cluster: bad trailer: %w", err)
+				return Trailer{}, delivered, fmt.Errorf("cluster: bad trailer: %w", err)
 			}
-			return tr, claimed, nil
+			return tr, delivered, nil
 		case frameBusy:
-			return Trailer{}, claimed, fmt.Errorf("node shed query: %w", ErrOverloaded)
+			return Trailer{}, delivered, fmt.Errorf("node shed query: %w", ErrOverloaded)
 		case frameError:
-			return Trailer{}, claimed, fmt.Errorf("%s", ev.payload)
+			return Trailer{}, delivered, fmt.Errorf("%s", ev.payload)
 		default:
-			sess.abandon(leg, errHedgeLost)
-			return Trailer{}, claimed, fmt.Errorf("cluster: unexpected frame %q", ev.typ)
+			err = fmt.Errorf("cluster: unexpected frame %q", ev.typ)
 		}
+		if err != nil {
+			sess.abandon(leg, err)
+			return Trailer{}, delivered, err
+		}
+		leg.consumedRows(len(ev.payload))
 	}
+}
+
+// decodeRowsFrame decodes an 'R' payload: destID | rowCount | rows.
+func decodeRowsFrame(codec *table.Codec, payload []byte) (dest int, rows []table.Row, err error) {
+	if len(payload) < 8 {
+		return 0, nil, fmt.Errorf("cluster: short row batch")
+	}
+	dest = int(binary.LittleEndian.Uint32(payload[0:]))
+	count := int(binary.LittleEndian.Uint32(payload[4:]))
+	body := payload[8:]
+	if count < 0 || len(body) != count*codec.RowBytes() {
+		return 0, nil, fmt.Errorf("cluster: row batch of %d bytes does not hold %d rows", len(body), count)
+	}
+	rows, err = codec.DecodeAll(body)
+	return dest, rows, err
 }
 
 // dialNode connects to a node with bounded retry and exponential

@@ -12,9 +12,9 @@ import (
 const defaultStageBytes = 8 << 20
 
 // errLegStalled fails a leg whose stream made no frame progress
-// within LegStallAfter. It counts against the node's health, and on a
-// replicated partition the coordinator re-dispatches the leg to a
-// standby.
+// within LegStallAfter. It counts against the node's health; if nothing
+// of the leg reached the merge, the coordinator re-dispatches it to a
+// standby replica, or once more to the same node when none is left.
 var errLegStalled = errors.New("cluster: leg stalled: no frame progress within LegStallAfter")
 
 // legStage buffers a replicated leg's results until the leg commits —
@@ -24,12 +24,11 @@ var errLegStalled = errors.New("cluster: leg stalled: no frame progress within L
 // commit, nothing has reached the merge, and after commit a failure
 // is final (runLeg checks committed before re-dispatching).
 //
-// No lock guards the fields: within one dispatch the claim CAS in
-// legStream lets exactly one stream deliver, and across dispatches
-// runLeg only starts the next after legHedged has returned (the
-// result-channel receive orders the previous stream's last delivery
-// before it). Queries are either row or aggregate, never both, so a
-// stage holds 'R' batches or 'A' partials, not a mix.
+// No lock guards the fields: runLeg calls legStream synchronously, one
+// dispatch at a time, and legStream delivers on the calling goroutine,
+// so every delivery, commit and reset of a stage happens on runLeg's
+// goroutine in program order. Queries are either row or aggregate,
+// never both, so a stage holds 'R' batches or 'A' partials, not a mix.
 type legStage struct {
 	budget   int64
 	rowBytes int64 // wire bytes per row, for budget accounting

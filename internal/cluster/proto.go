@@ -30,8 +30,8 @@
 // merges and finalizes, so result traffic scales with group count
 // rather than row count. Each query has a byte-granular flow-control
 // window: the node only sends row or aggregate batches against credit
-// the client has granted ('Q' carries the initial window, 'W'
-// replenishes it), so one slow consumer cannot monopolize a shared
+// the client has granted (every query starts with defaultWindowBytes,
+// 'W' replenishes it), so one slow consumer cannot monopolize a shared
 // connection.
 package cluster
 
@@ -68,8 +68,9 @@ const (
 	// batchRows is the number of rows per 'R' frame.
 	batchRows = 512
 
-	// defaultWindowBytes is the flow-control credit a query starts with
-	// when the request does not name one.
+	// defaultWindowBytes is the flow-control credit every query starts
+	// with: the node may send this many result payload bytes before it
+	// waits for 'W' frames.
 	defaultWindowBytes = 1 << 20
 
 	// frameHeaderLen is len + type + qid.
@@ -99,18 +100,6 @@ type Request struct {
 	// no work in flight after the client has given up. Zero means no
 	// server-side bound.
 	TimeoutMS int64 `json:",omitempty"`
-	// WindowBytes is the initial flow-control credit: the node may send
-	// at most this many row-batch payload bytes before waiting for 'W'
-	// frames. Zero means defaultWindowBytes.
-	WindowBytes int64 `json:",omitempty"`
-	// Weight is the query's share under the node's weighted-fair
-	// scheduler (relative to other in-flight queries on the node;
-	// 0 means 1).
-	Weight int `json:",omitempty"`
-	// MaxResultBytes, when positive, is the query's byte budget: a leg
-	// that streams more row-batch bytes than this is aborted with an
-	// error instead of saturating the wire indefinitely.
-	MaxResultBytes int64 `json:",omitempty"`
 	// NodeFilter names the storage partition (by its primary node) the
 	// leg should extract. Empty means the serving node's own partition
 	// — the only shape before replica sets existed, so the field is

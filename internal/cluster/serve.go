@@ -104,17 +104,16 @@ type outItem struct {
 }
 
 // outStream is the per-query send state on a node session. The
-// session's writer goroutine drains streams with a weighted-fair
-// policy: among streams with a sendable head item it picks the one
-// with the smallest virtual time (bytes sent divided by weight), so a
-// heavy scan cannot starve point queries sharing the connection.
+// session's writer goroutine drains streams with a fair policy: among
+// streams with a sendable head item it picks the one with the smallest
+// virtual time (result bytes sent so far), so a heavy scan cannot
+// starve point queries sharing the connection.
 type outStream struct {
 	qid     uint32
-	weight  float64
 	window  int64     //dvlint:guardedby nodeSession.mu (remaining flow-control credit, bytes)
 	pending []outItem //dvlint:guardedby nodeSession.mu
 	bytes   int       //dvlint:guardedby nodeSession.mu (payload bytes in pending; backpressures the extractor)
-	vtime   float64   //dvlint:guardedby nodeSession.mu
+	vtime   int64     //dvlint:guardedby nodeSession.mu (result payload bytes sent)
 	closed  bool      //dvlint:guardedby nodeSession.mu (terminal frame queued; drop further enqueues)
 	// aborted marks a cancelled query: buffered row frames are
 	// discarded (the client dropped the stream, and they could starve
@@ -231,15 +230,7 @@ func (s *nodeSession) readLoop() error {
 // startQuery registers the stream and launches the query goroutine.
 func (s *nodeSession) startQuery(qid uint32, req Request) {
 	qctx, qcancel := context.WithCancel(s.ctx)
-	weight := float64(req.Weight)
-	if weight <= 0 {
-		weight = 1
-	}
-	window := req.WindowBytes
-	if window <= 0 {
-		window = defaultWindowBytes
-	}
-	st := &outStream{qid: qid, weight: weight, window: window, cancel: qcancel}
+	st := &outStream{qid: qid, window: defaultWindowBytes, cancel: qcancel}
 	s.mu.Lock()
 	if _, dup := s.streams[qid]; dup || s.closed {
 		s.mu.Unlock()
@@ -287,7 +278,7 @@ func (s *nodeSession) finishStream(qid uint32, typ byte, payload []byte) {
 	s.mu.Lock()
 	st := s.streams[qid]
 	if st == nil {
-		st = &outStream{qid: qid, weight: 1}
+		st = &outStream{qid: qid}
 		if s.closed {
 			s.mu.Unlock()
 			return
@@ -330,8 +321,8 @@ func (s *nodeSession) abortStream(st *outStream) {
 	s.mu.Unlock()
 }
 
-// pickStream chooses the next sendable stream under weighted-fair
-// queuing; nil when nothing is ready. Callers hold s.mu.
+// pickStream chooses the next sendable stream under fair queuing; nil
+// when nothing is ready. Callers hold s.mu.
 func (s *nodeSession) pickStream() *outStream {
 	var best *outStream
 	for _, st := range s.streams {
@@ -347,6 +338,24 @@ func (s *nodeSession) pickStream() *outStream {
 		}
 	}
 	return best
+}
+
+// popFrame dequeues st's head frame and charges it: a data frame spends
+// flow-control credit and advances the stream's virtual time, and the
+// stream is dropped once its terminal frame is out. Callers hold s.mu.
+func (s *nodeSession) popFrame(st *outStream) (item outItem, terminal bool) {
+	item = st.pending[0]
+	st.pending = st.pending[1:]
+	st.bytes -= len(item.payload)
+	if isDataFrame(item.typ) {
+		st.window -= int64(len(item.payload))
+		st.vtime += int64(len(item.payload))
+	}
+	terminal = st.closed && len(st.pending) == 0
+	if terminal {
+		delete(s.streams, st.qid)
+	}
+	return item, terminal
 }
 
 func (s *nodeSession) writeLoop() {
@@ -376,17 +385,7 @@ func (s *nodeSession) writeLoop() {
 			s.bw.Flush() //nolint:errcheck — best effort on teardown
 			return
 		}
-		item := st.pending[0]
-		st.pending = st.pending[1:]
-		st.bytes -= len(item.payload)
-		if isDataFrame(item.typ) {
-			st.window -= int64(len(item.payload))
-			st.vtime += float64(len(item.payload)) / st.weight
-		}
-		terminal := st.closed && len(st.pending) == 0
-		if terminal {
-			delete(s.streams, st.qid)
-		}
+		item, terminal := s.popFrame(st)
 		s.cond.Broadcast() // unblock emitters waiting on buffer space
 		s.mu.Unlock()
 
@@ -516,9 +515,6 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 		}
 		payload := encodeRowsBody(uint32(d), uint32(b.rows), b.buf)
 		sentBytes += int64(len(payload))
-		if req.MaxResultBytes > 0 && sentBytes > req.MaxResultBytes {
-			return fmt.Errorf("cluster: query exceeded its %d-byte result budget", req.MaxResultBytes)
-		}
 		if !s.enqueue(st, outItem{typ: frameRows, payload: payload}) {
 			return context.Canceled // stream or session closed under us
 		}
@@ -596,9 +592,6 @@ func (s *nodeSession) executeAggregate(ctx context.Context, st *outStream, req R
 	var sentBytes int64
 	for _, chunk := range state.EncodeChunks(0) {
 		sentBytes += int64(len(chunk))
-		if req.MaxResultBytes > 0 && sentBytes > req.MaxResultBytes {
-			return Trailer{}, fmt.Errorf("cluster: query exceeded its %d-byte result budget", req.MaxResultBytes)
-		}
 		if !s.enqueue(st, outItem{typ: frameAgg, payload: chunk}) {
 			return Trailer{}, context.Canceled // stream or session closed under us
 		}

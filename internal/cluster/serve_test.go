@@ -74,12 +74,10 @@ func sortedKeys(rows []table.Row) []string {
 	return keys
 }
 
-// TestConcurrentClientsSharedPool is the tentpole's correctness test:
-// many clients fire queries concurrently over one coordinator's pooled
-// sessions (so queries genuinely interleave on shared connections) and
-// every one of them must see exactly the rows a sequential run sees.
-// The same clients then run over ephemeral connections (PoolSize < 0,
-// one dialed connection per leg) against the same baseline.
+// TestConcurrentClientsSharedPool fires queries from many clients
+// concurrently over one coordinator's pooled sessions (so queries
+// genuinely interleave on shared connections); every one of them must
+// see exactly the rows a sequential run sees.
 func TestConcurrentClientsSharedPool(t *testing.T) {
 	spec := gen.IparsSpec{
 		Realizations: 2, TimeSteps: 10, GridPoints: 120, Partitions: 3,
@@ -91,58 +89,53 @@ func TestConcurrentClientsSharedPool(t *testing.T) {
 		"SELECT * FROM IparsData WHERE TIME > 1000", // empty
 		"SELECT TIME FROM IparsData",
 	}
+	coord, _ := startCluster(t, spec)
+	// Sequential baselines through the same coordinator.
 	var want [][]string
-	for _, poolSize := range []int{0, -1} {
-		coord, _ := startCluster(t, spec)
-		coord.PoolSize = poolSize
-		if want == nil {
-			// Sequential baselines through the pooled coordinator.
-			for _, sql := range queries {
-				rows, _, err := coord.CollectQueryContext(context.Background(), sql)
-				if err != nil {
-					t.Fatalf("baseline %q: %v", sql, err)
-				}
-				want = append(want, sortedKeys(rows))
-			}
+	for _, sql := range queries {
+		rows, _, err := coord.CollectQueryContext(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("baseline %q: %v", sql, err)
 		}
+		want = append(want, sortedKeys(rows))
+	}
 
-		const clients = 8
-		var wg sync.WaitGroup
-		errs := make(chan error, clients)
-		for c := 0; c < clients; c++ {
-			q := c % len(queries)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sql := queries[q]
-				rows, err := coord.QueryContext(context.Background(), sql)
-				if err != nil {
-					errs <- fmt.Errorf("PoolSize %d: %q: %v", poolSize, sql, err)
+	const clients = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		q := c % len(queries)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sql := queries[q]
+			rows, err := coord.QueryContext(context.Background(), sql)
+			if err != nil {
+				errs <- fmt.Errorf("%q: %v", sql, err)
+				return
+			}
+			got, err := collectRows(rows)
+			if err != nil {
+				errs <- fmt.Errorf("%q: %v", sql, err)
+				return
+			}
+			keys := sortedKeys(got)
+			if len(keys) != len(want[q]) {
+				errs <- fmt.Errorf("%q: %d rows, want %d", sql, len(keys), len(want[q]))
+				return
+			}
+			for i := range keys {
+				if keys[i] != want[q][i] {
+					errs <- fmt.Errorf("%q: row %d diverges: %s != %s", sql, i, keys[i], want[q][i])
 					return
 				}
-				got, err := collectRows(rows)
-				if err != nil {
-					errs <- fmt.Errorf("PoolSize %d: %q: %v", poolSize, sql, err)
-					return
-				}
-				keys := sortedKeys(got)
-				if len(keys) != len(want[q]) {
-					errs <- fmt.Errorf("PoolSize %d: %q: %d rows, want %d", poolSize, sql, len(keys), len(want[q]))
-					return
-				}
-				for i := range keys {
-					if keys[i] != want[q][i] {
-						errs <- fmt.Errorf("PoolSize %d: %q: row %d diverges: %s != %s", poolSize, sql, i, keys[i], want[q][i])
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		close(errs)
-		for err := range errs {
-			t.Error(err)
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 
@@ -210,7 +203,7 @@ func TestLoadShedErrOverloaded(t *testing.T) {
 // a shed leg is retried with backoff and succeeds once the slot frees.
 func TestOverloadRetrySucceeds(t *testing.T) {
 	gate := &gateTracer{entered: make(chan struct{}), release: make(chan struct{})}
-	coord, _, s := startOneNode(t, func(n *Node) {
+	coord, node, s := startOneNode(t, func(n *Node) {
 		n.MaxConcurrent = 1
 		n.MaxQueue = -1
 		n.Tracer = gate
@@ -228,9 +221,13 @@ func TestOverloadRetrySucceeds(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("holder query never reached its admission slot")
 	}
-	// Free the slot while the second query is inside its retry backoff.
+	// Free the slot once the node has shed the second query, so the
+	// release lands inside its retry backoff rather than racing it.
 	go func() {
-		time.Sleep(5 * time.Millisecond)
+		deadline := time.Now().Add(5 * time.Second)
+		for _, shed := node.AdmissionCounters(); shed == 0 && time.Now().Before(deadline); _, shed = node.AdmissionCounters() {
+			time.Sleep(time.Millisecond)
+		}
 		close(gate.release)
 	}()
 	rows, res, err := coord.CollectQueryContext(context.Background(), "SELECT TIME FROM IparsData")
@@ -251,7 +248,7 @@ func TestOverloadRetrySucceeds(t *testing.T) {
 // stallFirstProxy listens on a fresh port; the first accepted
 // connection is blackholed (reads are swallowed, nothing is ever sent
 // back), every later connection is forwarded to target. It simulates a
-// node whose first session stalls — the straggler the hedge rescues.
+// node whose first session stalls while the node itself is healthy.
 func stallFirstProxy(t *testing.T, target string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -292,50 +289,59 @@ func stallFirstProxy(t *testing.T, target string) string {
 	return ln.Addr().String()
 }
 
-// TestHedgeRescuesStraggler runs a query whose first session is
-// blackholed: the hedge timer must launch a second stream that wins,
-// the query must return complete, correct rows, and afterwards neither
-// goroutines nor connections may leak.
-func TestHedgeRescuesStraggler(t *testing.T) {
+// waitGoroutines polls until the goroutine count drops back to before,
+// failing the test if it does not within two seconds.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Errorf("goroutines leaked: %d before, %d after", before, g)
+	}
+}
+
+// TestStallRescuesUnreplicatedLeg runs a query on an unreplicated
+// partition whose first session is blackholed: the stall watchdog must
+// fail the leg before it delivered anything, runLeg must re-dispatch it
+// once to the same node over the pool's second session, the query must
+// return complete, correct rows, and afterwards neither goroutines nor
+// connections may leak.
+func TestStallRescuesUnreplicatedLeg(t *testing.T) {
 	coord, _, s := startOneNode(t, nil, func(nodeAddr string) string {
 		return stallFirstProxy(t, nodeAddr)
 	})
-	coord.HedgeAfter = 30 * time.Millisecond
+	coord.LegStallAfter = 200 * time.Millisecond
 	dialer := &trackingDialer{}
 	coord.dialContext = dialer.dial
 
 	before := runtime.NumGoroutine()
 	rows, res, err := coord.CollectQueryContext(context.Background(), "SELECT TIME FROM IparsData")
 	if err != nil {
-		t.Fatalf("hedged query: %v", err)
+		t.Fatalf("stalled query: %v", err)
 	}
 	if int64(len(rows)) != s.IparsTotalRows() {
 		t.Errorf("rows = %d, want %d", len(rows), s.IparsTotalRows())
 	}
-	if res.QueryStats.HedgedLegs == 0 {
-		t.Error("stats counted no hedged legs")
+	if res.QueryStats.LegRedispatches < 1 {
+		t.Errorf("LegRedispatches = %d, want >= 1", res.QueryStats.LegRedispatches)
 	}
 
 	coord.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Errorf("goroutines leaked after hedged query: %d before, %d after", before, g)
-	}
+	waitGoroutines(t, before)
 	dialer.assertAllClosed(t)
 }
 
-// TestHedgeCancellationNoLeaks cancels queries whose hedge timer fires
-// on effectively every leg and checks nothing — goroutines or
-// connections — outlives the coordinator.
-func TestHedgeCancellationNoLeaks(t *testing.T) {
+// TestStallCancellationNoLeaks cancels queries mid-stream while every
+// leg runs with the stall watchdog armed and checks nothing —
+// goroutines or connections — outlives the coordinator.
+func TestStallCancellationNoLeaks(t *testing.T) {
 	coord, _ := startCluster(t, gen.IparsSpec{
 		Realizations: 2, TimeSteps: 10, GridPoints: 201, Partitions: 3,
 		Attrs: 6, Seed: 21,
 	})
-	coord.HedgeAfter = time.Nanosecond // hedge everything
+	coord.LegStallAfter = 2 * time.Second
 	dialer := &trackingDialer{}
 	coord.dialContext = dialer.dial
 
@@ -361,12 +367,86 @@ func TestHedgeCancellationNoLeaks(t *testing.T) {
 	}
 
 	coord.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if g := runtime.NumGoroutine(); g > before {
-		t.Errorf("goroutines leaked: %d before, %d after", before, g)
-	}
+	waitGoroutines(t, before)
 	dialer.assertAllClosed(t)
+}
+
+// TestFairScheduler drives the node session's send policy — pickStream
+// and popFrame, the write loop's choice and accounting — over in-memory
+// streams, with no network.
+func TestFairScheduler(t *testing.T) {
+	s := &nodeSession{streams: map[uint32]*outStream{}}
+	s.cond = sync.NewCond(&s.mu)
+	data := func(n int) outItem { return outItem{typ: frameRows, payload: make([]byte, n)} }
+	done := outItem{typ: frameDone}
+	add := func(qid uint32, window int64, items ...outItem) *outStream {
+		st := &outStream{qid: qid, window: window, pending: items}
+		for _, it := range items {
+			st.bytes += len(it.payload)
+			st.closed = st.closed || !isDataFrame(it.typ)
+		}
+		s.streams[qid] = st
+		return st
+	}
+	type sent struct {
+		qid uint32
+		typ byte
+	}
+	send := func() (sent, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		st := s.pickStream()
+		if st == nil {
+			return sent{}, false
+		}
+		item, _ := s.popFrame(st)
+		return sent{st.qid, item.typ}, true
+	}
+
+	t.Run("point query overtakes a scan", func(t *testing.T) {
+		scan := add(1, defaultWindowBytes, data(1000), data(1000), data(1000), done)
+		if got, _ := send(); got != (sent{1, frameRows}) {
+			t.Fatalf("first frame = %+v, want the scan's", got)
+		}
+		if scan.vtime != 1000 || scan.window != defaultWindowBytes-1000 || scan.bytes != 2000 {
+			t.Fatalf("scan charged vtime %d window %d bytes %d after one frame", scan.vtime, scan.window, scan.bytes)
+		}
+		add(2, defaultWindowBytes, data(100), done) // arrives behind the scan
+		var order []sent
+		for {
+			got, ok := send()
+			if !ok {
+				break
+			}
+			order = append(order, got)
+		}
+		want := []sent{{2, frameRows}, {2, frameDone}, {1, frameRows}, {1, frameRows}, {1, frameDone}}
+		if fmt.Sprint(order) != fmt.Sprint(want) {
+			t.Fatalf("send order %v, want %v", order, want)
+		}
+		if len(s.streams) != 0 {
+			t.Fatalf("%d streams left after their terminal frames", len(s.streams))
+		}
+	})
+
+	t.Run("no credit skips data, not the terminal frame", func(t *testing.T) {
+		st := add(3, 1500, data(1000), data(1000), data(1000))
+		if got, _ := send(); got != (sent{3, frameRows}) {
+			t.Fatalf("first frame = %+v, want stream 3's", got)
+		}
+		if got, _ := send(); got != (sent{3, frameRows}) {
+			t.Fatalf("second frame = %+v, want stream 3's (500 bytes of credit left)", got)
+		}
+		if got, ok := send(); ok {
+			t.Fatalf("sent %+v from a stream with %d bytes of credit", got, st.window)
+		}
+		s.abortStream(st)
+		s.finishStream(3, frameError, []byte("cancelled"))
+		if got, _ := send(); got != (sent{3, frameError}) {
+			t.Fatalf("terminal frame of a stream without credit = %+v, want it sent", got)
+		}
+		if _, ok := s.streams[3]; ok {
+			t.Fatal("stream still registered after its terminal frame")
+		}
+	})
 }

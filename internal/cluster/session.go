@@ -19,9 +19,6 @@ import (
 // query are recognized and dropped.
 type clientSession struct {
 	conn net.Conn
-	// ioTimeout, when positive, bounds the gap between frames while
-	// queries are in flight (and every frame write).
-	ioTimeout time.Duration
 
 	wmu sync.Mutex    // serializes writes to conn
 	bw  *bufio.Writer //dvlint:guardedby wmu
@@ -44,9 +41,8 @@ type legEvent struct {
 // clientLeg is the client-side state of one query on a session: the
 // demux reader appends events, the consuming goroutine pops them.
 type clientLeg struct {
-	sess   *clientSession
-	qid    uint32
-	window int64
+	sess *clientSession
+	qid  uint32
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -59,12 +55,11 @@ type clientLeg struct {
 
 // newClientSession wraps an established connection and starts its
 // demux reader.
-func newClientSession(conn net.Conn, ioTimeout time.Duration) *clientSession {
+func newClientSession(conn net.Conn) *clientSession {
 	s := &clientSession{
-		conn:      conn,
-		ioTimeout: ioTimeout,
-		bw:        bufio.NewWriterSize(conn, 1<<16),
-		legs:      map[uint32]*clientLeg{},
+		conn: conn,
+		bw:   bufio.NewWriterSize(conn, 1<<16),
+		legs: map[uint32]*clientLeg{},
 	}
 	s.wg.Add(1)
 	go s.readLoop()
@@ -73,9 +68,6 @@ func newClientSession(conn net.Conn, ioTimeout time.Duration) *clientSession {
 
 // start registers a new leg and sends its query frame.
 func (s *clientSession) start(req Request) (*clientLeg, error) {
-	if req.WindowBytes <= 0 {
-		req.WindowBytes = defaultWindowBytes
-	}
 	s.mu.Lock()
 	if s.err != nil || s.closed {
 		err := s.err
@@ -86,7 +78,7 @@ func (s *clientSession) start(req Request) (*clientLeg, error) {
 		return nil, err
 	}
 	s.nextQID++
-	l := &clientLeg{sess: s, qid: s.nextQID, window: req.WindowBytes}
+	l := &clientLeg{sess: s, qid: s.nextQID}
 	l.cond = sync.NewCond(&l.mu)
 	s.legs[l.qid] = l
 	s.mu.Unlock()
@@ -95,20 +87,12 @@ func (s *clientSession) start(req Request) (*clientLeg, error) {
 		s.fail(err)
 		return nil, err
 	}
-	if s.ioTimeout > 0 {
-		// Arm the inter-frame watchdog in case the reader was parked
-		// with no deadline on an idle session.
-		s.conn.SetReadDeadline(time.Now().Add(s.ioTimeout)) //nolint:errcheck
-	}
 	return l, nil
 }
 
 func (s *clientSession) writeFrame(typ byte, qid uint32, payload []byte) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.ioTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.ioTimeout)) //nolint:errcheck
-	}
 	if err := writeFrame(s.bw, typ, qid, payload); err != nil {
 		return err
 	}
@@ -118,9 +102,6 @@ func (s *clientSession) writeFrame(typ byte, qid uint32, payload []byte) error {
 func (s *clientSession) writeJSON(typ byte, qid uint32, v any) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if s.ioTimeout > 0 {
-		s.conn.SetWriteDeadline(time.Now().Add(s.ioTimeout)) //nolint:errcheck
-	}
 	if err := writeJSONFrame(s.bw, typ, qid, v); err != nil {
 		return err
 	}
@@ -132,16 +113,6 @@ func (s *clientSession) readLoop() {
 	br := bufio.NewReaderSize(s.conn, 1<<16)
 	var buf []byte
 	for {
-		if s.ioTimeout > 0 {
-			s.mu.Lock()
-			busy := len(s.legs) > 0
-			s.mu.Unlock()
-			if busy {
-				s.conn.SetReadDeadline(time.Now().Add(s.ioTimeout)) //nolint:errcheck
-			} else {
-				s.conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-			}
-		}
 		typ, qid, payload, err := readFrame(br, buf)
 		if err != nil {
 			s.fail(err)
@@ -264,21 +235,22 @@ func (l *clientLeg) next() (legEvent, error) {
 // been eaten a 'W' credit grant is sent.
 func (l *clientLeg) consumedRows(n int) {
 	l.consumed += int64(n)
-	if l.consumed >= l.window/2 {
+	if l.consumed >= defaultWindowBytes/2 {
 		credit := l.consumed
 		l.consumed = 0
 		l.sess.writeFrame(frameWindow, l.qid, windowPayload(uint32(credit))) //nolint:errcheck — a dead session fails the leg through the reader
 	}
 }
 
+// sessionsPerNode is how many persistent multiplexed sessions a
+// coordinator keeps to each node; concurrent legs share them
+// round-robin.
+const sessionsPerNode = 2
+
 // nodePool maintains the persistent sessions to one node plus its
-// health state. PoolSize<=0 means no pooling: each leg gets an
-// ephemeral session closed when the leg ends (protocol v1's
-// connection-per-query shape, kept as the benchmark baseline).
+// health state.
 type nodePool struct {
 	dial func(ctx context.Context) (net.Conn, error)
-	size int
-	io   time.Duration
 
 	// inflight counts the legs currently dispatched to this node; the
 	// coordinator's replica placement prefers the least-loaded live
@@ -303,29 +275,14 @@ func (e errUnhealthy) Error() string {
 }
 func (e errUnhealthy) Unwrap() error { return e.err }
 
-// session returns a live session and a release function. Pooled
-// sessions are shared round-robin and released as a no-op; ephemeral
-// sessions are closed by release.
-func (p *nodePool) session(ctx context.Context) (*clientSession, func(), error) {
-	p.mu.Lock()
-	if p.fails > 0 && !p.retryAt.IsZero() && time.Now().Before(p.retryAt) {
-		err := errUnhealthy{err: p.lastErr}
-		p.mu.Unlock()
-		return nil, nil, err
-	}
-	p.mu.Unlock()
-
-	if p.size <= 0 {
-		conn, err := p.dial(ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		s := newClientSession(conn, p.io)
-		return s, func() { s.Close() }, nil
-	}
-
+// session returns a live pooled session, dialing one while the pool
+// holds fewer than sessionsPerNode; sessions are shared round-robin.
+func (p *nodePool) session(ctx context.Context) (*clientSession, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.fails > 0 && !p.retryAt.IsZero() && time.Now().Before(p.retryAt) {
+		return nil, errUnhealthy{err: p.lastErr}
+	}
 	// Prune dead sessions; their conns are already closed, the
 	// goroutine join happens off the lock.
 	live := p.sessions[:0]
@@ -337,23 +294,23 @@ func (p *nodePool) session(ctx context.Context) (*clientSession, func(), error) 
 		}
 	}
 	p.sessions = live
-	if len(p.sessions) >= p.size {
+	if len(p.sessions) >= sessionsPerNode {
 		s := p.sessions[p.next%len(p.sessions)]
 		p.next++
-		return s, func() {}, nil
+		return s, nil
 	}
 	// Grow the pool. Dialing happens off the lock, so a concurrent
-	// burst may transiently overshoot size; every session stays
+	// burst may transiently overshoot sessionsPerNode; every session stays
 	// tracked and is closed with the pool.
 	p.mu.Unlock()
 	conn, err := p.dial(ctx)
 	p.mu.Lock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	s := newClientSession(conn, p.io)
+	s := newClientSession(conn)
 	p.sessions = append(p.sessions, s)
-	return s, func() {}, nil
+	return s, nil
 }
 
 // legStarted/legDone bracket a leg dispatch for load accounting.

@@ -18,7 +18,6 @@ type mergedStatsExtras struct {
 	PlanCacheMisses  int64
 	QueuedQueries    int64
 	ShedQueries      int64
-	HedgedLegs       int64
 	LegRedispatches  int64
 	ReplicaFailovers int64
 	ReplicaRetries   int64
@@ -51,7 +50,6 @@ func mergeQueryStats(x extractor.Stats, d mergedStatsExtras) obs.QueryStats {
 		SparseIndexMisses: x.SparseIndexMisses,
 		QueuedQueries:     d.QueuedQueries,
 		ShedQueries:       d.ShedQueries,
-		HedgedLegs:        d.HedgedLegs,
 		LegRedispatches:   d.LegRedispatches,
 		ReplicaFailovers:  d.ReplicaFailovers,
 		ReplicaRetries:    d.ReplicaRetries,

@@ -7,7 +7,7 @@ import (
 )
 
 // GoLife requires every spawned goroutine to have a provable
-// termination path, so serve loops, hedge losers and session readers
+// termination path, so serve loops, query legs and session readers
 // cannot silently leak. A `go` statement is accepted when any of the
 // following holds:
 //

@@ -21,7 +21,6 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.SparseIndexMisses += o.SparseIndexMisses
 	s.QueuedQueries += o.QueuedQueries
 	s.ShedQueries += o.ShedQueries
-	s.HedgedLegs += o.HedgedLegs
 	s.LegRedispatches += o.LegRedispatches
 	s.ReplicaFailovers += o.ReplicaFailovers
 	s.ReplicaRetries += o.ReplicaRetries

@@ -100,11 +100,9 @@ type QueryStats struct {
 	// that waited in an admission queue before being granted a slot;
 	// ShedQueries counts legs a loaded node rejected with a busy frame
 	// (each shed attempt counts, including ones that later succeeded on
-	// retry); HedgedLegs counts duplicate straggler legs the coordinator
-	// launched. All stay zero for purely local execution.
+	// retry). Both stay zero for purely local execution.
 	QueuedQueries int64
 	ShedQueries   int64
-	HedgedLegs    int64
 
 	// LegRedispatches counts cluster legs the coordinator dispatched
 	// more than once (any reason — overload, failover, stall);
@@ -199,9 +197,8 @@ func (s *QueryStats) String() string {
 		fmt.Fprintf(&b, "\nsparse: %d blocks skipped, %d hits / %d misses",
 			s.BlocksSkipped, s.SparseIndexHits, s.SparseIndexMisses)
 	}
-	if s.QueuedQueries+s.ShedQueries+s.HedgedLegs > 0 {
-		fmt.Fprintf(&b, "\nserving: %d queued / %d shed / %d hedged",
-			s.QueuedQueries, s.ShedQueries, s.HedgedLegs)
+	if s.QueuedQueries+s.ShedQueries > 0 {
+		fmt.Fprintf(&b, "\nserving: %d queued / %d shed", s.QueuedQueries, s.ShedQueries)
 	}
 	if s.LegRedispatches+s.ReplicaFailovers+s.ReplicaRetries > 0 {
 		fmt.Fprintf(&b, "\nfailover: %d redispatched / %d failed over / %d retried",
