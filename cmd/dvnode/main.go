@@ -30,8 +30,6 @@ func main() {
 	trace := flag.Bool("trace", false, "log every query stage (implies -slow 0s for all stages)")
 	cacheMB := flag.Int("cache-mb", 64, "block cache budget in MiB (0 disables block caching; handles stay pooled)")
 	cacheBlock := flag.Int("cache-block", 256<<10, "block cache block size in bytes")
-	planCache := flag.Bool("plan-cache", true, "memoize query plans by semantic fingerprint (range-equal queries share one plan)")
-	planCacheEntries := flag.Int("plan-cache-entries", core.DefaultPlanCacheEntries, "plan cache capacity in entries")
 	maxConcurrent := flag.Int("max-concurrent", 0, "queries executing at once across all sessions (0 = 2x GOMAXPROCS, at least 4)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth beyond which arrivals are shed busy (0 = 64, negative = no queue)")
 	flag.Parse()
@@ -62,10 +60,6 @@ func main() {
 		BlockBytes: *cacheBlock,
 		Disabled:   *cacheMB == 0,
 	})
-	svc.SetPlanCacheConfig(core.PlanCacheConfig{
-		MaxEntries: *planCacheEntries,
-		Disabled:   !*planCache,
-	})
 	node, err := cluster.StartNode(context.Background(), *nodeName, svc, *addr)
 	if err != nil {
 		fatal(err)
@@ -95,11 +89,6 @@ func main() {
 	}
 	if q, shed := node.AdmissionCounters(); q+shed > 0 {
 		fmt.Printf("dvnode: admission %d queries queued, %d shed\n", q, shed)
-	}
-	ps := svc.PlanCacheStats()
-	if ps.Hits+ps.Misses > 0 {
-		fmt.Printf("dvnode: plans %d hits / %d misses, %d evictions, %d entries\n",
-			ps.Hits, ps.Misses, ps.Evictions, ps.Entries)
 	}
 	svc.Close()
 }

@@ -44,9 +44,6 @@ type config struct {
 	noCache    bool
 	noSparse   bool
 
-	planCache        bool
-	planCacheEntries int
-
 	legStall time.Duration
 	stageMB  int
 }
@@ -57,14 +54,6 @@ func (c config) cacheConfig() cache.Config {
 		MaxBytes:   int64(c.cacheMB) << 20,
 		BlockBytes: c.cacheBlock,
 		Disabled:   c.cacheMB == 0,
-	}
-}
-
-// planCacheConfig translates the plan-cache flags.
-func (c config) planCacheConfig() core.PlanCacheConfig {
-	return core.PlanCacheConfig{
-		MaxEntries: c.planCacheEntries,
-		Disabled:   !c.planCache,
 	}
 }
 
@@ -85,8 +74,6 @@ func main() {
 	flag.IntVar(&cfg.cacheBlock, "cache-block", 256<<10, "block cache block size in bytes")
 	flag.BoolVar(&cfg.noCache, "no-cache", false, "bypass the block cache for this query")
 	flag.BoolVar(&cfg.noSparse, "no-sparse", false, "ignore sparse block-index sidecars (no data skipping)")
-	flag.BoolVar(&cfg.planCache, "plan-cache", true, "memoize query plans by semantic fingerprint (range-equal queries share one plan)")
-	flag.IntVar(&cfg.planCacheEntries, "plan-cache-entries", core.DefaultPlanCacheEntries, "plan cache capacity in entries")
 	flag.DurationVar(&cfg.legStall, "stall", 0, "with -nodes: fail a node leg whose stream makes no frame progress within this duration and re-dispatch it (0 = off)")
 	flag.IntVar(&cfg.stageMB, "failover-stage-mb", 0, "with -nodes: MiB of a replicated leg's results to withhold for exactly-once failover replay (0 = default 8)")
 	interactive := flag.Bool("i", false, "interactive mode: read queries from stdin, one per line")
@@ -116,7 +103,6 @@ func main() {
 		fatal(err)
 	}
 	svc.SetCacheConfig(cfg.cacheConfig())
-	svc.SetPlanCacheConfig(cfg.planCacheConfig())
 	defer svc.Close()
 
 	if *interactive {
@@ -238,7 +224,6 @@ func runCluster(ctx context.Context, descPath, nodeTable, sql string, cfg config
 	if err != nil {
 		fatal(err)
 	}
-	coord.SetPlanCacheConfig(cfg.planCacheConfig())
 	coord.LegStallAfter = cfg.legStall
 	coord.FailoverStageBytes = int64(cfg.stageMB) << 20
 	defer coord.Close()

@@ -1,7 +1,9 @@
 package afc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -38,19 +40,16 @@ func (p *Plan) Generate(ranges query.Ranges, needed []string, loader IndexLoader
 		neededSet[n] = true
 	}
 	var out []AFC
+	var err error
 	if len(p.DataLeaves) > 0 {
-		afcs, err := p.generateDataspace(ranges, neededSet)
-		if err != nil {
+		if out, err = p.generateDataspace(out, ranges, neededSet); err != nil {
 			return nil, err
 		}
-		out = append(out, afcs...)
 	}
 	for _, cl := range p.ChunkedLeaves {
-		afcs, err := cl.generate(p.Schema, ranges, neededSet, loader)
-		if err != nil {
+		if out, err = cl.generate(out, p.Schema, ranges, neededSet, loader); err != nil {
 			return nil, err
 		}
-		out = append(out, afcs...)
 	}
 	return out, nil
 }
@@ -168,13 +167,12 @@ func (p *Plan) analyzeGroups() ([]Group, error) {
 
 // generateDataspace implements the query-time part of Figure 5: prune
 // the precomputed groups against the query ranges, then process each
-// surviving group into aligned file chunks.
-func (p *Plan) generateDataspace(ranges query.Ranges, needed map[string]bool) ([]AFC, error) {
+// surviving group into aligned file chunks appended to out.
+func (p *Plan) generateDataspace(out []AFC, ranges query.Ranges, needed map[string]bool) ([]AFC, error) {
 	groups, err := p.Groups()
 	if err != nil {
 		return nil, err
 	}
-	var out []AFC
 	for i := range groups {
 		g := &groups[i]
 		pruned := false
@@ -187,11 +185,9 @@ func (p *Plan) generateDataspace(ranges query.Ranges, needed map[string]bool) ([
 		if pruned {
 			continue
 		}
-		afcs, err := alignGroup(p.Schema, g, ranges, needed)
-		if err != nil {
+		if out, err = processGroup(out, p.Schema, g, ranges, needed); err != nil {
 			return nil, err
 		}
-		out = append(out, afcs...)
 	}
 	return out, nil
 }
@@ -243,11 +239,11 @@ func consistentWith(chosen []*FileState, cand *FileState) bool {
 	return true
 }
 
-// alignGroup finds the aligned file chunks of one file group.
-func alignGroup(sch *schema.Schema, g *Group, ranges query.Ranges, needed map[string]bool) ([]AFC, error) {
-	group, dims := g.Files, g.Dims
-	axis, hasAxis := g.Axis, g.HasAxis
-
+// processGroup appends the aligned file chunks of one file group to out
+// (Process_File_Groups). Work fixed for the group and the query is done
+// once by newGroupChunks; each chunk then costs only its offsets, one
+// sort and merge over reused scratch, and its cut of two slabs.
+func processGroup(out []AFC, sch *schema.Schema, g *Group, ranges query.Ranges, needed map[string]bool) ([]AFC, error) {
 	// Clip every dimension against the query ranges. Dimensions naming
 	// schema attributes are constrained; others run in full. This is the
 	// chunk-level index check ("Check against index", Figure 5): for the
@@ -268,16 +264,16 @@ func alignGroup(sch *schema.Schema, g *Group, ranges query.Ranges, needed map[st
 		return []query.IntRange{{Lo: d.Lo, Hi: d.Hi, Step: d.Step}}
 	}
 
-	var chunkDims []layout.Dim
-	var chunkRuns [][]query.IntRange
+	chunkDims := make([]layout.Dim, 0, len(g.Dims))
+	chunkRuns := make([][]query.IntRange, 0, len(g.Dims))
 	var axisRuns []query.IntRange
 	combos := int64(1)
-	for _, d := range dims {
+	for _, d := range g.Dims {
 		runs := clip(d)
 		if len(runs) == 0 {
-			return nil, nil
+			return out, nil
 		}
-		if hasAxis && d.Var == axis {
+		if g.HasAxis && d.Var == g.Axis {
 			axisRuns = runs
 			continue
 		}
@@ -292,17 +288,25 @@ func alignGroup(sch *schema.Schema, g *Group, ranges query.Ranges, needed map[st
 			return nil, fmt.Errorf("afc: file group expands to more than %d aligned chunk sets", maxChunkCombos)
 		}
 	}
-	if !hasAxis {
+	if !g.HasAxis {
 		axisRuns = []query.IntRange{{Lo: 0, Hi: 0, Step: 1}}
 	}
 
-	var out []AFC
-	combo := map[string]int64{}
+	gc, err := newGroupChunks(sch, g, chunkDims, axisRuns, needed)
+	if err != nil {
+		return nil, err
+	}
+	gc.left = int(combos) * len(axisRuns)
+	out = slices.Grow(out, int(combos)*len(axisRuns))
+	// vals holds the chunk-dimension values followed by the axis run's
+	// first value: the positions offsetTerm.dim indexes.
+	vals := make([]int64, len(chunkDims)+1)
 	var enum func(i int) error
 	enum = func(i int) error {
 		if i == len(chunkDims) {
-			for _, run := range axisRuns {
-				a, err := buildAFC(sch, group, axis, hasAxis, run, chunkDims, combo, needed)
+			for r, run := range axisRuns {
+				vals[i] = run.Lo
+				a, err := gc.chunk(vals, run, r)
 				if err != nil {
 					return err
 				}
@@ -312,7 +316,7 @@ func alignGroup(sch *schema.Schema, g *Group, ranges query.Ranges, needed map[st
 		}
 		for _, r := range chunkRuns[i] {
 			for v := r.Lo; v <= r.Hi; v += r.Step {
-				combo[chunkDims[i].Var] = v
+				vals[i] = v
 				if err := enum(i + 1); err != nil {
 					return err
 				}
@@ -375,120 +379,289 @@ func chooseAxis(group []*FileState) (string, bool, error) {
 	return best, true, nil
 }
 
-// buildAFC materializes one aligned file chunk set for a fixed chunk-
-// dimension assignment and axis run.
-func buildAFC(sch *schema.Schema, group []*FileState, axis string, hasAxis bool,
-	run query.IntRange, chunkDims []layout.Dim, combo map[string]int64,
-	needed map[string]bool) (AFC, error) {
+// groupChunks builds the chunks of one file group for one query. It
+// holds what is fixed for the group and the query — each file's node
+// and path, its needed accesses and their axis strides, the implicit
+// attributes from file bindings, the row dimension of each axis run —
+// and scratch that every chunk reuses. Slices it hands out (Attrs,
+// binding-only Implicits, RowDims) are shared by the chunks and, like
+// every AFC Generate returns, must be treated as immutable.
+type groupChunks struct {
+	node  string
+	files []chunkFile
+	accs  []neededAccess // the files' needed accesses, file by file
+	terms []offsetTerm   // the accesses' offset terms, access by access
 
-	a := AFC{NumRows: run.Count()}
-	if len(group) > 0 {
-		a.Node = group[0].Inst.Node()
-	}
+	// implicits come from file bindings and hold for every chunk;
+	// dimImplicits are the chunk dimensions naming schema attributes.
+	implicits    []Implicit
+	dimImplicits []dimImplicit
+	// rowDims holds each axis run's row dimension, nil when the axis
+	// names no schema attribute.
+	rowDims []RowDim
 
-	vals := make(map[string]int64, len(combo)+1)
-	for k, v := range combo {
-		vals[k] = v
-	}
-	if hasAxis {
-		vals[axis] = run.Lo
-	}
+	refs []accRef  // one file's accesses in the current chunk, by offset
+	segs []Segment // the current chunk's segments
 
-	type accRef struct {
-		off    int64
-		stride int64
-		acc    *layout.Access
+	// left counts the chunks still to build; the slabs the chunks'
+	// Segments and Implicits are cut from are sized by it.
+	left     int
+	segSlab  []Segment
+	implSlab []Implicit
+}
+
+// chunkFile is a group file holding needed attributes: its segments'
+// identity and its accesses, groupChunks.accs[first:end].
+type chunkFile struct {
+	node, path string
+	big        bool
+	first, end int
+	// runs are the segment attribute lists built so far; a chunk whose
+	// merge yields the same list shares its slice.
+	runs [][]SegAttr
+}
+
+// neededAccess is a needed attribute's affine access path with its
+// loop terms resolved to positions in the chunk's value vector:
+//
+//	offset = base + Σ (vals[dim] - lo) / step * stride  over terms[t0:t1]
+type neededAccess struct {
+	name   string
+	kind   schema.Kind
+	size   int64
+	base   int64
+	stride int64 // bytes between consecutive rows (along the axis)
+	t0, t1 int
+}
+
+type offsetTerm struct {
+	dim              int
+	lo, step, stride int64
+}
+
+type accRef struct {
+	off int64
+	acc int // index into groupChunks.accs
+}
+
+type dimImplicit struct {
+	dim  int
+	name string
+	kind schema.Kind
+}
+
+func newGroupChunks(sch *schema.Schema, g *Group, chunkDims []layout.Dim, axisRuns []query.IntRange,
+	needed map[string]bool) (*groupChunks, error) {
+
+	nAcc, nTerm := 0, 0
+	for _, fs := range g.Files {
+		for i := range fs.Layout.Accesses {
+			nAcc++
+			nTerm += len(fs.Layout.Accesses[i].Steps)
+		}
 	}
-	for _, fs := range group {
-		var refs []accRef
+	gc := &groupChunks{
+		files: make([]chunkFile, 0, len(g.Files)),
+		accs:  make([]neededAccess, 0, nAcc),
+		terms: make([]offsetTerm, 0, nTerm),
+		refs:  make([]accRef, 0, nAcc),
+		segs:  make([]Segment, 0, nAcc),
+	}
+	if len(g.Files) > 0 {
+		gc.node = g.Files[0].Inst.Node()
+	}
+	dimIndex := func(v string) int {
+		for i, d := range chunkDims {
+			if d.Var == v {
+				return i
+			}
+		}
+		if g.HasAxis && v == g.Axis {
+			return len(chunkDims)
+		}
+		return -1
+	}
+	// Implicit attributes: binding variables and chunk dimensions that
+	// name schema attributes, each once. Group consistency guarantees
+	// agreement.
+	seen := func(name string) bool {
+		return slices.ContainsFunc(gc.implicits, func(im Implicit) bool { return im.Name == name })
+	}
+	var envVars []string
+	for _, fs := range g.Files {
+		f := chunkFile{node: fs.Inst.Node(), big: fs.Big, first: len(gc.accs)}
 		for i := range fs.Layout.Accesses {
 			acc := &fs.Layout.Accesses[i]
 			if !needed[acc.Attr] {
 				continue
 			}
-			off, err := acc.Offset(vals)
-			if err != nil {
-				return AFC{}, err
+			na := neededAccess{name: acc.Attr, kind: acc.Kind, size: acc.Size, base: acc.Base,
+				stride: acc.StrideAlong(g.Axis), t0: len(gc.terms)}
+			for _, st := range acc.Steps {
+				d := dimIndex(st.Var)
+				if d < 0 {
+					return nil, fmt.Errorf("afc: access to %s needs dimension %s", acc.Attr, st.Var)
+				}
+				gc.terms = append(gc.terms, offsetTerm{dim: d, lo: st.Lo, step: st.Step, stride: st.StrideBytes})
 			}
-			refs = append(refs, accRef{off: off, stride: acc.StrideAlong(axis), acc: acc})
+			na.t1 = len(gc.terms)
+			gc.accs = append(gc.accs, na)
 		}
-		sort.Slice(refs, func(i, j int) bool { return refs[i].off < refs[j].off })
-		// Merge adjacent same-stride accesses into segments (the paper's
-		// contiguous Num_Bytes per row).
-		for i := 0; i < len(refs); {
-			seg := Segment{
-				Node:      fs.Inst.Node(),
-				File:      fs.Inst.Path(),
-				Offset:    refs[i].off,
-				RowStride: refs[i].stride,
-				BigEndian: fs.Big,
-			}
-			j := i
-			for j < len(refs) {
-				r := refs[j]
-				if r.stride != seg.RowStride {
-					break
-				}
-				if r.off != seg.Offset+seg.RowBytes {
-					break
-				}
-				if seg.RowStride > 0 && seg.RowBytes+r.acc.Size > seg.RowStride {
-					break
-				}
-				seg.Attrs = append(seg.Attrs, SegAttr{
-					Name: r.acc.Attr, Kind: r.acc.Kind, Off: seg.RowBytes,
-				})
-				seg.RowBytes += r.acc.Size
-				j++
-			}
-			a.Segments = append(a.Segments, seg)
-			i = j
+		if f.end = len(gc.accs); f.end > f.first {
+			f.path = fs.Inst.Path()
+			gc.files = append(gc.files, f)
 		}
-	}
 
-	// Implicit attributes: binding variables and chunk dimensions that
-	// name schema attributes. Group consistency guarantees agreement.
-	seen := map[string]bool{}
-	addImplicit := func(name string, v int64) {
-		if seen[name] {
-			return
-		}
-		k, ok := sch.Kind(name)
-		if !ok {
-			return
-		}
-		seen[name] = true
-		a.Implicits = append(a.Implicits, Implicit{Name: name, Value: schema.KindValue(k, float64(v))})
-	}
-	for _, fs := range group {
 		// Iterate deterministically for stable output.
-		envVars := make([]string, 0, len(fs.Inst.Env))
+		envVars = envVars[:0]
 		for v := range fs.Inst.Env {
 			envVars = append(envVars, v)
 		}
 		sort.Strings(envVars)
 		for _, v := range envVars {
-			addImplicit(v, fs.Inst.Env[v])
+			if k, ok := sch.Kind(v); ok && !seen(v) {
+				gc.implicits = append(gc.implicits, Implicit{Name: v, Value: schema.KindValue(k, float64(fs.Inst.Env[v]))})
+			}
 		}
 	}
-	for _, d := range chunkDims {
-		addImplicit(d.Var, combo[d.Var])
-	}
-	if hasAxis {
-		if k, ok := sch.Kind(axis); ok {
-			a.RowDims = append(a.RowDims, RowDim{Name: axis, Kind: k, Lo: run.Lo, Step: run.Step})
+	for i, d := range chunkDims {
+		if k, ok := sch.Kind(d.Var); ok && !seen(d.Var) {
+			gc.dimImplicits = append(gc.dimImplicits, dimImplicit{dim: i, name: d.Var, kind: k})
 		}
 	}
+	if k, ok := sch.Kind(g.Axis); ok && g.HasAxis {
+		gc.rowDims = make([]RowDim, len(axisRuns))
+		for r, run := range axisRuns {
+			gc.rowDims[r] = RowDim{Name: g.Axis, Kind: k, Lo: run.Lo, Step: run.Step}
+		}
+	}
+	return gc, nil
+}
+
+// chunk builds the aligned file chunk set of one chunk-dimension
+// assignment and axis run r. vals holds the assignment followed by the
+// run's first axis value.
+func (gc *groupChunks) chunk(vals []int64, run query.IntRange, r int) (AFC, error) {
+	a := AFC{NumRows: run.Count(), Node: gc.node, Implicits: gc.implicits}
+	if gc.rowDims != nil {
+		a.RowDims = gc.rowDims[r : r+1 : r+1]
+	}
+	segs := gc.segs[:0]
+	for fi := range gc.files {
+		f := &gc.files[fi]
+		refs := gc.refs[:0]
+		for k := f.first; k < f.end; k++ {
+			na := &gc.accs[k]
+			off := na.base
+			for _, t := range gc.terms[na.t0:na.t1] {
+				v := vals[t.dim]
+				if (v-t.lo)%t.step != 0 {
+					return AFC{}, fmt.Errorf("afc: access to %s: dimension value %d not on lattice %d:%d", na.name, v, t.lo, t.step)
+				}
+				off += (v - t.lo) / t.step * t.stride
+			}
+			refs = append(refs, accRef{off: off, acc: k})
+		}
+		// Offsets are affine in the chunk's values, so the order, and
+		// with it the merge, can differ from chunk to chunk.
+		slices.SortFunc(refs, func(x, y accRef) int { return cmp.Compare(x.off, y.off) })
+		// Merge adjacent same-stride accesses into segments (the paper's
+		// contiguous Num_Bytes per row).
+		for i := 0; i < len(refs); {
+			seg := Segment{Node: f.node, File: f.path, Offset: refs[i].off,
+				RowStride: gc.accs[refs[i].acc].stride, BigEndian: f.big}
+			j := i
+			for ; j < len(refs); j++ {
+				na := &gc.accs[refs[j].acc]
+				if na.stride != seg.RowStride || refs[j].off != seg.Offset+seg.RowBytes ||
+					seg.RowStride > 0 && seg.RowBytes+na.size > seg.RowStride {
+					break
+				}
+				seg.RowBytes += na.size
+			}
+			seg.Attrs = f.attrs(gc.accs, refs[i:j])
+			segs = append(segs, seg)
+			i = j
+		}
+		gc.refs = refs
+	}
+	gc.segs = segs
+	if len(segs) > 0 {
+		a.Segments = cut(&gc.segSlab, len(segs), gc.left)
+		copy(a.Segments, segs)
+	}
+	if len(gc.dimImplicits) > 0 {
+		a.Implicits = cut(&gc.implSlab, len(gc.implicits)+len(gc.dimImplicits), gc.left)
+		n := copy(a.Implicits, gc.implicits)
+		for i, di := range gc.dimImplicits {
+			a.Implicits[n+i] = Implicit{Name: di.name, Value: schema.KindValue(di.kind, float64(vals[di.dim]))}
+		}
+	}
+	gc.left--
 	return a, nil
 }
 
-// generate produces the AFCs of a chunked leaf: one AFC per chunk whose
-// MBR intersects the query, as reported by the paired index file.
-func (cl *ChunkedLeaf) generate(sch *schema.Schema, ranges query.Ranges, needed map[string]bool, loader IndexLoader) ([]AFC, error) {
+// cut returns the next n elements of *slab, capped at n, first
+// replacing the slab with one sized for the chunks still to come when
+// it has too little room: a group allocates a few slabs rather than a
+// slice per chunk.
+func cut[T any](slab *[]T, n, chunks int) []T {
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, n*max(chunks, 1))
+	}
+	i := len(*slab)
+	*slab = (*slab)[:i+n]
+	return (*slab)[i : i+n : i+n]
+}
+
+// attrs returns the attribute list of the segment merging refs'
+// accesses. Its entries follow from the attribute names alone (kind and
+// size are the attribute's), so names identify a list built earlier.
+func (f *chunkFile) attrs(accs []neededAccess, refs []accRef) []SegAttr {
+next:
+	for _, run := range f.runs {
+		if len(run) != len(refs) {
+			continue
+		}
+		for i, r := range refs {
+			if run[i].Name != accs[r.acc].name {
+				continue next
+			}
+		}
+		return run
+	}
+	run := make([]SegAttr, len(refs))
+	var off int64
+	for i, r := range refs {
+		na := &accs[r.acc]
+		run[i] = SegAttr{Name: na.name, Kind: na.kind, Off: off}
+		off += na.size
+	}
+	f.runs = append(f.runs, run)
+	return run
+}
+
+// generate appends the AFCs of a chunked leaf to out: one AFC per chunk
+// whose MBR intersects the query, as reported by the paired index file.
+// A file's segments differ between its chunks only by the chunk's
+// offset, so they are merged once per file and shifted per chunk.
+func (cl *ChunkedLeaf) generate(out []AFC, sch *schema.Schema, ranges query.Ranges, needed map[string]bool, loader IndexLoader) ([]AFC, error) {
 	if loader == nil {
 		return nil, fmt.Errorf("afc: chunked dataset %q requires an index loader", cl.Node.Name)
 	}
-	var out []AFC
+	// Record-internal offsets of the needed attributes.
+	type field struct {
+		off  int64
+		attr schema.Attribute
+	}
+	var fields []field
+	off := int64(0)
+	for _, at := range cl.Attrs {
+		if needed[at.Name] {
+			fields = append(fields, field{off: off, attr: at})
+		}
+		off += int64(at.Kind.Size())
+	}
 	for _, cf := range cl.Files {
 		pruned := false
 		for v, val := range cf.Data.Env {
@@ -508,19 +681,6 @@ func (cl *ChunkedLeaf) generate(sch *schema.Schema, ranges query.Ranges, needed 
 			return nil, fmt.Errorf("afc: index %s covers attributes %v, descriptor declares %v",
 				cf.Index, got, cl.IndexAttrs)
 		}
-		// Record-internal offsets of the needed attributes.
-		type field struct {
-			off  int64
-			attr schema.Attribute
-		}
-		var fields []field
-		off := int64(0)
-		for _, at := range cl.Attrs {
-			if needed[at.Name] {
-				fields = append(fields, field{off: off, attr: at})
-			}
-			off += int64(at.Kind.Size())
-		}
 		var implicits []Implicit
 		envVars := make([]string, 0, len(cf.Data.Env))
 		for v := range cf.Data.Env {
@@ -532,31 +692,30 @@ func (cl *ChunkedLeaf) generate(sch *schema.Schema, ranges query.Ranges, needed 
 				implicits = append(implicits, Implicit{Name: v, Value: schema.KindValue(k, float64(cf.Data.Env[v]))})
 			}
 		}
+		// Segments at chunk offset 0.
+		node, path := cf.Data.Node(), cf.Data.Path()
+		var segs []Segment
+		for i := 0; i < len(fields); {
+			seg := Segment{Node: node, File: path, Offset: fields[i].off, RowStride: cl.RecordBytes, BigEndian: cl.Big}
+			j := i
+			for ; j < len(fields); j++ {
+				f := fields[j]
+				if f.off != seg.Offset+seg.RowBytes || seg.RowBytes+int64(f.attr.Kind.Size()) > seg.RowStride {
+					break
+				}
+				seg.Attrs = append(seg.Attrs, SegAttr{Name: f.attr.Name, Kind: f.attr.Kind, Off: seg.RowBytes})
+				seg.RowBytes += int64(f.attr.Kind.Size())
+			}
+			segs = append(segs, seg)
+			i = j
+		}
 		for _, chunk := range ix.Search(ranges) {
-			a := AFC{NumRows: chunk.NumRows, Implicits: implicits, Node: cf.Data.Node()}
-			for i := 0; i < len(fields); {
-				seg := Segment{
-					Node:      cf.Data.Node(),
-					File:      cf.Data.Path(),
-					Offset:    chunk.Offset + fields[i].off,
-					RowStride: cl.RecordBytes,
-					BigEndian: cl.Big,
+			a := AFC{NumRows: chunk.NumRows, Implicits: implicits, Node: node}
+			if len(segs) > 0 {
+				a.Segments = slices.Clone(segs)
+				for i := range a.Segments {
+					a.Segments[i].Offset += chunk.Offset
 				}
-				j := i
-				for j < len(fields) {
-					f := fields[j]
-					if chunk.Offset+f.off != seg.Offset+seg.RowBytes {
-						break
-					}
-					if seg.RowBytes+int64(f.attr.Kind.Size()) > seg.RowStride {
-						break
-					}
-					seg.Attrs = append(seg.Attrs, SegAttr{Name: f.attr.Name, Kind: f.attr.Kind, Off: seg.RowBytes})
-					seg.RowBytes += int64(f.attr.Kind.Size())
-					j++
-				}
-				a.Segments = append(a.Segments, seg)
-				i = j
 			}
 			out = append(out, a)
 		}

@@ -29,6 +29,8 @@ type Plan struct {
 	groupsOnce sync.Once
 	groups     []Group
 	groupsErr  error
+	// avail is the set AvailableAttrs lists, fixed at Compile.
+	avail map[string]bool
 }
 
 // LeafFiles is one compiled DATASPACE leaf with its file instances.
@@ -127,6 +129,7 @@ func Compile(d *metadata.Descriptor) (*Plan, error) {
 	if len(p.DataLeaves) == 0 && len(p.ChunkedLeaves) == 0 {
 		return nil, fmt.Errorf("afc: descriptor has no leaf datasets")
 	}
+	p.avail = p.availableSet()
 	return p, nil
 }
 
@@ -169,6 +172,15 @@ func compileChunked(d *metadata.Descriptor, node *metadata.DatasetNode, kinds ma
 // plan: payload attributes plus implicit ones (file bindings and loop
 // variables that name schema attributes).
 func (p *Plan) AvailableAttrs() []string {
+	out := make([]string, 0, len(p.avail))
+	for a := range p.avail {
+		out = append(out, a)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (p *Plan) availableSet() map[string]bool {
 	avail := map[string]bool{}
 	for _, lf := range p.DataLeaves {
 		for _, a := range lf.Leaf.PayloadAttrs() {
@@ -203,23 +215,14 @@ func (p *Plan) AvailableAttrs() []string {
 			}
 		}
 	}
-	out := make([]string, 0, len(avail))
-	for a := range avail {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
+	return avail
 }
 
 // CheckCoverage verifies that every needed attribute is obtainable.
 func (p *Plan) CheckCoverage(needed []string) error {
-	avail := map[string]bool{}
-	for _, a := range p.AvailableAttrs() {
-		avail[a] = true
-	}
 	var missing []string
 	for _, n := range needed {
-		if !avail[n] {
+		if !p.avail[n] {
 			missing = append(missing, n)
 		}
 	}

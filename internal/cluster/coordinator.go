@@ -113,17 +113,6 @@ func NewCoordinator(d *metadata.Descriptor, addrs map[string]string) (*Coordinat
 // Schema returns the virtual table schema.
 func (c *Coordinator) Schema() *schema.Schema { return c.svc.Schema() }
 
-// SetPlanCacheConfig replaces the coordinator's own semantic plan
-// cache (each node server's cache is configured on its service).
-func (c *Coordinator) SetPlanCacheConfig(cfg core.PlanCacheConfig) {
-	c.svc.SetPlanCacheConfig(cfg)
-}
-
-// PlanCacheStats snapshots the coordinator-side plan cache counters.
-func (c *Coordinator) PlanCacheStats() core.PlanCacheStats {
-	return c.svc.PlanCacheStats()
-}
-
 // Close releases every pooled node session. In-flight queries fail;
 // the coordinator may be used again afterwards (pools re-form).
 func (c *Coordinator) Close() error {
@@ -401,7 +390,6 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		}
 	}
 	var slowestExtract int64
-	var pcHits, pcMisses int64
 	var queuedLegs, queueNS int64
 	for range nodes {
 		d := <-donec
@@ -415,8 +403,6 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		if d.trailer.ExtractNS > slowestExtract {
 			slowestExtract = d.trailer.ExtractNS
 		}
-		pcHits += d.trailer.PlanCacheHits
-		pcMisses += d.trailer.PlanCacheMisses
 		queuedLegs += d.trailer.Queued
 		queueNS += d.trailer.QueueNS
 	}
@@ -441,7 +427,6 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		}
 	}
 	plan, index := prep.PrepareStats()
-	ownHits, ownMisses := prep.PlanCacheCounters()
 	// The trailer merge summed every leg's extractor counters into
 	// res.Stats; everything QueryStats cannot derive from them travels
 	// in the extras (see statsmerge_gen.go, kept in sync with the
@@ -449,10 +434,6 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 	res.QueryStats = mergeQueryStats(res.Stats, mergedStatsExtras{
 		ChunksPlanned: len(prep.AFCs),
 		RowsFiltered:  res.Stats.RowsScanned - res.Stats.RowsEmitted,
-
-		// The coordinator's own prepare plus every node leg's.
-		PlanCacheHits:   ownHits + pcHits,
-		PlanCacheMisses: ownMisses + pcMisses,
 
 		// Serving counters: admission queueing reported by the nodes,
 		// shedding observed by the legs.

@@ -62,7 +62,10 @@ const (
 	// protocolVersion is checked per query request. Version 2 added
 	// query-ID-tagged frames (connection multiplexing), flow-control
 	// windows, and the cancel/busy frames; version 3 added the 'A'
-	// partial-aggregate frame (push-down aggregation).
+	// partial-aggregate frame (push-down aggregation). The JSON
+	// payloads ('Q' requests, 'D' trailers) decode with unknown members
+	// ignored, so retiring a field needs no version bump: a peer that
+	// still sends it interoperates.
 	protocolVersion = 3
 
 	// batchRows is the number of rows per 'R' frame.
@@ -116,11 +119,6 @@ type Trailer struct {
 	// ExtractNS is the node's extraction wall time in nanoseconds; the
 	// coordinator keeps the maximum across nodes (the straggler).
 	ExtractNS int64 `json:",omitempty"`
-	// PlanCacheHits/Misses report whether this leg's prepare hit the
-	// node's semantic plan cache; the coordinator sums them into the
-	// query's stats alongside its own prepare.
-	PlanCacheHits   int64 `json:",omitempty"`
-	PlanCacheMisses int64 `json:",omitempty"`
 	// Queued is 1 when this leg waited in the node's admission queue
 	// before running; QueueNS is that wait in nanoseconds.
 	Queued  int64 `json:",omitempty"`

@@ -2,10 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"io"
+	"net"
 	"strings"
 	"testing"
+	"time"
+
+	"datavirt/internal/core"
+	"datavirt/internal/gen"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -126,5 +133,81 @@ func TestFrameLimits(t *testing.T) {
 	short.WriteString("only a little")
 	if _, _, _, err := readFrame(&short, nil); err == nil {
 		t.Error("short frame accepted")
+	}
+}
+
+// TestMixedVersionPayloads keeps mixed-version clusters working: a
+// trailer from a node that still reports plan-cache counters, and a 'Q'
+// request from a coordinator that still sends the retired window,
+// weight and result-size fields, both decode — in the unit form the
+// coordinator and node use, and through a live node session.
+func TestMixedVersionPayloads(t *testing.T) {
+	var tr Trailer
+	old := `{"Stats":{"AFCs":2,"RowsScanned":10},"Rows":7,"ExtractNS":5,"PlanCacheHits":1,"PlanCacheMisses":0,"SentBytes":64}`
+	if err := json.Unmarshal([]byte(old), &tr); err != nil {
+		t.Fatalf("old trailer: %v", err)
+	}
+	if tr.Rows != 7 || tr.Stats.RowsScanned != 10 || tr.ExtractNS != 5 || tr.SentBytes != 64 {
+		t.Errorf("old trailer decoded to %+v", tr)
+	}
+
+	spec := gen.IparsSpec{Realizations: 1, TimeSteps: 3, GridPoints: 8, Partitions: 1, Attrs: 2, Seed: 4}
+	root := t.TempDir()
+	descPath, err := gen.WriteIpars(root, spec, "CLUSTER")
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := core.Open(descPath, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := StartNode(context.Background(), "node0", svc, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+
+	fields := map[string]any{
+		"Version": protocolVersion, "SQL": "SELECT TIME FROM IparsData",
+		"WindowBytes": 1 << 16, "Weight": 2, "MaxResultBytes": 1 << 20,
+	}
+	payload, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	if err := json.Unmarshal(payload, &req); err != nil || req.Version != protocolVersion || req.SQL != fields["SQL"] {
+		t.Fatalf("old request decoded to %+v, %v", req, err)
+	}
+
+	conn, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+	if err := writeFrame(conn, frameQuery, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		typ, _, body, err := readFrame(conn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case frameRows:
+			continue
+		case frameDone:
+			var done Trailer
+			if err := json.Unmarshal(body, &done); err != nil {
+				t.Fatal(err)
+			}
+			if done.Rows != spec.IparsTotalRows() {
+				t.Errorf("node answered %d rows, want %d", done.Rows, spec.IparsTotalRows())
+			}
+			return
+		default:
+			t.Fatalf("node answered frame %q: %s", typ, body)
+		}
 	}
 }

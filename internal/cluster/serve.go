@@ -561,11 +561,7 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 			return Trailer{}, err
 		}
 	}
-	pcHits, pcMisses := prep.PlanCacheCounters()
-	return Trailer{
-		Stats: stats, Rows: rows, ExtractNS: extractNS, SentBytes: sentBytes,
-		PlanCacheHits: pcHits, PlanCacheMisses: pcMisses,
-	}, nil
+	return Trailer{Stats: stats, Rows: rows, ExtractNS: extractNS, SentBytes: sentBytes}, nil
 }
 
 // executeAggregate runs an aggregate query leg: partial aggregates are
@@ -596,11 +592,7 @@ func (s *nodeSession) executeAggregate(ctx context.Context, st *outStream, req R
 			return Trailer{}, context.Canceled // stream or session closed under us
 		}
 	}
-	pcHits, pcMisses := prep.PlanCacheCounters()
-	return Trailer{
-		Stats: stats, ExtractNS: extractNS, SentBytes: sentBytes,
-		PlanCacheHits: pcHits, PlanCacheMisses: pcMisses,
-	}, nil
+	return Trailer{Stats: stats, ExtractNS: extractNS, SentBytes: sentBytes}, nil
 }
 
 // isClosedConn reports whether err is the use-of-closed-connection

@@ -39,80 +39,6 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestPreparedPlanCache confirms remote queries share the node's
-// semantic plan cache — two textually different but range-equal
-// queries produce one plan construction and one hit — and that the
-// cache stays bounded under distinct queries.
-func TestPreparedPlanCache(t *testing.T) {
-	spec := gen.IparsSpec{
-		Realizations: 1, TimeSteps: 4, GridPoints: 8, Partitions: 1,
-		Attrs: 2, Seed: 8,
-	}
-	root := t.TempDir()
-	descPath, err := gen.WriteIpars(root, spec, "CLUSTER")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := metadata.ParseFile(descPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc, err := core.Open(descPath, root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	node, err := StartNode(context.Background(), "node0", svc, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	coord, err := NewCoordinator(d, map[string]string{"node0": node.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	// Two textually different queries with equal normalized ranges and
-	// needed columns: the second must hit the plan built by the first.
-	rowsA, resA, err := coord.CollectQueryContext(context.Background(), "SELECT TIME FROM IparsData WHERE TIME >= 1 AND TIME <= 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resA.QueryStats.PlanCacheHits != 0 || resA.QueryStats.PlanCacheMisses != 2 {
-		t.Errorf("cold query plan cache = %d hits / %d misses, want 0/2 (coordinator + node)",
-			resA.QueryStats.PlanCacheHits, resA.QueryStats.PlanCacheMisses)
-	}
-	rowsB, resB, err := coord.CollectQueryContext(context.Background(), "SELECT TIME FROM IparsData WHERE TIME BETWEEN 1 AND 2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.QueryStats.PlanCacheHits != 2 || resB.QueryStats.PlanCacheMisses != 0 {
-		t.Errorf("range-equal query plan cache = %d hits / %d misses, want 2/0 (coordinator + node)",
-			resB.QueryStats.PlanCacheHits, resB.QueryStats.PlanCacheMisses)
-	}
-	if len(rowsA) == 0 || len(rowsA) != len(rowsB) {
-		t.Errorf("cached plan returned %d rows, fresh plan %d", len(rowsB), len(rowsA))
-	}
-	// Node-side proof of a single plan construction: one miss built the
-	// entry, the range-equal repeat hit it.
-	st := svc.PlanCacheStats()
-	if st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
-		t.Errorf("node plan cache stats = %+v, want 1 miss / 1 hit / 1 entry", st)
-	}
-
-	// Distinct queries beyond a tiny cap evict instead of growing.
-	svc.SetPlanCacheConfig(core.PlanCacheConfig{MaxEntries: 2, Shards: 1})
-	for i := 0; i < 10; i++ {
-		sql := "SELECT TIME FROM IparsData WHERE TIME = " + string(rune('0'+i%4))
-		if _, _, err := coord.CollectQueryContext(context.Background(), sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := svc.PlanCacheStats(); st.Entries > 2 {
-		t.Errorf("plan cache grew to %d entries, cap 2", st.Entries)
-	}
-}
-
 // TestLargeStreamCrossesBatches uses a dataset big enough that every
 // node sends many row batches; counts must be exact.
 func TestLargeStreamCrossesBatches(t *testing.T) {

@@ -51,9 +51,6 @@ type Service struct {
 
 	cmu        sync.Mutex
 	blockCache *cache.Cache //dvlint:guardedby cmu
-
-	pmu   sync.Mutex
-	plans *planCache //dvlint:guardedby pmu
 }
 
 // Open loads the descriptor at descPath and compiles a service whose
@@ -93,9 +90,6 @@ func Compile(d *metadata.Descriptor, resolver extractor.Resolver) (*Service, err
 		// boundary). Defaults: 64 MiB, 256 KiB blocks; the cache starts no
 		// goroutines.
 		blockCache: cache.New(cache.Config{}),
-		// The semantic plan cache memoizes AFC lists across queries,
-		// keyed by fingerprint rather than SQL text (see afc.Fingerprint).
-		plans: newPlanCache(PlanCacheConfig{}),
 	}, nil
 }
 
@@ -112,44 +106,24 @@ func (s *Service) SetCacheConfig(cfg cache.Config) {
 	if old != nil {
 		old.Close()
 	}
-	// A cache swap marks a configuration boundary; drop memoized plans
-	// and chunk indexes along with the blocks so no layer can serve
+	// A cache swap marks a configuration boundary; drop memoized chunk
+	// indexes and sidecars along with the blocks so no layer can serve
 	// state from before the swap.
 	s.InvalidatePlans()
 }
 
-// SetPlanCacheConfig replaces the service's semantic plan cache. Call
-// it before running queries (typically right after Compile/Open, from
-// CLI flags); previously cached plans are discarded.
-func (s *Service) SetPlanCacheConfig(cfg PlanCacheConfig) {
-	s.pmu.Lock()
-	s.plans = newPlanCache(cfg)
-	s.pmu.Unlock()
-}
-
-// PlanCacheStats snapshots the plan cache's counters.
-func (s *Service) PlanCacheStats() PlanCacheStats {
-	return s.planCacheRef().stats()
-}
-
-// InvalidatePlans drops every memoized plan and chunk index and bumps
-// the plan cache's generation counter, so in-flight plan builds cannot
-// install entries that survive the invalidation. Call it when the data
-// under the descriptor changes.
+// InvalidatePlans drops the memoized chunk indexes and sparse-index
+// sidecars that planning and extraction read, and bumps their
+// generation counter, so a load in flight cannot install state that
+// survives the invalidation. Plans themselves are not memoized: every
+// prepare generates its aligned file chunks afresh. Call it when the
+// data under the descriptor changes.
 func (s *Service) InvalidatePlans() {
 	s.mu.Lock()
 	s.idxCache = make(map[string]*index.ChunkIndex)
 	s.scCache = make(map[string]*sidecarEntry)
 	s.idxGen++
 	s.mu.Unlock()
-	s.planCacheRef().invalidate()
-}
-
-// planCacheRef returns the current plan cache.
-func (s *Service) planCacheRef() *planCache {
-	s.pmu.Lock()
-	defer s.pmu.Unlock()
-	return s.plans
 }
 
 // CacheStats snapshots the shared block cache's counters.
@@ -311,10 +285,7 @@ type Prepared struct {
 
 	sqlText   string        // query text reported to tracers
 	planTime  time.Duration // wall time of the plan stage
-	indexTime time.Duration // wall time of the index stage (0 on a plan-cache hit)
-
-	planCacheHits   int64 // 1 when the AFC list came from the plan cache
-	planCacheMisses int64 // 1 when this prepare built (or waited on a failed build of) the AFC list
+	indexTime time.Duration // wall time of the index stage
 }
 
 // PrepareContext parses, validates and plans a SQL query. The plan and
@@ -419,36 +390,18 @@ func (s *Service) PrepareParsedContext(ctx context.Context, q *sqlparser.Query) 
 		endPlan(err)
 		return nil, err
 	}
-	// Range extraction is part of the plan's semantic identity (it
-	// feeds the cache key), so it belongs to the plan stage; the index
-	// stage below is pure AFC generation and is skipped entirely on a
-	// plan-cache hit.
 	p.Ranges = query.ExtractRanges(q.Where)
 	p.planTime = endPlan(nil)
 
-	// Index stage: aligned-file-chunk generation (the run-time analogue
-	// of the paper's generated index functions), memoized across queries
-	// by semantic fingerprint. Hits and single-flight waiters skip the
-	// stage and leave indexTime at zero; the builder times it as usual.
-	key := afc.Fingerprint(s.TableName(), p.Ranges, neededNames)
-	pc := s.planCacheRef()
-	var hit bool
-	p.AFCs, hit, err = pc.getOrBuild(key, func() ([]afc.AFC, error) {
-		endIndex := obs.Begin(tracer, sqlText, obs.StageIndex)
-		afcs, gerr := s.plan.Generate(p.Ranges, neededNames, s.loadIndex)
-		p.indexTime = endIndex(gerr)
-		return afcs, gerr
-	})
+	// Index stage: aligned-file-chunk generation, the run-time analogue
+	// of the paper's generated index functions. Everything it needs that
+	// the query cannot change was computed by afc.Compile, so it runs
+	// for every prepare.
+	endIndex := obs.Begin(tracer, sqlText, obs.StageIndex)
+	p.AFCs, err = s.plan.Generate(p.Ranges, neededNames, s.loadIndex)
+	p.indexTime = endIndex(err)
 	if err != nil {
 		return nil, err
-	}
-	if !pc.cfg.Disabled {
-		if hit {
-			p.planCacheHits = 1
-		} else {
-			p.planCacheMisses = 1
-		}
-		obs.ReportPlanCache(tracer, sqlText, p.planCacheHits, p.planCacheMisses)
 	}
 	return p, nil
 }
@@ -644,10 +597,11 @@ func (p *Prepared) PrepareStats() (plan, index time.Duration) {
 	return p.planTime, p.indexTime
 }
 
-// PlanCacheCounters reports whether this prepare hit or missed the
-// semantic plan cache (each is 0 or 1; both 0 when caching is off).
+// PlanCacheCounters always returns 0, 0: there is no plan cache, and
+// every prepare generates its AFC list. The method stays because the
+// repository's benchmark reads it.
 func (p *Prepared) PlanCacheCounters() (hits, misses int64) {
-	return p.planCacheHits, p.planCacheMisses
+	return 0, 0
 }
 
 // queryStats assembles the per-query observability record from the
@@ -665,9 +619,6 @@ func (p *Prepared) queryStats(x extractor.Stats, extract time.Duration) obs.Quer
 		CacheMisses:      x.CacheMisses,
 		FSBytesRead:      x.FSBytesRead,
 		CacheBytesServed: x.CacheBytesServed,
-
-		PlanCacheHits:   p.planCacheHits,
-		PlanCacheMisses: p.planCacheMisses,
 
 		BlocksSkipped:     x.BlocksSkipped,
 		SparseIndexHits:   x.SparseIndexHits,

@@ -9,9 +9,9 @@ import (
 )
 
 // LockIO forbids blocking calls while holding a mutex in the cache and
-// core packages: the sharded LRU and the service/plan-cache locks are
-// hot, and an open/read/dial (or a channel wait) under them serializes
-// every other query on the shard. Blocking is detected directly
+// core packages: the sharded LRU and the service's index and cache
+// locks are hot, and an open/read/dial (or a channel wait) under them
+// serializes every other query on the shard. Blocking is detected directly
 // (os/net/time calls, channel operations, WaitGroup.Wait) and through
 // up to three levels of module-internal calls, using the loader's
 // cross-package function bodies.

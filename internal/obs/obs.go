@@ -27,9 +27,8 @@ const (
 	// StagePlan covers SQL parsing, validation and predicate compilation.
 	StagePlan Stage = "plan"
 	// StageIndex covers aligned-file-chunk generation (chunk-index
-	// lookups included); it is skipped entirely when the plan cache
-	// serves a memoized AFC list. Range extraction belongs to StagePlan:
-	// it is part of the plan's semantic identity.
+	// lookups included); every prepare runs it. Range extraction
+	// belongs to StagePlan.
 	StageIndex Stage = "index"
 	// StageQueue covers the wait in a node's admission queue before a
 	// query is granted an execution slot; it is zero when the node is
@@ -79,10 +78,9 @@ type QueryStats struct {
 	// CacheBytesServed is the bytes copied out of cached blocks.
 	CacheBytesServed int64
 
-	// PlanCacheHits counts prepares whose AFC list came from the
-	// semantic plan cache (the index stage was skipped); PlanCacheMisses
-	// counts prepares that had to generate it. Both stay zero when plan
-	// caching is disabled.
+	// PlanCacheHits and PlanCacheMisses are always zero: there is no
+	// plan cache, every prepare generates its AFC list. The fields stay
+	// because the repository's benchmark reads them.
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 
@@ -248,27 +246,6 @@ func ReportCache(t Tracer, query string, hits, misses, bytesSaved int64) {
 	}
 }
 
-// PlanCacheReporter is an optional Tracer extension: tracers
-// implementing it additionally receive each prepare's plan-cache
-// outcome. hits and misses are each 0 or 1 per prepare (the aggregate
-// lives in QueryStats); the engine only calls it when plan caching is
-// enabled.
-type PlanCacheReporter interface {
-	PlanCacheReport(query string, hits, misses int64)
-}
-
-// ReportPlanCache forwards a prepare's plan-cache outcome to t if it
-// implements PlanCacheReporter; no-op otherwise or when caching saw no
-// traffic.
-func ReportPlanCache(t Tracer, query string, hits, misses int64) {
-	if hits+misses == 0 {
-		return
-	}
-	if pr, ok := t.(PlanCacheReporter); ok {
-		pr.PlanCacheReport(query, hits, misses)
-	}
-}
-
 // SparseReporter is an optional Tracer extension: tracers implementing
 // it receive each execution's data-skipping outcome, and — separately —
 // a warning when a sidecar exists but was unusable (corrupt, stale, or
@@ -348,19 +325,6 @@ func (t *LogTracer) CacheReport(query string, hits, misses, bytesSaved int64) {
 	logf("obs: cache %s: %d hits / %d misses, %d bytes saved", truncateQuery(query), hits, misses, bytesSaved)
 }
 
-// PlanCacheReport implements PlanCacheReporter; like CacheReport it
-// logs only when Slow is zero (full logging).
-func (t *LogTracer) PlanCacheReport(query string, hits, misses int64) {
-	if t.Slow > 0 {
-		return
-	}
-	logf := t.Logf
-	if logf == nil {
-		logf = log.Printf
-	}
-	logf("obs: plans %s: %d hits / %d misses", truncateQuery(query), hits, misses)
-}
-
 // SparseReport implements SparseReporter; like CacheReport it logs only
 // when Slow is zero (full logging).
 func (t *LogTracer) SparseReport(query string, blocksSkipped, hits, misses int64) {
@@ -418,16 +382,6 @@ func (m MultiTracer) CacheReport(query string, hits, misses, bytesSaved int64) {
 	for _, t := range m {
 		if cr, ok := t.(CacheReporter); ok {
 			cr.CacheReport(query, hits, misses, bytesSaved)
-		}
-	}
-}
-
-// PlanCacheReport implements PlanCacheReporter, forwarding to every
-// member tracer that implements it.
-func (m MultiTracer) PlanCacheReport(query string, hits, misses int64) {
-	for _, t := range m {
-		if pr, ok := t.(PlanCacheReporter); ok {
-			pr.PlanCacheReport(query, hits, misses)
 		}
 	}
 }

@@ -221,3 +221,25 @@ func TestCacheReporter(t *testing.T) {
 		t.Fatalf("MultiTracer forwarded %d reports, want 1", len(lines))
 	}
 }
+
+func TestPlanCacheCounters(t *testing.T) {
+	s := QueryStats{PlanCacheHits: 3, PlanCacheMisses: 1}
+	b := s
+	s.Add(b)
+	if s.PlanCacheHits != 6 || s.PlanCacheMisses != 2 {
+		t.Errorf("Add plan-cache counters: %+v", s)
+	}
+	// Counters stays byte-stable (golden form) even with plan-cache
+	// counts; String gains the plans line only when they are nonzero,
+	// which no engine path produces any more.
+	if strings.Contains(s.Counters(), "plans") {
+		t.Errorf("Counters leaked plan-cache fields: %q", s.Counters())
+	}
+	if !strings.Contains(s.String(), "plans: 6 hits / 2 misses") {
+		t.Errorf("String missing plans line: %q", s.String())
+	}
+	var cold QueryStats
+	if strings.Contains(cold.String(), "plans") {
+		t.Errorf("untouched plan cache rendered: %q", cold.String())
+	}
+}
