@@ -112,7 +112,7 @@ func runCheck(args []string) {
 		fmt.Fprintln(os.Stderr, "usage: dvdesc check [-json] [-data ROOT] FILE...")
 		os.Exit(2)
 	}
-	var all []desclint.Diagnostic
+	var all []metadata.Diagnostic
 	for _, path := range fs.Args() {
 		ds, err := desclint.CheckFile(path)
 		if err != nil {
@@ -136,7 +136,7 @@ func runCheck(args []string) {
 			fmt.Println(d)
 		}
 	}
-	if desclint.HasErrors(all) {
+	if metadata.HasErrors(all) {
 		os.Exit(1)
 	}
 }

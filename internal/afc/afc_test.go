@@ -1,8 +1,10 @@
 package afc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"datavirt/internal/index"
 	"datavirt/internal/metadata"
@@ -419,7 +421,9 @@ func TestAFCBytesAndString(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	// Loop variable colliding with a binding variable.
+	// Loop variable colliding with a binding variable. Parse rejects
+	// the descriptor; Compile must still refuse it when built without
+	// validation.
 	src := `
 [S]
 A = float
@@ -433,11 +437,51 @@ Dataset "d" {
   DATA { DIR[0]/f$T T = 0:9:1 }
 }
 `
-	d, err := metadata.Parse(src)
+	if _, err := metadata.Parse(src); err == nil {
+		t.Error("Parse accepted a loop/binding collision")
+	}
+	d, err := metadata.ParseUnvalidated(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if _, err := Compile(d); err == nil {
 		t.Error("loop/binding collision accepted")
+	}
+}
+
+// TestCompileLargeChunkedLeaf compiles a chunked leaf of 16,384 data
+// and 16,384 index files: pairing them must be linear in the file
+// count, not a comparison of every data file with every index file.
+func TestCompileLargeChunkedLeaf(t *testing.T) {
+	const n = 16384
+	src := fmt.Sprintf(`[T]
+X = int
+A = float
+[D]
+DatasetDescription = T
+DIR[0] = n0/t
+Dataset "t" {
+ DATATYPE { T }
+ DATAINDEX { X }
+ CHUNKED { X A }
+ DATA { DIR[0]/c$P.dat P = 0:%d:1 }
+ INDEXFILE { DIR[0]/c$P.idx P = 0:%d:1 }
+}
+`, n-1, n-1)
+	d, err := metadata.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	p, err := Compile(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Errorf("Compile took %v, want < 2s", elapsed)
+	}
+	files := p.ChunkedLeaves[0].Files
+	if len(files) != n || files[n-1].Index.Name != fmt.Sprintf("c%d.idx", n-1) {
+		t.Fatalf("paired %d files, last = %+v", len(files), files[len(files)-1])
 	}
 }

@@ -77,16 +77,9 @@ func Compile(d *metadata.Descriptor) (*Plan, error) {
 	}
 	p := &Plan{Desc: d, Schema: sch}
 	for _, node := range d.Layout.Leaves(nil) {
-		esch, extras, err := d.EffectiveSchema(node)
+		kinds, err := d.LeafKinds(node)
 		if err != nil {
 			return nil, err
-		}
-		kinds := make(map[string]schema.Kind, esch.NumAttrs()+len(extras))
-		for _, a := range esch.Attrs() {
-			kinds[a.Name] = a.Kind
-		}
-		for _, a := range extras {
-			kinds[a.Name] = a.Kind
 		}
 		files, err := metadata.ExpandLeaf(d.Storage, node)
 		if err != nil {

@@ -119,12 +119,12 @@ func RunAblationChunks(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !haveMarker(root, "data") {
+		if !haveMarker(root, "data", s) {
 			cfg.logf("ablation-chunk: generating %s", v.name)
 			if _, err := gen.WriteTitan(root, s); err != nil {
 				return nil, err
 			}
-			if err := setMarker(root, "data"); err != nil {
+			if err := setMarker(root, "data", s); err != nil {
 				return nil, err
 			}
 		}
@@ -186,12 +186,12 @@ func RunAblationCoalesce(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !haveMarker(root, "data") {
+		if !haveMarker(root, "data", lspec) {
 			cfg.logf("ablation-coalesce: generating layout %s", layoutID)
 			if _, err := gen.WriteIpars(root, lspec, layoutID); err != nil {
 				return nil, err
 			}
-			if err := setMarker(root, "data"); err != nil {
+			if err := setMarker(root, "data", lspec); err != nil {
 				return nil, err
 			}
 		}

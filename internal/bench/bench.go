@@ -206,12 +206,22 @@ func ensureDir(cfg Config, parts ...string) (string, error) {
 	return dir, os.MkdirAll(dir, 0o755)
 }
 
-// haveMarker tests and sets dataset-reuse markers.
-func haveMarker(dir, name string) bool {
-	_, err := os.Stat(filepath.Join(dir, name+".ok"))
-	return err == nil
+// haveMarker reports whether dir holds a name.ok dataset-reuse marker
+// recording spec, the generator input. A marker for another spec (a
+// workdir first used at another -scale) is removed, so the data is
+// regenerated rather than reused at the wrong size, and a regeneration
+// that fails halfway is never mistaken for the old data.
+func haveMarker(dir, name string, spec any) bool {
+	path := filepath.Join(dir, name+".ok")
+	got, err := os.ReadFile(path)
+	if err == nil && string(got) == fmt.Sprintf("%+v\n", spec) {
+		return true
+	}
+	os.Remove(path)
+	return false
 }
 
-func setMarker(dir, name string) error {
-	return os.WriteFile(filepath.Join(dir, name+".ok"), []byte("ok\n"), 0o644)
+// setMarker records that dir holds name's data generated from spec.
+func setMarker(dir, name string, spec any) error {
+	return os.WriteFile(filepath.Join(dir, name+".ok"), []byte(fmt.Sprintf("%+v\n", spec)), 0o644)
 }

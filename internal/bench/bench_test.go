@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"datavirt/internal/core"
 )
 
 func quickCfg(t *testing.T) Config {
@@ -53,6 +55,37 @@ func TestDatasetReuse(t *testing.T) {
 		if t1.Rows[i][last] != t2.Rows[i][last] {
 			t.Errorf("row %d counts differ across reuse: %s vs %s",
 				i, t1.Rows[i][last], t2.Rows[i][last])
+		}
+	}
+}
+
+// TestDatasetReuseRegeneratesOnSpecChange reuses one workdir at a
+// second scale: the data must be regenerated at the new size, not
+// reused from the first run.
+func TestDatasetReuseRegeneratesOnSpecChange(t *testing.T) {
+	dir := t.TempDir()
+	for _, scale := range []float64{0.05, 0.1} {
+		cfg := Config{WorkDir: dir, Scale: scale, Trials: 1}
+		spec := fig9Spec(cfg)
+		root, descPath, err := setupFig9Layout(cfg, spec, "I")
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := core.Open(descPath, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := prepare(svc, "SELECT REL FROM IparsData")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := countRows(prep, core.Options{})
+		svc.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := spec.IparsTotalRows(); got != want {
+			t.Errorf("scale %v: %d rows, want %d (data from an earlier spec reused)", scale, got, want)
 		}
 	}
 }

@@ -65,12 +65,12 @@ func RunFig10(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !haveMarker(root, "data") {
+		if !haveMarker(root, "data", spec) {
 			cfg.logf("fig10: generating %d-node partitioning", n)
 			if _, err := gen.WriteIpars(root, spec, "CLUSTER"); err != nil {
 				return nil, err
 			}
-			if err := setMarker(root, "data"); err != nil {
+			if err := setMarker(root, "data", spec); err != nil {
 				return nil, err
 			}
 		}

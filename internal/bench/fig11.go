@@ -25,12 +25,12 @@ func RunFig11a(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !haveMarker(root, "data") {
+	if !haveMarker(root, "data", spec) {
 		cfg.logf("fig11a: generating Ipars dataset")
 		if _, err := gen.WriteIpars(root, spec, "CLUSTER"); err != nil {
 			return nil, err
 		}
-		if err := setMarker(root, "data"); err != nil {
+		if err := setMarker(root, "data", spec); err != nil {
 			return nil, err
 		}
 	}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 
 	"datavirt/internal/core"
@@ -31,12 +32,12 @@ func setupFig6(cfg Config) (svc *core.Service, db *rowstore.DB, spec gen.TitanSp
 	if err != nil {
 		return nil, nil, spec, err
 	}
-	if !haveMarker(dir, "titan") {
+	if !haveMarker(dir, "titan", spec) {
 		cfg.logf("fig6: generating Titan dataset (%d points)", spec.Points)
 		if _, err := gen.WriteTitan(dir, spec); err != nil {
 			return nil, nil, spec, err
 		}
-		if err := setMarker(dir, "titan"); err != nil {
+		if err := setMarker(dir, "titan", spec); err != nil {
 			return nil, nil, spec, err
 		}
 	}
@@ -46,7 +47,13 @@ func setupFig6(cfg Config) (svc *core.Service, db *rowstore.DB, spec gen.TitanSp
 	}
 
 	pgDir := filepath.Join(dir, "rowstore")
-	loaded := haveMarker(dir, "rowstore")
+	loaded := haveMarker(dir, "rowstore", spec)
+	if !loaded {
+		// A rowstore loaded from another spec still holds its table.
+		if err := os.RemoveAll(pgDir); err != nil {
+			return nil, nil, spec, err
+		}
+	}
 	db, err = rowstore.Open(pgDir)
 	if err != nil {
 		return nil, nil, spec, err
@@ -84,7 +91,7 @@ func setupFig6(cfg Config) (svc *core.Service, db *rowstore.DB, spec gen.TitanSp
 				return nil, nil, spec, err
 			}
 		}
-		if err := setMarker(dir, "rowstore"); err != nil {
+		if err := setMarker(dir, "rowstore", spec); err != nil {
 			db.Close()
 			return nil, nil, spec, err
 		}

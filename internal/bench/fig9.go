@@ -38,12 +38,12 @@ func setupFig9Layout(cfg Config, spec gen.IparsSpec, layoutID string) (root, des
 		return "", "", err
 	}
 	descPath = filepath.Join(root, "ipars_"+strings.ToLower(layoutID)+".dvd")
-	if !haveMarker(root, "data") {
+	if !haveMarker(root, "data", spec) {
 		cfg.logf("fig9: generating layout %s", layoutID)
 		if _, err := gen.WriteIpars(root, spec, layoutID); err != nil {
 			return "", "", err
 		}
-		if err := setMarker(root, "data"); err != nil {
+		if err := setMarker(root, "data", spec); err != nil {
 			return "", "", err
 		}
 	}

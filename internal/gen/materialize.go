@@ -39,16 +39,9 @@ func Materialize(d *metadata.Descriptor, root string, value ValueFunc) error {
 		if len(node.Chunked) > 0 {
 			return fmt.Errorf("gen: Materialize cannot write chunked dataset %q", node.Name)
 		}
-		sch, extras, err := d.EffectiveSchema(node)
+		kinds, err := d.LeafKinds(node)
 		if err != nil {
 			return err
-		}
-		kinds := map[string]schema.Kind{}
-		for _, a := range sch.Attrs() {
-			kinds[a.Name] = a.Kind
-		}
-		for _, a := range extras {
-			kinds[a.Name] = a.Kind
 		}
 		files, err := metadata.ExpandLeaf(d.Storage, node)
 		if err != nil {

@@ -20,16 +20,9 @@ func mustParse(t *testing.T, src string) *metadata.Descriptor {
 
 func kindsOf(t *testing.T, d *metadata.Descriptor, n *metadata.DatasetNode) map[string]schema.Kind {
 	t.Helper()
-	sch, extras, err := d.EffectiveSchema(n)
+	kinds, err := d.LeafKinds(n)
 	if err != nil {
-		t.Fatalf("EffectiveSchema: %v", err)
-	}
-	kinds := make(map[string]schema.Kind)
-	for _, a := range sch.Attrs() {
-		kinds[a.Name] = a.Kind
-	}
-	for _, a := range extras {
-		kinds[a.Name] = a.Kind
+		t.Fatalf("LeafKinds: %v", err)
 	}
 	return kinds
 }
@@ -215,7 +208,9 @@ func TestInstantiateSOA(t *testing.T) {
 }
 
 func TestInstantiateErrors(t *testing.T) {
-	// Inconsistent sibling bounds for the same variable.
+	// Inconsistent sibling bounds for the same variable. Parse rejects
+	// the descriptor; Instantiate must still refuse it when built
+	// without validation.
 	src := `
 [S]
 A = float
@@ -232,7 +227,13 @@ Dataset "d" {
   DATA { DIR[0]/f }
 }
 `
-	d := mustParse(t, src)
+	if _, err := metadata.Parse(src); err == nil {
+		t.Error("Parse accepted inconsistent sibling bounds")
+	}
+	d, err := metadata.ParseUnvalidated(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	leaf, err := CompileLeaf(d.Layout, kindsOf(t, d, d.Layout))
 	if err != nil {
 		t.Fatal(err)
@@ -264,11 +265,14 @@ Dataset "d" {
   DATA { DIR[0]/f }
 }
 `
-	// The metadata validator doesn't reject duplicates (that's a layout
-	// concern), so build the node manually to exercise CompileLeaf.
-	d, err := metadata.Parse(src)
+	// Parse rejects the duplicate (span-overlap); CompileLeaf must still
+	// refuse it when built without validation.
+	if _, err := metadata.Parse(src); err == nil {
+		t.Error("Parse accepted a duplicate payload attribute")
+	}
+	d, err := metadata.ParseUnvalidated(src)
 	if err != nil {
-		t.Skipf("parser rejected duplicate early: %v", err)
+		t.Fatal(err)
 	}
 	if _, err := CompileLeaf(d.Layout, kindsOf(t, d, d.Layout)); err == nil {
 		t.Error("duplicate payload attribute accepted")

@@ -36,6 +36,10 @@ type Descriptor struct {
 	Storage *Storage
 	// Layout is the root DATASET block of Component III.
 	Layout *DatasetNode
+
+	// attrPos locates each schema attribute's line ("Schema.ATTR" →
+	// position) in parsed source; nil for the XML and BinX embeddings.
+	attrPos map[string]Pos
 }
 
 // Schema returns the named schema section, or nil.
@@ -240,19 +244,13 @@ type Binding struct {
 // Vars returns the distinct free variables of the clause's templates, in
 // sorted order.
 func (f *FileClause) Vars() []string {
-	seen := map[string]bool{}
-	var exprs []Expr
-	exprs = append(exprs, f.Dir)
+	exprs := []Expr{f.Dir}
 	for _, p := range f.Name {
 		if p.Var != "" {
 			exprs = append(exprs, VarExpr{p.Var})
 		}
 	}
-	vars := exprVarsSorted(exprs...)
-	for _, v := range vars {
-		seen[v] = true
-	}
-	return vars
+	return exprVarsSorted(exprs...)
 }
 
 // NameString renders the file-name template.

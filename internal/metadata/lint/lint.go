@@ -1,114 +1,77 @@
-// Package lint implements the descriptor compile-time checker: the
+// Package lint is the command-line face of the descriptor checker: the
 // "check" stage of the paper's compiler pipeline (parse → check →
-// generate index/extractor functions). It analyzes a parsed meta-data
-// descriptor WITHOUT touching any data file and reports positioned
-// diagnostics (file:line:col) for layout/schema problems that
-// internal/metadata.Validate either rejects without a position or does
-// not look for at all:
+// generate index/extractor functions). The checks themselves are
+// metadata.Check, the same pass Parse runs through Validate; this
+// package adds what needs the outside world: reading the descriptor
+// file, turning a parse failure into a positioned syntax diagnostic,
+// JSON output, and the opt-in sidecar pass over the data directory.
+// No check reads a data file except that pass.
 //
-//	syntax        (E) the descriptor does not parse
-//	validate      (E) a structural rule of Validate fails (coarse
-//	                  position; suppressed when a positioned pass below
-//	                  already reports an error for the same tree)
-//	attr-unknown  (E) DATASPACE/CHUNKED names an attribute that no
-//	                  schema or DATATYPE extra declares
-//	span-overlap  (E) an attribute is laid out twice in one leaf —
-//	                  overlapping DATA spans within the LOOP body
-//	loop-extent   (E) a LOOP whose bounds evaluate to an empty range or
-//	                  non-positive step, or whose variable collides with
-//	                  a file-clause binding of the same leaf
-//	dim-mismatch  (W) the same variable iterates with different extents
-//	                  in different leaves — LOOP extents inconsistent
-//	                  with the dataspace dimensions other leaves declare
-//	type-conflict (E) a DATATYPE extra redeclares an attribute with a
-//	                  different width/kind than the schema or an
-//	                  enclosing DATATYPE
-//	attr-unbound  (W) a schema attribute never laid out by any leaf
-//	                  (a gap: no DATA span ever binds it)
-//	attr-unused   (W) a DATATYPE extra attribute referenced by nothing
-//	file-clause   (E) a DATA/INDEXFILE clause cannot be expanded: a
-//	                  binding range is empty or has non-positive step,
-//	                  or the name/dir template uses an unbound variable
-//	dir-range     (E) a file clause selects DIR[i] outside the storage
-//	                  description's directory table
-//	dir-unused    (W) a storage directory referenced by no layout block
-//	file-overlap  (E) two DATA (or two INDEXFILE) clauses expand to the
-//	                  same concrete node:path file
-//	replica-dup   (E) a DIR replica set (DIR[i] = NODES n1, n2, ...)
-//	                  lists the same node twice
-//	replica-unknown (W) a DIR replica set names a node that is not the
-//	                  primary node of any storage directory
+// Codes, error (E) or warning (W); every error also makes Parse reject
+// the descriptor:
+//
+//	syntax            (E) the descriptor does not parse
+//	component-missing (E) no schema section, storage description or layout
+//	schema-unknown    (E) storage or DATATYPE names an undeclared schema,
+//	                      or the root dataset has no DATATYPE
+//	dataset-name      (E) a dataset name is empty or used twice
+//	leaf-shape        (E) children beside leaf clauses; a leaf without
+//	                      DATA, with both or neither DATASPACE/CHUNKED,
+//	                      INDEXFILE without CHUNKED, CHUNKED without
+//	                      INDEXFILE/DATAINDEX; an empty DATASPACE or LOOP
+//	                      body; DATASPACE and CHUNKED leaves mixed
+//	var-unbound       (E) a binding, file template or LOOP bound uses a
+//	                      variable no (earlier) binding binds, or a
+//	                      clause binds a variable twice
+//	loop-var          (E) a LOOP variable shadows an enclosing loop or
+//	                      names a non-integral attribute
+//	attr-unknown      (E) DATASPACE/CHUNKED/DATAINDEX names an undeclared
+//	                      attribute, or a chunked DATAINDEX is not in the
+//	                      record
+//	span-overlap      (E) an attribute is laid out twice in one leaf
+//	loop-extent       (E) for some file a LOOP's bounds fail, give an
+//	                      empty range or non-positive step, or differ from
+//	                      another LOOP over the same variable; or a LOOP
+//	                      variable is also a file-clause binding
+//	type-conflict     (E) a DATATYPE extra redeclares an attribute with a
+//	                      different kind
+//	file-clause       (E) a binding range is empty, has non-positive step
+//	                      or fails to evaluate
+//	file-budget       (E) the file clauses expand to more than 65,536 files
+//	dir-range         (E) a file clause selects a DIR[i] storage lacks
+//	file-overlap      (E) two DATA (or INDEXFILE) clauses produce one file
+//	index-pair        (E) a chunked data file matches no index file, or
+//	                      several
+//	replica-dup       (E) a DIR replica set lists a node twice
+//	dim-mismatch      (W) a variable iterates different extents in
+//	                      different leaves
+//	attr-unbound      (W) a schema attribute no leaf lays out
+//	attr-unused       (W) a DATATYPE extra nothing references
+//	dir-unused        (W) a storage directory no clause selects
+//	replica-unknown   (W) a replica set names a node that is no
+//	                      directory's primary
 //
 // One additional pass, CheckSidecars, is opt-in (dvdesc check -data)
 // because it inspects the data directory:
 //
 //	sidecar-missing (W) an indexed payload attribute has data files
 //	                    without a usable sparse block-index sidecar
-//
-// Diagnostics carry a Severity and a machine-readable Code so dvdesc
-// check can emit both human-readable and -json output.
 package lint
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"regexp"
-	"sort"
 	"strconv"
-	"strings"
 
 	"datavirt/internal/metadata"
 )
 
-// Severity classifies a diagnostic. Errors make `dvdesc check` exit
-// non-zero; warnings do not.
-type Severity string
-
-const (
-	// SevError marks a descriptor the generated extractor would
-	// misread or fail on.
-	SevError Severity = "error"
-	// SevWarning marks suspicious but not provably wrong layout.
-	SevWarning Severity = "warning"
-)
-
-// Diagnostic is one positioned finding. Line/Col are 1-based; 0 means
-// the position is unknown (e.g. programmatically built descriptors).
-type Diagnostic struct {
-	File     string   `json:"file"`
-	Line     int      `json:"line,omitempty"`
-	Col      int      `json:"col,omitempty"`
-	Severity Severity `json:"severity"`
-	Code     string   `json:"code"`
-	Message  string   `json:"message"`
-}
-
-// String renders the conventional compiler form
-// "file:line:col: severity: message [code]".
-func (d Diagnostic) String() string {
-	pos := d.File
-	if d.Line > 0 {
-		pos = fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
-	}
-	return fmt.Sprintf("%s: %s: %s [%s]", pos, d.Severity, d.Message, d.Code)
-}
-
-// HasErrors reports whether any diagnostic has error severity.
-func HasErrors(ds []Diagnostic) bool {
-	for _, d := range ds {
-		if d.Severity == SevError {
-			return true
-		}
-	}
-	return false
-}
-
 // WriteJSON writes the diagnostics as a JSON array (machine-readable
 // form for -json).
-func WriteJSON(w *os.File, ds []Diagnostic) error {
+func WriteJSON(w *os.File, ds []metadata.Diagnostic) error {
 	if ds == nil {
-		ds = []Diagnostic{}
+		ds = []metadata.Diagnostic{}
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -117,7 +80,7 @@ func WriteJSON(w *os.File, ds []Diagnostic) error {
 
 // CheckFile reads and checks one descriptor file. The error is only for
 // I/O problems; descriptor problems come back as diagnostics.
-func CheckFile(path string) ([]Diagnostic, error) {
+func CheckFile(path string) ([]metadata.Diagnostic, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -129,61 +92,21 @@ var lineRE = regexp.MustCompile(`line (\d+)`)
 
 // Check analyzes one descriptor source and returns its diagnostics,
 // sorted by position. It never fails: unparseable input yields a single
-// "syntax" diagnostic. It performs no file I/O — bounded expansion of
-// the file clauses happens purely over the binding ranges.
-func Check(file, src string) []Diagnostic {
+// "syntax" diagnostic, and anything else metadata.Check reports.
+func Check(file, src string) []metadata.Diagnostic {
 	d, err := metadata.ParseUnvalidated(src)
 	if err != nil {
-		diag := Diagnostic{File: file, Severity: SevError, Code: "syntax", Message: err.Error()}
+		diag := metadata.Diagnostic{File: file, Severity: metadata.SevError, Code: "syntax", Message: err.Error()}
 		// The parser reports "metadata: line N: ..." — recover N.
 		if m := lineRE.FindStringSubmatch(err.Error()); m != nil {
 			diag.Line, _ = strconv.Atoi(m[1])
 			diag.Col = 1
 		}
-		return []Diagnostic{diag}
+		return []metadata.Diagnostic{diag}
 	}
-	c := &checker{file: file, src: src, desc: d}
-	c.run()
-	validateErr := metadata.Validate(d)
-	if validateErr != nil && !HasErrors(c.diags) {
-		// The positioned passes found nothing of error severity, but the
-		// structural rules still reject the tree: surface the coarse
-		// message so Check never accepts what Parse would not.
-		c.report(c.validatePos(validateErr.Error()), SevError, "validate", validateErr.Error())
+	ds := metadata.Check(d)
+	for i := range ds {
+		ds[i].File = file
 	}
-	sort.SliceStable(c.diags, func(i, j int) bool {
-		a, b := c.diags[i], c.diags[j]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
-	return c.diags
-}
-
-// validatePos guesses a position for a Validate message by matching the
-// dataset name it quotes against the layout tree.
-func (c *checker) validatePos(msg string) metadata.Pos {
-	if c.desc.Layout == nil {
-		return metadata.Pos{}
-	}
-	var pos metadata.Pos
-	var walk func(n *metadata.DatasetNode)
-	walk = func(n *metadata.DatasetNode) {
-		if pos.IsValid() {
-			return
-		}
-		if n.Name != "" && strings.Contains(msg, fmt.Sprintf("dataset %q", n.Name)) {
-			pos = n.Pos
-			return
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(c.desc.Layout)
-	if !pos.IsValid() {
-		pos = c.desc.Layout.Pos
-	}
-	return pos
+	return ds
 }

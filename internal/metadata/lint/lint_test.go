@@ -1,9 +1,13 @@
 package lint
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"datavirt/internal/metadata"
 )
 
 // header is a minimal valid schema + storage prefix shared by the bad
@@ -22,16 +26,16 @@ DIR[1] = node1/d1
 `
 
 // checkSrc runs the checker over header+layout and returns diagnostics.
-func checkSrc(t *testing.T, layout string) []Diagnostic {
+func checkSrc(t *testing.T, layout string) []metadata.Diagnostic {
 	t.Helper()
 	return Check("test.dvd", header+layout)
 }
 
 // wantDiag asserts exactly one diagnostic of the given code exists and
 // returns it.
-func wantDiag(t *testing.T, ds []Diagnostic, code string) Diagnostic {
+func wantDiag(t *testing.T, ds []metadata.Diagnostic, code string) metadata.Diagnostic {
 	t.Helper()
-	var found []Diagnostic
+	var found []metadata.Diagnostic
 	for _, d := range ds {
 		if d.Code == code {
 			found = append(found, d)
@@ -46,7 +50,7 @@ func wantDiag(t *testing.T, ds []Diagnostic, code string) Diagnostic {
 func TestSyntaxDiagnostic(t *testing.T) {
 	ds := Check("bad.dvd", "Dataset \"x\" {")
 	d := wantDiag(t, ds, "syntax")
-	if d.Severity != SevError {
+	if d.Severity != metadata.SevError {
 		t.Errorf("severity = %s, want error", d.Severity)
 	}
 }
@@ -121,7 +125,7 @@ func TestDimMismatch(t *testing.T) {
 }
 `)
 	d := wantDiag(t, ds, "dim-mismatch")
-	if d.Severity != SevWarning {
+	if d.Severity != metadata.SevWarning {
 		t.Errorf("severity = %s, want warning", d.Severity)
 	}
 	if !strings.Contains(d.Message, `"I"`) {
@@ -153,12 +157,6 @@ func TestAttrUnknown(t *testing.T) {
 	if d.Line != 14 {
 		t.Errorf("line = %d, want 14", d.Line)
 	}
-	// The positioned finding must suppress the coarse validate one.
-	for _, other := range ds {
-		if other.Code == "validate" {
-			t.Errorf("coarse validate diagnostic not suppressed: %v", other)
-		}
-	}
 }
 
 func TestAttrUnbound(t *testing.T) {
@@ -173,7 +171,7 @@ func TestAttrUnbound(t *testing.T) {
 	for _, d := range ds {
 		if d.Code == "attr-unbound" {
 			names = append(names, d.Message)
-			if d.Severity != SevWarning {
+			if d.Severity != metadata.SevWarning {
 				t.Errorf("severity = %s, want warning", d.Severity)
 			}
 			if d.Line == 0 {
@@ -246,7 +244,7 @@ func TestFileOverlapWithinClause(t *testing.T) {
   DATA { DIR[0]/f I = 0:1:1 }
 }
 `)
-	if got := wantDiag(t, ds, "file-overlap"); got.Severity != SevError {
+	if got := wantDiag(t, ds, "file-overlap"); got.Severity != metadata.SevError {
 		t.Errorf("severity = %s", got.Severity)
 	}
 }
@@ -264,33 +262,53 @@ func TestFileClauseBadBinding(t *testing.T) {
 	}
 }
 
-func TestExpansionCapDoesNotExplode(t *testing.T) {
-	// ~10^12 combinations; the checker must stay bounded and silent
-	// about dir usage.
+func TestFileBudgetDiagnostic(t *testing.T) {
+	// ~10^12 combinations: counted against the file budget, never
+	// enumerated, and reported on the clause; dir usage stays unknown.
 	ds := checkSrc(t, `Dataset "d" {
   DATATYPE { S }
   DATASPACE { LOOP J 0:3:1 { A } }
   DATA { DIR[0]/f.$I.$K I = 0:999999:1 K = 0:999999:1 }
 }
 `)
+	d := wantDiag(t, ds, "file-budget")
+	if d.Severity != metadata.SevError || d.Line != 15 || d.Col != 10 {
+		t.Errorf("file-budget diagnostic = %v, want an error at 15:10 (the DIR keyword)", d)
+	}
 	for _, d := range ds {
 		if d.Code == "dir-unused" {
-			t.Errorf("dir-unused reported despite truncated expansion: %v", d)
+			t.Errorf("dir-unused reported despite an unexpanded clause: %v", d)
 		}
 	}
 }
 
-func TestValidateFallback(t *testing.T) {
-	// Leaf with neither DATASPACE nor CHUNKED: none of the positioned
-	// passes fire, so the coarse validate diagnostic must surface.
-	ds := checkSrc(t, `Dataset "d" {
-  DATATYPE { S }
-  DATA { DIR[0]/f DIR[1]/g }
-}
-`)
-	d := wantDiag(t, ds, "validate")
-	if d.Line != 12 {
-		t.Errorf("line = %d, want 12 (the Dataset keyword)", d.Line)
+// TestFixtureDiagnostics pins every diagnostic on the fixtures of this
+// package's tests, the FuzzCheck seeds and the codegen descriptors.
+// testdata/diagnostics.json was recorded from the checker that ran
+// beside a separate Validate; the only entries that changed when the
+// two merged are the former coarse "validate" diagnostics, now
+// positioned structural codes, and the two huge-range seeds, now
+// file-budget errors.
+func TestFixtureDiagnostics(t *testing.T) {
+	raw, err := os.ReadFile("testdata/diagnostics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fixtures []struct {
+		Src   string   `json:"src"`
+		Diags []string `json:"diags"`
+	}
+	if err := json.Unmarshal(raw, &fixtures); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtures {
+		got := []string{}
+		for _, d := range Check("t", f.Src) {
+			got = append(got, strings.TrimPrefix(d.String(), "t:"))
+		}
+		if strings.Join(got, "\n") != strings.Join(f.Diags, "\n") {
+			t.Errorf("diagnostics changed for\n%s\ngot:  %q\nwant: %q", f.Src, got, f.Diags)
+		}
 	}
 }
 
@@ -313,11 +331,11 @@ func TestShippedDescriptorsClean(t *testing.T) {
 }
 
 func TestDiagnosticString(t *testing.T) {
-	d := Diagnostic{File: "x.dvd", Line: 3, Col: 7, Severity: SevError, Code: "span-overlap", Message: "boom"}
+	d := metadata.Diagnostic{File: "x.dvd", Line: 3, Col: 7, Severity: metadata.SevError, Code: "span-overlap", Message: "boom"}
 	if got, want := d.String(), "x.dvd:3:7: error: boom [span-overlap]"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
-	d2 := Diagnostic{File: "x.dvd", Severity: SevWarning, Code: "c", Message: "m"}
+	d2 := metadata.Diagnostic{File: "x.dvd", Severity: metadata.SevWarning, Code: "c", Message: "m"}
 	if got, want := d2.String(), "x.dvd: warning: m [c]"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
@@ -346,7 +364,7 @@ Dataset "d" {
 func TestReplicaDup(t *testing.T) {
 	ds := Check("test.dvd", replicaSrc("NODES node0, node0/d0", "node1/d1"))
 	d := wantDiag(t, ds, "replica-dup")
-	if d.Severity != SevError {
+	if d.Severity != metadata.SevError {
 		t.Errorf("severity = %s, want error", d.Severity)
 	}
 	if d.Line != 7 {
@@ -355,24 +373,18 @@ func TestReplicaDup(t *testing.T) {
 	if !strings.Contains(d.Message, `"node0"`) {
 		t.Errorf("message %q does not name the node", d.Message)
 	}
-	// The positioned pass suppresses the coarse validate fallback.
-	for _, diag := range ds {
-		if diag.Code == "validate" {
-			t.Errorf("validate fallback not suppressed: %v", diag)
-		}
-	}
 }
 
 func TestReplicaUnknown(t *testing.T) {
 	ds := Check("test.dvd", replicaSrc("NODES node0, standby/d0", "node1/d1"))
 	d := wantDiag(t, ds, "replica-unknown")
-	if d.Severity != SevWarning {
+	if d.Severity != metadata.SevWarning {
 		t.Errorf("severity = %s, want warning", d.Severity)
 	}
 	if !strings.Contains(d.Message, `"standby"`) {
 		t.Errorf("message %q does not name the node", d.Message)
 	}
-	if HasErrors(ds) {
+	if metadata.HasErrors(ds) {
 		t.Errorf("warning-only descriptor reported errors: %v", ds)
 	}
 }

@@ -1,10 +1,10 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"datavirt/internal/metadata"
 	"datavirt/internal/sparse"
@@ -13,7 +13,7 @@ import (
 // CheckSidecarsFile reads one descriptor and runs the opt-in sidecar
 // coverage pass against dataRoot. The error is only for I/O problems
 // reading the descriptor itself.
-func CheckSidecarsFile(path, dataRoot string) ([]Diagnostic, error) {
+func CheckSidecarsFile(path, dataRoot string) ([]metadata.Diagnostic, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -23,8 +23,8 @@ func CheckSidecarsFile(path, dataRoot string) ([]Diagnostic, error) {
 
 // CheckSidecars is the one lint pass that touches the data directory:
 // for every non-chunked leaf whose payload stores an effective
-// DATAINDEX attribute, it expands the DATA clauses (bounded by
-// expandCap, like every other pass) and warns when a concrete data
+// DATAINDEX attribute, it expands the DATA clauses (within the
+// expander's file budget) and warns when a concrete data
 // file has no usable sparse block-index sidecar covering those
 // attributes — the descriptor promises an indexed access path the
 // query engine will silently downgrade to a full scan:
@@ -35,26 +35,19 @@ func CheckSidecarsFile(path, dataRoot string) ([]Diagnostic, error) {
 //
 // Chunked leaves are skipped: their DATAINDEX attributes are served by
 // the leaf's own spatial chunk index, not by sidecars. A descriptor
-// that does not parse yields nothing — Check already reports syntax.
-func CheckSidecars(file, src, dataRoot string) []Diagnostic {
+// that does not parse yields nothing, and a leaf whose files do not
+// expand is skipped — Check already reports both.
+func CheckSidecars(file, src, dataRoot string) []metadata.Diagnostic {
 	d, err := metadata.ParseUnvalidated(src)
-	if err != nil || d.Layout == nil {
+	if err != nil || d.Layout == nil || d.Storage == nil {
 		return nil
 	}
-	// The expander is shared with Check but its diagnostics are not:
-	// this checker is a scratch instance whose reports are discarded, so
-	// file-clause problems are only ever reported once, by Check.
-	scratch := &checker{file: file, src: src, desc: d}
-	scratch.usedDirs = map[int]bool{}
-	scratch.dims = map[string][]dimRec{}
-	scratch.bound = map[string]bool{}
-	scratch.referenced = map[string]bool{}
-
-	var diags []Diagnostic
+	var diags []metadata.Diagnostic
 	report := func(pos metadata.Pos, format string, args ...any) {
-		c := &checker{file: file}
-		c.report(pos, SevWarning, "sidecar-missing", format, args...)
-		diags = append(diags, c.diags...)
+		diags = append(diags, metadata.Diagnostic{
+			File: file, Line: pos.Line, Col: pos.Col, Severity: metadata.SevWarning,
+			Code: "sidecar-missing", Message: fmt.Sprintf(format, args...),
+		})
 	}
 
 	var walk func(n *metadata.DatasetNode, indexed []string)
@@ -97,33 +90,29 @@ func CheckSidecars(file, src, dataRoot string) []Diagnostic {
 			}
 		}
 
-		bindingVars := map[string]metadata.Pos{}
-		var total, missing, unreadable int
+		files, err := metadata.ExpandLeaf(d.Storage, n)
+		if err != nil || len(files) == 0 {
+			return
+		}
+		total := len(files)
+		var missing, unreadable int
 		uncovered := map[string]bool{}
-		for i := range n.Files {
-			insts, _ := scratch.expandClause(d.Storage, n, &n.Files[i], bindingVars)
-			for _, inst := range insts {
-				total++
-				node, rel, _ := strings.Cut(inst.key, ":")
-				scPath := sparse.SidecarPath(filepath.Join(dataRoot, node, filepath.FromSlash(rel)))
-				if _, err := os.Stat(scPath); err != nil {
-					missing++
-					continue
-				}
-				sc, err := sparse.ReadFile(scPath)
-				if err != nil {
-					unreadable++
-					continue
-				}
-				for _, a := range want {
-					if sc.Zones(a) == nil {
-						uncovered[a] = true
-					}
+		for _, fi := range files {
+			scPath := sparse.SidecarPath(filepath.Join(dataRoot, fi.Node(), filepath.FromSlash(fi.Path())))
+			if _, err := os.Stat(scPath); err != nil {
+				missing++
+				continue
+			}
+			sc, err := sparse.ReadFile(scPath)
+			if err != nil {
+				unreadable++
+				continue
+			}
+			for _, a := range want {
+				if sc.Zones(a) == nil {
+					uncovered[a] = true
 				}
 			}
-		}
-		if total == 0 {
-			return
 		}
 		if missing > 0 {
 			report(n.Pos, "dataset %q: %d of %d data files have no sparse index sidecar for indexed attributes %v — queries on them fall back to full scans (build with dvindex)",
@@ -143,13 +132,6 @@ func CheckSidecars(file, src, dataRoot string) []Diagnostic {
 				n.Name, attrs)
 		}
 	}
-	walk(d.Layout, nil)
-	sort.SliceStable(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Col < b.Col
-	})
+	walk(d.Layout, nil) // document order, so already sorted by position
 	return diags
 }

@@ -37,7 +37,7 @@ func TestCheckSidecarsMissing(t *testing.T) {
 	descPath, src, root := sidecarFixture(t)
 	ds := CheckSidecars(descPath, src, root)
 	d := wantDiag(t, ds, "sidecar-missing")
-	if d.Severity != SevWarning {
+	if d.Severity != metadata.SevWarning {
 		t.Errorf("severity = %s, want warning", d.Severity)
 	}
 	if d.Line == 0 {

@@ -312,7 +312,7 @@ func TestExpandErrors(t *testing.T) {
 		Name:     []NamePart{{Lit: "f"}},
 		Bindings: nil,
 	}
-	if _, err := ExpandClause(st, fc); err == nil {
+	if _, err := expandClause(st, &DatasetNode{Name: "d"}, fc, maxFiles); err == nil {
 		t.Error("out-of-range dir accepted")
 	}
 	// Empty binding range.
@@ -321,7 +321,7 @@ func TestExpandErrors(t *testing.T) {
 		Name:     []NamePart{{Lit: "f"}, {Var: "I"}},
 		Bindings: []Binding{{Var: "I", Lo: NumberExpr{3}, Hi: NumberExpr{1}, Step: NumberExpr{1}}},
 	}
-	if _, err := ExpandClause(st, fc2); err == nil {
+	if _, err := expandClause(st, &DatasetNode{Name: "d"}, fc2, maxFiles); err == nil {
 		t.Error("empty range accepted")
 	}
 	// Non-positive step.
@@ -330,7 +330,7 @@ func TestExpandErrors(t *testing.T) {
 		Name:     []NamePart{{Var: "I"}},
 		Bindings: []Binding{{Var: "I", Lo: NumberExpr{0}, Hi: NumberExpr{1}, Step: NumberExpr{0}}},
 	}
-	if _, err := ExpandClause(st, fc3); err == nil {
+	if _, err := expandClause(st, &DatasetNode{Name: "d"}, fc3, maxFiles); err == nil {
 		t.Error("zero step accepted")
 	}
 }
@@ -441,15 +441,21 @@ func TestStorageParseErrors(t *testing.T) {
 	}
 }
 
+// TestEnvAgrees pins the pairing key: two environments agree on the
+// variables they share exactly when their keys over those variables
+// are equal.
 func TestEnvAgrees(t *testing.T) {
-	if !envAgrees(Env{"A": 1, "B": 2}, Env{"B": 2, "C": 9}) {
+	if envKey(Env{"A": 1, "B": 2}, []string{"B"}) != envKey(Env{"B": 2, "C": 9}, []string{"B"}) {
 		t.Error("agreeing envs reported as disagreeing")
 	}
-	if envAgrees(Env{"A": 1}, Env{"A": 2}) {
+	if envKey(Env{"A": 1}, []string{"A"}) == envKey(Env{"A": 2}, []string{"A"}) {
 		t.Error("disagreeing envs reported as agreeing")
 	}
-	if !envAgrees(Env{}, Env{"A": 1}) {
+	if envKey(Env{}, nil) != envKey(Env{"A": 1}, nil) {
 		t.Error("disjoint envs should agree")
+	}
+	if envKey(Env{"A": 1, "B": 23}, []string{"A", "B"}) == envKey(Env{"A": 12, "B": 3}, []string{"A", "B"}) {
+		t.Error("keys of different value lists collide")
 	}
 }
 
@@ -470,7 +476,7 @@ func TestExpandCountQuick(t *testing.T) {
 				{Var: "I", Lo: NumberExpr{lo}, Hi: NumberExpr{hi}, Step: NumberExpr{step}},
 			},
 		}
-		fis, err := ExpandClause(st, fc)
+		fis, err := expandClause(st, &DatasetNode{Name: "d"}, fc, maxFiles)
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,7 @@ import (
 // the Component-I schema sections and the Component-II storage section
 // (both bracket-headed, line oriented), followed by the Component-III
 // layout description (the root "Dataset" block). The result is
-// validated; see Validate for the rules enforced.
+// validated: see Check for the rules enforced.
 func Parse(src string) (*Descriptor, error) {
 	d, err := ParseUnvalidated(src)
 	if err != nil {
@@ -27,9 +27,8 @@ func Parse(src string) (*Descriptor, error) {
 
 // ParseUnvalidated parses the descriptor syntax without running
 // Validate. The static checker (internal/metadata/lint) uses it to
-// analyze descriptors whose structural rules it wants to diagnose with
-// positions instead of failing at the first violation. Everyone else
-// should call Parse.
+// report every Check diagnostic instead of failing at the first error.
+// Everyone else should call Parse.
 func ParseUnvalidated(src string) (*Descriptor, error) {
 	clean := schema.StripComments(src)
 	head, tail := splitLayout(clean)
@@ -128,10 +127,11 @@ func splitLayout(src string) (head, tail string) {
 	return src, ""
 }
 
-// headLine is one non-empty section line plus its 1-based file line.
+// headLine is one non-empty section line plus its 1-based file line
+// and the column its text starts at.
 type headLine struct {
-	text string
-	line int
+	text      string
+	line, col int
 }
 
 // parseHeadSections parses the bracket-headed sections before the layout
@@ -156,7 +156,8 @@ func parseHeadSections(head string, d *Descriptor) error {
 		if len(secs) == 0 {
 			return fmt.Errorf("metadata: line %d: content before first [section]", lineno+1)
 		}
-		secs[len(secs)-1].lines = append(secs[len(secs)-1].lines, headLine{text: line, line: lineno + 1})
+		col := len(raw) - len(strings.TrimLeft(raw, " \t")) + 1
+		secs[len(secs)-1].lines = append(secs[len(secs)-1].lines, headLine{text: line, line: lineno + 1, col: col})
 	}
 	for _, sec := range secs {
 		if isStorageSection(sec.lines) {
@@ -175,6 +176,12 @@ func parseHeadSections(head string, d *Descriptor) error {
 		for _, l := range sec.lines {
 			b.WriteString(l.text)
 			b.WriteByte('\n')
+			if name, _, ok := strings.Cut(l.text, "="); ok {
+				if d.attrPos == nil {
+					d.attrPos = map[string]Pos{}
+				}
+				d.attrPos[sec.name+"."+strings.TrimSpace(name)] = Pos{Line: l.line, Col: l.col}
+			}
 		}
 		ss, err := schema.ParseSchemas(b.String())
 		if err != nil {
@@ -260,7 +267,12 @@ func parseStorage(name string, headerLine int, lines []headLine) (*Storage, erro
 	if len(st.Dirs) == 0 {
 		return nil, fmt.Errorf("metadata: storage [%s]: no DIR entries", name)
 	}
-	// Require the contiguous 0..n-1 index set, in order.
+	return st, orderDirs(st)
+}
+
+// orderDirs puts st.Dirs in index order, requiring the contiguous index
+// set 0..n-1.
+func orderDirs(st *Storage) error {
 	for want := range st.Dirs {
 		found := -1
 		for i := range st.Dirs {
@@ -270,11 +282,11 @@ func parseStorage(name string, headerLine int, lines []headLine) (*Storage, erro
 			}
 		}
 		if found < 0 {
-			return nil, fmt.Errorf("metadata: storage [%s]: DIR indices must be contiguous from 0; missing DIR[%d]", name, want)
+			return fmt.Errorf("metadata: storage [%s]: DIR indices must be contiguous from 0; missing DIR[%d]", st.DatasetName, want)
 		}
 		st.Dirs[want], st.Dirs[found] = st.Dirs[found], st.Dirs[want]
 	}
-	return st, nil
+	return nil
 }
 
 // cutNodesKeyword detects the replica form of a DIR value: a
@@ -421,17 +433,14 @@ func (p *parser) parseDataset() (*DatasetNode, error) {
 			}
 		case t.isKeyword("INDEXFILE"):
 			p.next()
-			if err := p.expectPunct("{"); err != nil {
+			refs, clauses, inline, err := p.parseDataBlock()
+			if err != nil {
 				return nil, err
 			}
-			for !p.peek().isPunct("}") {
-				fc, err := p.parseFileClause()
-				if err != nil {
-					return nil, err
-				}
-				n.IndexFiles = append(n.IndexFiles, *fc)
+			if len(refs) > 0 || len(inline) > 0 {
+				return nil, p.errf("INDEXFILE of dataset %q names a dataset", n.Name)
 			}
-			p.next() // }
+			n.IndexFiles = append(n.IndexFiles, clauses...)
 		case t.isKeyword("Dataset"):
 			c, err := p.parseDataset()
 			if err != nil {
@@ -546,24 +555,9 @@ func (p *parser) parseSpaceItems() ([]SpaceItem, error) {
 			if v.Kind != tokIdent {
 				return nil, p.errf("expected loop variable, got %s", v)
 			}
-			lo, err := p.parseExpr()
+			lo, hi, step, err := p.parseRange()
 			if err != nil {
 				return nil, err
-			}
-			if err := p.expectPunct(":"); err != nil {
-				return nil, err
-			}
-			hi, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			step := Expr(NumberExpr{1})
-			if p.peek().isPunct(":") {
-				p.next()
-				step, err = p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
 			}
 			if err := p.expectPunct("{"); err != nil {
 				return nil, err
@@ -696,28 +690,32 @@ nameDone:
 		}
 		p.next() // var
 		p.next() // =
-		lo, err := p.parseExpr()
+		lo, hi, step, err := p.parseRange()
 		if err != nil {
 			return nil, err
-		}
-		if err := p.expectPunct(":"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		step := Expr(NumberExpr{1})
-		if p.peek().isPunct(":") {
-			p.next()
-			step, err = p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
 		}
 		fc.Bindings = append(fc.Bindings, Binding{Var: t.Text, Lo: lo, Hi: hi, Step: step, Pos: t.pos()})
 	}
 	return fc, nil
+}
+
+// parseRange parses lo:hi with an optional :step (default 1).
+func (p *parser) parseRange() (lo, hi, step Expr, err error) {
+	if lo, err = p.parseExpr(); err != nil {
+		return
+	}
+	if err = p.expectPunct(":"); err != nil {
+		return
+	}
+	if hi, err = p.parseExpr(); err != nil {
+		return
+	}
+	step = NumberExpr{1}
+	if p.peek().isPunct(":") {
+		p.next()
+		step, err = p.parseExpr()
+	}
+	return
 }
 
 // parseExpr parses an integer bound expression with the usual

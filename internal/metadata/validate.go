@@ -6,335 +6,93 @@ import (
 	"datavirt/internal/schema"
 )
 
-// Validate checks the structural rules of a descriptor:
-//
-//   - the storage description exists and references a declared schema,
-//     and no DIR replica set (DIR[i] = NODES n1, n2, ...) names the
-//     same node twice;
-//   - the layout exists; every dataset node resolves to a schema via its
-//     own or an inherited DATATYPE;
-//   - leaves have DATA file clauses and exactly one of DATASPACE or
-//     CHUNKED; CHUNKED leaves also need INDEXFILE and DATAINDEX;
-//   - every attribute named in a DATASPACE, CHUNKED or DATAINDEX block
-//     resolves to a schema or DATATYPE-declared attribute (DATAINDEX may
-//     also name loop/binding variables);
-//   - loop variables do not shadow enclosing loop variables; loop bounds
-//     and file templates only use variables that something binds.
-//
-// Parse calls Validate automatically.
-func Validate(d *Descriptor) error {
-	if len(d.Schemas) == 0 {
-		return fmt.Errorf("metadata: descriptor has no schema sections")
-	}
-	if d.Storage == nil {
-		return fmt.Errorf("metadata: descriptor has no storage description")
-	}
-	if d.Schema(d.Storage.SchemaName) == nil {
-		return fmt.Errorf("metadata: storage [%s] references unknown schema %q",
-			d.Storage.DatasetName, d.Storage.SchemaName)
-	}
-	for _, e := range d.Storage.Dirs {
-		dup := map[string]bool{}
-		for _, n := range e.ReplicaNodes() {
-			if dup[n] {
-				return fmt.Errorf("metadata: storage [%s]: DIR[%d] lists node %q twice in its replica set",
-					d.Storage.DatasetName, e.Index, n)
-			}
-			dup[n] = true
-		}
-	}
-	if d.Layout == nil {
-		return fmt.Errorf("metadata: descriptor has no layout description")
-	}
-	seen := map[string]bool{}
-	return validateNode(d, d.Layout, "", nil, nil, seen)
-}
-
-// attrKinds builds the attribute table visible inside a node: the
-// effective schema's attributes plus inherited and local DATATYPE extras.
-func attrKinds(sch *schema.Schema, extras []schema.Attribute) map[string]schema.Kind {
-	t := make(map[string]schema.Kind, sch.NumAttrs()+len(extras))
-	for _, a := range sch.Attrs() {
-		t[a.Name] = a.Kind
-	}
-	for _, a := range extras {
-		t[a.Name] = a.Kind
-	}
-	return t
-}
-
-func validateNode(d *Descriptor, n *DatasetNode, inheritedType string, inheritedExtras []schema.Attribute, inheritedIndex []string, seenNames map[string]bool) error {
-	if n.Name == "" {
-		return fmt.Errorf("metadata: dataset with empty name")
-	}
-	if seenNames[n.Name] {
-		return fmt.Errorf("metadata: duplicate dataset name %q", n.Name)
-	}
-	seenNames[n.Name] = true
-
-	typeName := n.TypeName
-	if typeName == "" {
-		typeName = inheritedType
-	}
-	if typeName == "" {
-		return fmt.Errorf("metadata: dataset %q has no DATATYPE (own or inherited)", n.Name)
-	}
-	sch := d.Schema(typeName)
-	if sch == nil {
-		return fmt.Errorf("metadata: dataset %q references unknown schema %q", n.Name, typeName)
-	}
-	extras := append(append([]schema.Attribute(nil), inheritedExtras...), n.ExtraAttrs...)
-	table := attrKinds(sch, extras)
-	indexAttrs := n.IndexAttrs
-	if len(indexAttrs) == 0 {
-		indexAttrs = inheritedIndex
-	}
-
-	if !n.IsLeaf() {
-		if n.Space != nil || len(n.Chunked) > 0 || len(n.Files) > 0 || len(n.IndexFiles) > 0 {
-			return fmt.Errorf("metadata: dataset %q has both children and leaf clauses", n.Name)
+// pathTo returns the dataset nodes from the layout root down to
+// target, or nil when target is not in the layout.
+func (d *Descriptor) pathTo(target *DatasetNode) []*DatasetNode {
+	var walk func(n *DatasetNode, path []*DatasetNode) []*DatasetNode
+	walk = func(n *DatasetNode, path []*DatasetNode) []*DatasetNode {
+		path = append(path, n)
+		if n == target {
+			return path
 		}
 		for _, c := range n.Children {
-			if err := validateNode(d, c, typeName, extras, indexAttrs, seenNames); err != nil {
-				return err
+			if p := walk(c, path); p != nil {
+				return p
 			}
 		}
-		return validateIndexAttrs(n, table, nil)
+		return nil
 	}
-
-	// Leaf rules.
-	if len(n.Files) == 0 {
-		return fmt.Errorf("metadata: leaf dataset %q has no DATA file clauses", n.Name)
+	if d.Layout == nil {
+		return nil
 	}
-	switch {
-	case n.Space != nil && len(n.Chunked) > 0:
-		return fmt.Errorf("metadata: dataset %q has both DATASPACE and CHUNKED", n.Name)
-	case n.Space == nil && len(n.Chunked) == 0:
-		return fmt.Errorf("metadata: leaf dataset %q has neither DATASPACE nor CHUNKED", n.Name)
-	}
-	if len(n.Chunked) > 0 {
-		if len(n.IndexFiles) == 0 {
-			return fmt.Errorf("metadata: chunked dataset %q has no INDEXFILE", n.Name)
-		}
-		if len(indexAttrs) == 0 {
-			return fmt.Errorf("metadata: chunked dataset %q has no DATAINDEX (own or inherited)", n.Name)
-		}
-		for _, a := range n.Chunked {
-			if _, ok := table[a]; !ok {
-				return fmt.Errorf("metadata: dataset %q: CHUNKED names unknown attribute %q", n.Name, a)
-			}
-		}
-	}
-
-	// Variables bound by file clauses (union across clauses).
-	bound := map[string]bool{}
-	for i := range n.Files {
-		if err := validateFileClause(d, n, &n.Files[i], bound); err != nil {
-			return err
-		}
-	}
-	for i := range n.IndexFiles {
-		if err := validateFileClause(d, n, &n.IndexFiles[i], bound); err != nil {
-			return err
-		}
-	}
-
-	if n.Space != nil {
-		loopVars := map[string]bool{}
-		if err := validateSpaceItems(n, n.Space.Items, table, bound, loopVars, map[string]bool{}); err != nil {
-			return err
-		}
-		for v := range loopVars {
-			bound[v] = true
-		}
-	}
-	return validateIndexAttrs(n, table, bound)
-}
-
-func validateIndexAttrs(n *DatasetNode, table map[string]schema.Kind, bound map[string]bool) error {
-	for _, a := range n.IndexAttrs {
-		if _, ok := table[a]; ok {
-			continue
-		}
-		if bound != nil && bound[a] {
-			continue
-		}
-		if n.IsLeaf() {
-			return fmt.Errorf("metadata: dataset %q: DATAINDEX names unknown attribute %q", n.Name, a)
-		}
-		// Non-leaf DATAINDEX may name variables bound in descendants; the
-		// layout compiler re-checks with full context.
-	}
-	return nil
-}
-
-func validateFileClause(d *Descriptor, n *DatasetNode, fc *FileClause, boundOut map[string]bool) error {
-	clauseVars := map[string]bool{}
-	for _, b := range fc.Bindings {
-		if clauseVars[b.Var] {
-			return fmt.Errorf("metadata: dataset %q: duplicate binding for %q in file clause", n.Name, b.Var)
-		}
-		clauseVars[b.Var] = true
-	}
-	// Binding bounds may reference bindings that appear earlier in the
-	// same clause.
-	earlier := map[string]bool{}
-	for _, b := range fc.Bindings {
-		for _, v := range exprVarsSorted(b.Lo, b.Hi, b.Step) {
-			if !earlier[v] {
-				return fmt.Errorf("metadata: dataset %q: binding %s uses variable $%s not bound earlier in the clause", n.Name, b.Var, v)
-			}
-		}
-		earlier[b.Var] = true
-	}
-	// Template vars (dir expression and name) must be clause-bound.
-	for _, v := range fc.Vars() {
-		if !clauseVars[v] {
-			return fmt.Errorf("metadata: dataset %q: file template uses unbound variable $%s", n.Name, v)
-		}
-	}
-	// Dir expression must be resolvable to a storage index at expansion;
-	// constant dirs can be checked now.
-	if c, ok := fc.Dir.(NumberExpr); ok {
-		if c.Value < 0 || int(c.Value) >= len(d.Storage.Dirs) {
-			return fmt.Errorf("metadata: dataset %q: DIR[%d] out of range (have %d directories)", n.Name, c.Value, len(d.Storage.Dirs))
-		}
-	}
-	for v := range clauseVars {
-		boundOut[v] = true
-	}
-	return nil
-}
-
-func validateSpaceItems(n *DatasetNode, items []SpaceItem, table map[string]schema.Kind, fileVars map[string]bool, loopVarsOut map[string]bool, enclosing map[string]bool) error {
-	sawAny := false
-	for _, it := range items {
-		switch item := it.(type) {
-		case AttrRef:
-			sawAny = true
-			if _, ok := table[item.Name]; !ok {
-				return fmt.Errorf("metadata: dataset %q: DATASPACE names unknown attribute %q", n.Name, item.Name)
-			}
-		case *Loop:
-			sawAny = true
-			if enclosing[item.Var] {
-				return fmt.Errorf("metadata: dataset %q: loop variable %q shadows an enclosing loop", n.Name, item.Var)
-			}
-			if k, isAttr := table[item.Var]; isAttr && !k.Integral() {
-				return fmt.Errorf("metadata: dataset %q: loop variable %q matches non-integral attribute", n.Name, item.Var)
-			}
-			for _, v := range exprVarsSorted(item.Lo, item.Hi, item.Step) {
-				if !fileVars[v] && !enclosing[v] {
-					return fmt.Errorf("metadata: dataset %q: loop bound uses unbound variable $%s", n.Name, v)
-				}
-			}
-			if len(item.Body) == 0 {
-				return fmt.Errorf("metadata: dataset %q: empty LOOP %s body", n.Name, item.Var)
-			}
-			loopVarsOut[item.Var] = true
-			inner := make(map[string]bool, len(enclosing)+1)
-			for v := range enclosing {
-				inner[v] = true
-			}
-			inner[item.Var] = true
-			if err := validateSpaceItems(n, item.Body, table, fileVars, loopVarsOut, inner); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("metadata: dataset %q: unknown dataspace item %T", n.Name, it)
-		}
-	}
-	if !sawAny {
-		return fmt.Errorf("metadata: dataset %q: empty DATASPACE", n.Name)
-	}
-	return nil
+	return walk(d.Layout, nil)
 }
 
 // EffectiveIndexAttrs resolves the DATAINDEX attribute list visible at
 // target: its own if declared, otherwise the nearest ancestor's.
 func (d *Descriptor) EffectiveIndexAttrs(target *DatasetNode) []string {
-	var walk func(n *DatasetNode, inherited []string) ([]string, bool)
-	walk = func(n *DatasetNode, inherited []string) ([]string, bool) {
-		attrs := n.IndexAttrs
-		if len(attrs) == 0 {
-			attrs = inherited
+	var attrs []string
+	for _, n := range d.pathTo(target) {
+		if len(n.IndexAttrs) > 0 {
+			attrs = n.IndexAttrs
 		}
-		if n == target {
-			return attrs, true
-		}
-		for _, c := range n.Children {
-			if got, ok := walk(c, attrs); ok {
-				return got, true
-			}
-		}
-		return nil, false
 	}
-	if d.Layout == nil {
-		return nil
-	}
-	got, _ := walk(d.Layout, nil)
-	return got
+	return attrs
 }
 
 // EffectiveByteOrder resolves the byte order in force at target: its
 // own BYTEORDER if declared, otherwise the nearest ancestor's, with
 // LITTLE as the overall default.
 func (d *Descriptor) EffectiveByteOrder(target *DatasetNode) string {
-	var walk func(n *DatasetNode, inherited string) (string, bool)
-	walk = func(n *DatasetNode, inherited string) (string, bool) {
-		order := n.ByteOrder
-		if order == "" {
-			order = inherited
+	order := "LITTLE"
+	for _, n := range d.pathTo(target) {
+		if n.ByteOrder != "" {
+			order = n.ByteOrder
 		}
-		if n == target {
-			return order, true
-		}
-		for _, c := range n.Children {
-			if got, ok := walk(c, order); ok {
-				return got, true
-			}
-		}
-		return "", false
 	}
-	if d.Layout == nil {
-		return "LITTLE"
-	}
-	got, ok := walk(d.Layout, "")
-	if !ok || got == "" {
-		return "LITTLE"
-	}
-	return got
+	return order
 }
 
 // EffectiveSchema resolves the schema a node realizes, walking from the
 // root. It returns the schema plus the DATATYPE extras accumulated on
 // the path. The node must be reachable from d.Layout.
 func (d *Descriptor) EffectiveSchema(target *DatasetNode) (*schema.Schema, []schema.Attribute, error) {
-	var walk func(n *DatasetNode, typeName string, extras []schema.Attribute) (*schema.Schema, []schema.Attribute, bool)
-	walk = func(n *DatasetNode, typeName string, extras []schema.Attribute) (*schema.Schema, []schema.Attribute, bool) {
-		if n.TypeName != "" {
-			typeName = n.TypeName
-		}
-		extras = append(append([]schema.Attribute(nil), extras...), n.ExtraAttrs...)
-		if n == target {
-			return d.Schema(typeName), extras, true
-		}
-		for _, c := range n.Children {
-			if s, e, ok := walk(c, typeName, extras); ok {
-				return s, e, ok
-			}
-		}
-		return nil, nil, false
-	}
 	if d.Layout == nil {
 		return nil, nil, fmt.Errorf("metadata: descriptor has no layout")
 	}
-	s, e, ok := walk(d.Layout, "", nil)
-	if !ok {
+	path := d.pathTo(target)
+	if path == nil {
 		return nil, nil, fmt.Errorf("metadata: dataset %q not found in layout", target.Name)
 	}
+	var typeName string
+	var extras []schema.Attribute
+	for _, n := range path {
+		if n.TypeName != "" {
+			typeName = n.TypeName
+		}
+		extras = append(extras, n.ExtraAttrs...)
+	}
+	s := d.Schema(typeName)
 	if s == nil {
 		return nil, nil, fmt.Errorf("metadata: dataset %q has no resolvable schema", target.Name)
 	}
-	return s, e, nil
+	return s, extras, nil
+}
+
+// LeafKinds returns the attribute table visible at node: its effective
+// schema's attributes plus the DATATYPE extras on the path to it, a
+// later declaration overriding an earlier one.
+func (d *Descriptor) LeafKinds(node *DatasetNode) (map[string]schema.Kind, error) {
+	sch, extras, err := d.EffectiveSchema(node)
+	if err != nil {
+		return nil, err
+	}
+	kinds := make(map[string]schema.Kind, sch.NumAttrs()+len(extras))
+	for _, a := range sch.Attrs() {
+		kinds[a.Name] = a.Kind
+	}
+	for _, a := range extras {
+		kinds[a.Name] = a.Kind
+	}
+	return kinds, nil
 }

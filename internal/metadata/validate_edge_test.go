@@ -5,6 +5,7 @@
 package metadata_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ DatasetDescription = S
 DIR[0] = n0/d
 `
 
-func hasCode(ds []desclint.Diagnostic, code string) bool {
+func hasCode(ds []metadata.Diagnostic, code string) bool {
 	for _, d := range ds {
 		if d.Code == code {
 			return true
@@ -30,18 +31,32 @@ func hasCode(ds []desclint.Diagnostic, code string) bool {
 	return false
 }
 
-// A LOOP whose constant bounds describe zero iterations is structurally
-// valid — Validate only checks binding/shadowing rules — but describes
-// an empty dataspace; the static checker is the layer that catches it.
-func TestZeroExtentLoopSplitsAcrossLayers(t *testing.T) {
+// wantRejected asserts that Parse rejects src with a typed *Error of
+// the given code at pos, and that the descriptor linter reports the
+// same code at the same place.
+func wantRejected(t *testing.T, src, code string, pos metadata.Pos) {
+	t.Helper()
+	_, err := metadata.Parse(src)
+	var me *metadata.Error
+	if !errors.As(err, &me) {
+		t.Fatalf("Parse error = %v, want a *metadata.Error", err)
+	}
+	if me.Code != code || me.Pos != pos {
+		t.Errorf("Parse error %v: code %s at %s, want %s at %s", err, me.Code, me.Pos, code, pos)
+	}
+	for _, d := range desclint.Check("edge.dvd", src) {
+		if d.Code == code && d.Line == pos.Line && d.Col == pos.Col {
+			return
+		}
+	}
+	t.Errorf("descriptor linter did not report %s at %s", code, pos)
+}
+
+// A LOOP whose constant bounds describe zero iterations describes an
+// empty dataspace; Parse rejects it where the LOOP is.
+func TestZeroExtentLoopRejected(t *testing.T) {
 	src := edgeHeader + `Dataset "x" { DATATYPE { S } DATASPACE { LOOP I 5:1:1 { A } } DATA { DIR[0]/f } }`
-	if _, err := metadata.Parse(src); err != nil {
-		t.Fatalf("Validate should accept a zero-extent loop (extent checks are the linter's): %v", err)
-	}
-	ds := desclint.Check("zero.dvd", src)
-	if !hasCode(ds, "loop-extent") {
-		t.Errorf("descriptor linter did not flag the zero-extent loop: %v", ds)
-	}
+	wantRejected(t, src, "loop-extent", metadata.Pos{Line: 8, Col: 42})
 }
 
 // Duplicate attribute names inside one schema section are rejected at
@@ -58,18 +73,12 @@ func TestDuplicateSchemaAttributeRejected(t *testing.T) {
 	}
 }
 
-// A DATATYPE extra that re-declares a schema attribute is silently
-// shadowed by Validate (the attribute table is last-writer-wins); when
-// the kinds disagree the static checker reports the conflict.
+// A DATATYPE extra that re-declares a schema attribute with another
+// kind would change the attribute's width mid-tree; Parse rejects it
+// at the dataset.
 func TestDatatypeExtraShadowingSchemaAttr(t *testing.T) {
 	src := edgeHeader + `Dataset "x" { DATATYPE { S A = short int } DATASPACE { A B } DATA { DIR[0]/f } }`
-	if _, err := metadata.Parse(src); err != nil {
-		t.Fatalf("Validate should tolerate a shadowing DATATYPE extra: %v", err)
-	}
-	ds := desclint.Check("shadow.dvd", src)
-	if !hasCode(ds, "type-conflict") {
-		t.Errorf("descriptor linter did not flag the kind conflict on A: %v", ds)
-	}
+	wantRejected(t, src, "type-conflict", metadata.Pos{Line: 8, Col: 1})
 }
 
 // An empty DATASET block is a leaf with no clauses at all; Validate
@@ -89,7 +98,7 @@ func TestEmptyDatasetBlockRejected(t *testing.T) {
 		if !strings.Contains(err.Error(), `"x"`) && !strings.Contains(err.Error(), `"y"`) {
 			t.Errorf("%s: error does not name the dataset: %v", name, err)
 		}
-		if ds := desclint.Check(name+".dvd", src); !desclint.HasErrors(ds) {
+		if ds := desclint.Check(name+".dvd", src); !metadata.HasErrors(ds) {
 			t.Errorf("%s: descriptor linter reported no error: %v", name, ds)
 		}
 	}

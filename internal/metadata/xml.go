@@ -49,13 +49,14 @@ import (
 func ToXML(d *Descriptor) (string, error) {
 	var b strings.Builder
 	b.WriteString(xml.Header)
-	enc := xml.NewEncoder(&b)
-	enc.Indent("", "  ")
-	if err := encodeDescriptor(enc, d); err != nil {
-		return "", err
+	o := &xmlOut{enc: xml.NewEncoder(&b)}
+	o.enc.Indent("", "  ")
+	o.descriptor(d)
+	if o.err == nil {
+		o.err = o.enc.Flush()
 	}
-	if err := enc.Flush(); err != nil {
-		return "", err
+	if o.err != nil {
+		return "", o.err
 	}
 	b.WriteByte('\n')
 	return b.String(), nil
@@ -69,34 +70,40 @@ func attr(name, value string) xml.Attr {
 	return xml.Attr{Name: xml.Name{Local: name}, Value: value}
 }
 
-func encodeDescriptor(enc *xml.Encoder, d *Descriptor) error {
-	root := elem("descriptor")
-	if err := enc.EncodeToken(root); err != nil {
-		return err
+// xmlOut encodes tokens and keeps the first error, so the encoder
+// reads as the document it writes.
+type xmlOut struct {
+	enc *xml.Encoder
+	err error
+}
+
+func (o *xmlOut) token(t xml.Token) {
+	if o.err == nil {
+		o.err = o.enc.EncodeToken(t)
 	}
+}
+
+// open starts an element and returns its end token.
+func (o *xmlOut) open(name string, attrs ...xml.Attr) xml.EndElement {
+	se := elem(name, attrs...)
+	o.token(se)
+	return se.End()
+}
+
+// empty writes an element without content.
+func (o *xmlOut) empty(name string, attrs ...xml.Attr) { o.token(o.open(name, attrs...)) }
+
+func (o *xmlOut) descriptor(d *Descriptor) {
+	end := o.open("descriptor")
 	for _, s := range d.Schemas {
-		se := elem("schema", attr("name", s.Name()))
-		if err := enc.EncodeToken(se); err != nil {
-			return err
-		}
+		se := o.open("schema", attr("name", s.Name()))
 		for _, a := range s.Attrs() {
-			ae := elem("attribute", attr("name", a.Name), attr("type", a.Kind.String()))
-			if err := enc.EncodeToken(ae); err != nil {
-				return err
-			}
-			if err := enc.EncodeToken(ae.End()); err != nil {
-				return err
-			}
+			o.empty("attribute", attr("name", a.Name), attr("type", a.Kind.String()))
 		}
-		if err := enc.EncodeToken(se.End()); err != nil {
-			return err
-		}
+		o.token(se)
 	}
 	if d.Storage != nil {
-		se := elem("storage", attr("dataset", d.Storage.DatasetName), attr("schema", d.Storage.SchemaName))
-		if err := enc.EncodeToken(se); err != nil {
-			return err
-		}
+		se := o.open("storage", attr("dataset", d.Storage.DatasetName), attr("schema", d.Storage.SchemaName))
 		for _, dir := range d.Storage.Dirs {
 			attrs := []xml.Attr{attr("index", fmt.Sprint(dir.Index)),
 				attr("node", dir.Node), attr("path", dir.Path)}
@@ -105,160 +112,81 @@ func encodeDescriptor(enc *xml.Encoder, d *Descriptor) error {
 				// compatibility; nodes carries the full ordered set.
 				attrs = append(attrs, attr("nodes", strings.Join(dir.Nodes, ",")))
 			}
-			de := elem("dir", attrs...)
-			if err := enc.EncodeToken(de); err != nil {
-				return err
-			}
-			if err := enc.EncodeToken(de.End()); err != nil {
-				return err
-			}
+			o.empty("dir", attrs...)
 		}
-		if err := enc.EncodeToken(se.End()); err != nil {
-			return err
-		}
+		o.token(se)
 	}
 	if d.Layout != nil {
-		if err := encodeDataset(enc, d.Layout); err != nil {
-			return err
-		}
+		o.dataset(d.Layout)
 	}
-	return enc.EncodeToken(root.End())
+	o.token(end)
 }
 
-func encodeDataset(enc *xml.Encoder, n *DatasetNode) error {
+func (o *xmlOut) dataset(n *DatasetNode) {
 	attrs := []xml.Attr{attr("name", n.Name)}
 	if n.ByteOrder != "" {
 		attrs = append(attrs, attr("byteorder", n.ByteOrder))
 	}
-	de := elem("dataset", attrs...)
-	if err := enc.EncodeToken(de); err != nil {
-		return err
-	}
+	end := o.open("dataset", attrs...)
 	if n.TypeName != "" || len(n.ExtraAttrs) > 0 {
 		var attrs []xml.Attr
 		if n.TypeName != "" {
 			attrs = append(attrs, attr("schema", n.TypeName))
 		}
-		te := elem("datatype", attrs...)
-		if err := enc.EncodeToken(te); err != nil {
-			return err
-		}
+		te := o.open("datatype", attrs...)
 		for _, a := range n.ExtraAttrs {
-			ae := elem("attribute", attr("name", a.Name), attr("type", a.Kind.String()))
-			if err := enc.EncodeToken(ae); err != nil {
-				return err
-			}
-			if err := enc.EncodeToken(ae.End()); err != nil {
-				return err
-			}
+			o.empty("attribute", attr("name", a.Name), attr("type", a.Kind.String()))
 		}
-		if err := enc.EncodeToken(te.End()); err != nil {
-			return err
-		}
+		o.token(te)
 	}
 	if len(n.IndexAttrs) > 0 {
-		ie := elem("dataindex", attr("attrs", strings.Join(n.IndexAttrs, " ")))
-		if err := enc.EncodeToken(ie); err != nil {
-			return err
-		}
-		if err := enc.EncodeToken(ie.End()); err != nil {
-			return err
-		}
+		o.empty("dataindex", attr("attrs", strings.Join(n.IndexAttrs, " ")))
 	}
 	if n.Space != nil {
-		se := elem("dataspace")
-		if err := enc.EncodeToken(se); err != nil {
-			return err
-		}
-		if err := encodeSpaceItems(enc, n.Space.Items); err != nil {
-			return err
-		}
-		if err := enc.EncodeToken(se.End()); err != nil {
-			return err
-		}
+		se := o.open("dataspace")
+		o.spaceItems(n.Space.Items)
+		o.token(se)
 	}
 	if len(n.Chunked) > 0 {
-		ce := elem("chunked", attr("attrs", strings.Join(n.Chunked, " ")))
-		if err := enc.EncodeToken(ce); err != nil {
-			return err
-		}
-		if err := enc.EncodeToken(ce.End()); err != nil {
-			return err
-		}
+		o.empty("chunked", attr("attrs", strings.Join(n.Chunked, " ")))
 	}
 	for _, c := range n.Children {
-		if err := encodeDataset(enc, c); err != nil {
-			return err
-		}
+		o.dataset(c)
 	}
-	if err := encodeFileBlock(enc, "data", n.Files); err != nil {
-		return err
-	}
-	if err := encodeFileBlock(enc, "indexfile", n.IndexFiles); err != nil {
-		return err
-	}
-	return enc.EncodeToken(de.End())
+	o.fileBlock("data", n.Files)
+	o.fileBlock("indexfile", n.IndexFiles)
+	o.token(end)
 }
 
-func encodeFileBlock(enc *xml.Encoder, name string, clauses []FileClause) error {
+func (o *xmlOut) fileBlock(name string, clauses []FileClause) {
 	if len(clauses) == 0 {
-		return nil
+		return
 	}
-	be := elem(name)
-	if err := enc.EncodeToken(be); err != nil {
-		return err
-	}
+	end := o.open(name)
 	for i := range clauses {
 		fc := &clauses[i]
-		fe := elem("file", attr("dir", fc.Dir.String()), attr("name", fc.NameString()))
-		if err := enc.EncodeToken(fe); err != nil {
-			return err
-		}
+		fe := o.open("file", attr("dir", fc.Dir.String()), attr("name", fc.NameString()))
 		for _, bnd := range fc.Bindings {
-			bnde := elem("bind", attr("var", bnd.Var), attr("lo", bnd.Lo.String()),
+			o.empty("bind", attr("var", bnd.Var), attr("lo", bnd.Lo.String()),
 				attr("hi", bnd.Hi.String()), attr("step", bnd.Step.String()))
-			if err := enc.EncodeToken(bnde); err != nil {
-				return err
-			}
-			if err := enc.EncodeToken(bnde.End()); err != nil {
-				return err
-			}
 		}
-		if err := enc.EncodeToken(fe.End()); err != nil {
-			return err
-		}
+		o.token(fe)
 	}
-	return enc.EncodeToken(be.End())
+	o.token(end)
 }
 
-func encodeSpaceItems(enc *xml.Encoder, items []SpaceItem) error {
+func (o *xmlOut) spaceItems(items []SpaceItem) {
 	for _, it := range items {
 		switch v := it.(type) {
 		case AttrRef:
-			ae := elem("attr", attr("name", v.Name))
-			if err := enc.EncodeToken(ae); err != nil {
-				return err
-			}
-			if err := enc.EncodeToken(ae.End()); err != nil {
-				return err
-			}
+			o.empty("attr", attr("name", v.Name))
 		case *Loop:
-			le := elem("loop", attr("var", v.Var), attr("lo", v.Lo.String()),
+			le := o.open("loop", attr("var", v.Var), attr("lo", v.Lo.String()),
 				attr("hi", v.Hi.String()), attr("step", v.Step.String()))
-			if err := enc.EncodeToken(le); err != nil {
-				return err
-			}
-			if err := encodeSpaceItems(enc, v.Body); err != nil {
-				return err
-			}
-			if err := enc.EncodeToken(le.End()); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("metadata: unknown space item %T", it)
+			o.spaceItems(v.Body)
+			o.token(le)
 		}
 	}
-	return nil
 }
 
 // ParseXML parses the XML embedding back into a validated descriptor.
@@ -406,21 +334,7 @@ func decodeStorage(dec *xml.Decoder, se xml.StartElement) (*Storage, error) {
 			if len(st.Dirs) == 0 {
 				return nil, fmt.Errorf("metadata: xml: <storage> has no <dir> entries")
 			}
-			// Enforce contiguous 0..n-1 indices, as the text form does.
-			for want := range st.Dirs {
-				found := -1
-				for i := range st.Dirs {
-					if st.Dirs[i].Index == want {
-						found = i
-						break
-					}
-				}
-				if found < 0 {
-					return nil, fmt.Errorf("metadata: xml: DIR indices must be contiguous from 0; missing %d", want)
-				}
-				st.Dirs[want], st.Dirs[found] = st.Dirs[found], st.Dirs[want]
-			}
-			return st, nil
+			return st, orderDirs(st)
 		}
 	}
 }

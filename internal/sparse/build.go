@@ -393,16 +393,9 @@ func BuildDataset(d *metadata.Descriptor, resolve Resolver, opt BuildOptions, lo
 		if len(node.Chunked) > 0 {
 			continue
 		}
-		esch, extras, err := d.EffectiveSchema(node)
+		kinds, err := d.LeafKinds(node)
 		if err != nil {
 			return written, err
-		}
-		kinds := make(map[string]schema.Kind, esch.NumAttrs()+len(extras))
-		for _, a := range esch.Attrs() {
-			kinds[a.Name] = a.Kind
-		}
-		for _, a := range extras {
-			kinds[a.Name] = a.Kind
 		}
 		leaf, err := layout.CompileLeaf(node, kinds)
 		if err != nil {
@@ -465,16 +458,9 @@ func VerifyDataset(d *metadata.Descriptor, resolve Resolver, logf func(format st
 		if len(node.Chunked) > 0 {
 			continue
 		}
-		esch, extras, err := d.EffectiveSchema(node)
+		kinds, err := d.LeafKinds(node)
 		if err != nil {
 			return verified, err
-		}
-		kinds := make(map[string]schema.Kind, esch.NumAttrs()+len(extras))
-		for _, a := range esch.Attrs() {
-			kinds[a.Name] = a.Kind
-		}
-		for _, a := range extras {
-			kinds[a.Name] = a.Kind
 		}
 		leaf, err := layout.CompileLeaf(node, kinds)
 		if err != nil {
