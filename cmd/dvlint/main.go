@@ -11,8 +11,6 @@
 //	dvlint [-json] [-only analyzer[,analyzer]] ./...
 //	dvlint ./internal/cache ./internal/core
 //	dvlint -list              # print the registered analyzers (JSON with -json)
-//	dvlint -generate          # rewrite the stats merge code from the structs
-//	dvlint -generate -check   # exit 1 if the generated files are stale
 //
 // -list prints one analyzer per line as "name<TAB>doc"; CI diffs it
 // against the checked-in manifest (cmd/dvlint/analyzers.txt) so the
@@ -20,11 +18,6 @@
 //
 // Suppress a finding with a comment on the same line or the line
 // above: //dvlint:ignore <analyzer> <reason>
-//
-// -generate derives obs.QueryStats.Add and the cluster trailer merge
-// from the struct definitions (see internal/lint/generate.go), so a
-// newly added counter can never be silently dropped from either merge.
-// CI runs -generate -check to keep the committed files fresh.
 package main
 
 import (
@@ -43,8 +36,6 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	only := flag.String("only", "", "comma-separated analyzer subset to run")
 	list := flag.Bool("list", false, "print the registered analyzers and exit")
-	generate := flag.Bool("generate", false, "regenerate the stats merge files instead of linting")
-	check := flag.Bool("check", false, "with -generate: verify freshness without writing, exit 1 on drift")
 	flag.Parse()
 
 	if *list {
@@ -52,19 +43,6 @@ func main() {
 			fatal(err)
 		}
 		return
-	}
-	if *generate {
-		moduleDir, modulePath, err := findModule()
-		if err != nil {
-			fatal(err)
-		}
-		if err := runGenerate(moduleDir, modulePath, *check); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *check {
-		fatal(fmt.Errorf("-check requires -generate"))
 	}
 
 	analyzers := lint.All()
@@ -146,36 +124,6 @@ func printAnalyzers(w io.Writer, asJSON bool) error {
 		if _, err := fmt.Fprintf(w, "%s\t%s\n", a.Name, a.Doc); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// runGenerate rewrites (or, with check, verifies) the generated stats
-// merge files.
-func runGenerate(moduleDir, modulePath string, check bool) error {
-	files, err := lint.GeneratedStatsFiles(moduleDir, modulePath)
-	if err != nil {
-		return err
-	}
-	stale := 0
-	for rel, want := range files {
-		abs := filepath.Join(moduleDir, filepath.FromSlash(rel))
-		have, readErr := os.ReadFile(abs)
-		if readErr == nil && string(have) == string(want) {
-			continue
-		}
-		if check {
-			fmt.Fprintf(os.Stderr, "dvlint: %s is stale; run dvlint -generate\n", rel)
-			stale++
-			continue
-		}
-		if err := os.WriteFile(abs, want, 0o644); err != nil {
-			return err
-		}
-		fmt.Println("wrote", rel)
-	}
-	if stale > 0 {
-		os.Exit(1)
 	}
 	return nil
 }

@@ -36,7 +36,6 @@ type config struct {
 	header   bool
 	explain  bool
 	stats    bool
-	scalar   bool
 	timeout  time.Duration
 
 	cacheMB    int
@@ -68,7 +67,6 @@ func main() {
 	flag.BoolVar(&cfg.header, "header", true, "print a column header line")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the query plan (ranges and aligned file chunks) instead of rows")
 	flag.BoolVar(&cfg.stats, "stats", false, "print per-stage query statistics after the summary")
-	flag.BoolVar(&cfg.scalar, "scalar-filter", false, "evaluate WHERE per row instead of vectorized (diagnostic)")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "cancel the query after this duration (0 = none)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "block cache budget in MiB (0 disables block caching; handles stay pooled)")
 	flag.IntVar(&cfg.cacheBlock, "cache-block", 256<<10, "block cache block size in bytes")
@@ -174,7 +172,6 @@ func runLocal(ctx context.Context, svc *core.Service, sql string, cfg config) er
 	start := time.Now()
 	rows, err := prep.QueryContext(ctx, core.Options{
 		Parallel: cfg.parallel, Workers: cfg.workers, NoCache: cfg.noCache, NoSparse: cfg.noSparse,
-		ScalarFilter: cfg.scalar,
 	})
 	if err != nil {
 		return err

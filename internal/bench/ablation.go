@@ -12,6 +12,7 @@ import (
 	"datavirt/internal/gen"
 	"datavirt/internal/index"
 	"datavirt/internal/metadata"
+	"datavirt/internal/obs"
 	"datavirt/internal/query"
 	"datavirt/internal/sqlparser"
 	"datavirt/internal/table"
@@ -62,7 +63,7 @@ func RunAblationIndex(cfg Config) (*Table, error) {
 			return err
 		}
 		var rows int64
-		var stats extractor.Stats
+		var stats obs.QueryStats
 		dur, err := timeBest(cfg, func() error {
 			rows = 0
 			var e error
@@ -212,10 +213,10 @@ func RunAblationCoalesce(cfg Config) (*Table, error) {
 			var rows int64
 			var chunks int
 			dur, err := timeBest(cfg, func() error {
-				var stats extractor.Stats
+				var stats obs.QueryStats
 				var err error
 				rows, stats, err = countRows(prep, core.Options{Coalesce: coalesce})
-				chunks = stats.AFCs
+				chunks = stats.ChunksRead
 				return err
 			})
 			if err != nil {

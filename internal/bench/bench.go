@@ -15,7 +15,7 @@ import (
 	"time"
 
 	"datavirt/internal/core"
-	"datavirt/internal/extractor"
+	"datavirt/internal/obs"
 	"datavirt/internal/table"
 )
 
@@ -189,7 +189,7 @@ func prepare(svc *core.Service, sql string) (*core.Prepared, error) {
 }
 
 // countRows runs a prepared query and counts the rows it emits.
-func countRows(prep *core.Prepared, opt core.Options) (int64, extractor.Stats, error) {
+func countRows(prep *core.Prepared, opt core.Options) (int64, obs.QueryStats, error) {
 	var n int64
 	stats, err := prep.RunContext(context.Background(), opt, func(table.Row) error { n++; return nil })
 	return n, stats, err

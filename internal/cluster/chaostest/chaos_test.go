@@ -320,9 +320,9 @@ func TestCorruptSidecarFailover(t *testing.T) {
 	if res.QueryStats.ReplicaFailovers < 1 {
 		t.Errorf("ReplicaFailovers = %d, want >= 1", res.QueryStats.ReplicaFailovers)
 	}
-	if res.Stats.SparseIndexMisses < 1 {
+	if res.QueryStats.SparseIndexMisses < 1 {
 		t.Errorf("SparseIndexMisses = %d, want >= 1 (corrupt sidecar should fall back, not vanish)",
-			res.Stats.SparseIndexMisses)
+			res.QueryStats.SparseIndexMisses)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -13,6 +14,8 @@ import (
 	"datavirt/internal/core"
 	"datavirt/internal/gen"
 	"datavirt/internal/metadata"
+	"datavirt/internal/obs"
+	"datavirt/internal/sparse"
 	"datavirt/internal/storm"
 	"datavirt/internal/table"
 )
@@ -94,8 +97,8 @@ func TestDistributedFullScan(t *testing.T) {
 			t.Errorf("node %s produced %d rows", n, c)
 		}
 	}
-	if res.Stats.RowsScanned != s.IparsTotalRows() {
-		t.Errorf("scanned = %d", res.Stats.RowsScanned)
+	if res.QueryStats.RowsScanned != s.IparsTotalRows() {
+		t.Errorf("scanned = %d", res.QueryStats.RowsScanned)
 	}
 }
 
@@ -518,12 +521,8 @@ func TestClusterCacheStatsCrossWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Stats.CacheMisses == 0 || cold.Stats.FSBytesRead == 0 {
-		t.Fatalf("cold distributed query reported no cache traffic: %+v", cold.Stats)
-	}
-	if cold.QueryStats.CacheMisses != cold.Stats.CacheMisses ||
-		cold.QueryStats.FSBytesRead != cold.Stats.FSBytesRead {
-		t.Errorf("QueryStats dropped cache counters: %+v vs %+v", cold.QueryStats, cold.Stats)
+	if cold.QueryStats.CacheMisses == 0 || cold.QueryStats.FSBytesRead == 0 {
+		t.Fatalf("cold distributed query reported no cache traffic: %+v", cold.QueryStats)
 	}
 
 	// Node services keep their block caches across queries: a repeat of
@@ -535,13 +534,75 @@ func TestClusterCacheStatsCrossWire(t *testing.T) {
 	if warm.Rows != cold.Rows || warm.Rows == 0 {
 		t.Fatalf("warm rows = %d, cold = %d", warm.Rows, cold.Rows)
 	}
-	if warm.Stats.FSBytesRead != 0 {
-		t.Errorf("warm distributed query read %d fs bytes, want 0", warm.Stats.FSBytesRead)
+	if warm.QueryStats.FSBytesRead != 0 {
+		t.Errorf("warm distributed query read %d fs bytes, want 0", warm.QueryStats.FSBytesRead)
 	}
-	if warm.Stats.CacheHits == 0 || warm.Stats.CacheMisses != 0 {
-		t.Errorf("warm distributed query not cache-served: %+v", warm.Stats)
+	if warm.QueryStats.CacheHits == 0 || warm.QueryStats.CacheMisses != 0 {
+		t.Errorf("warm distributed query not cache-served: %+v", warm.QueryStats)
 	}
-	if warm.Stats.BytesRead != cold.Stats.BytesRead {
-		t.Errorf("analytic BytesRead changed warm: %d vs %d", warm.Stats.BytesRead, cold.Stats.BytesRead)
+	if warm.QueryStats.BytesRead != cold.QueryStats.BytesRead {
+		t.Errorf("analytic BytesRead changed warm: %d vs %d", warm.QueryStats.BytesRead, cold.QueryStats.BytesRead)
+	}
+}
+
+// TestCounterParityWithLocal holds the coordinator's sum over the legs'
+// records to the local record of the same query over the same files:
+// a counter a node counts but the trailer or the merge drops reads
+// lower in the distributed record and fails here.
+func TestCounterParityWithLocal(t *testing.T) {
+	root := t.TempDir()
+	descPath, err := gen.WriteIpars(root, defaultSpec(), "CLUSTER")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := metadata.ParseFile(descPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sparse.BuildDataset(d, sparse.NodeResolver(root), sparse.BuildOptions{BlockBytes: 512}, nil); err != nil {
+		t.Fatal(err)
+	}
+	coord := startClusterAt(t, descPath, root)
+	local, err := core.Open(descPath, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer local.Close()
+
+	counters := func(s obs.QueryStats) []int64 {
+		return []int64{int64(s.ChunksRead), s.BytesRead, s.RowsScanned, s.RowsEmitted, s.RowsFiltered,
+			s.BlocksSkipped, s.SparseIndexHits, s.SparseIndexMisses, s.VectorBatches}
+	}
+	for _, sql := range []string{
+		"SELECT SOIL, TIME FROM IparsData WHERE SOIL > 0.8",
+		"SELECT REL, COUNT(*), AVG(SGAS) FROM IparsData WHERE SOIL > 0.8 GROUP BY REL",
+	} {
+		p, err := local.PrepareContext(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		_, want, err := p.CollectContext(context.Background(), core.Options{Parallel: true})
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		_, res, err := coord.CollectQueryContext(context.Background(), sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		got := res.QueryStats
+		if !slices.Equal(counters(got), counters(want)) {
+			t.Errorf("%q: distributed counters %v, local %v\n(chunks read, bytes, scanned, emitted, filtered, blocks skipped, sparse hits, sparse misses, vector batches)",
+				sql, counters(got), counters(want))
+		}
+		if want.SparseIndexHits == 0 || want.RowsFiltered == 0 {
+			t.Errorf("%q: query exercised no sidecar or filtered nothing: %+v", sql, want)
+		}
+		if got.CacheHits+got.CacheMisses == 0 || want.CacheHits+want.CacheMisses == 0 {
+			t.Errorf("%q: no block-cache traffic: distributed %d/%d, local %d/%d",
+				sql, got.CacheHits, got.CacheMisses, want.CacheHits, want.CacheMisses)
+		}
+		if p.Agg != nil && got.AggPushedQueries != int64(len(res.PerNode)) {
+			t.Errorf("%q: AggPushedQueries = %d, want one per leg (%d)", sql, got.AggPushedQueries, len(res.PerNode))
+		}
 	}
 }

@@ -143,8 +143,6 @@ func (c *Coordinator) pool(node string) *nodePool {
 
 // Result carries the merged outcome of a distributed query.
 type Result struct {
-	// Stats aggregates extraction statistics over all nodes.
-	Stats extractor.Stats
 	// Rows is the total tuple count transferred. Aggregate queries
 	// transfer partial aggregates instead of tuples, so it stays zero
 	// for them.
@@ -155,11 +153,12 @@ type Result struct {
 	SentBytes int64
 	// PerNode maps node name → tuples produced there.
 	PerNode map[string]int64
-	// QueryStats is the per-query observability record: plan and index
+	// QueryStats is the per-query observability record: the legs'
+	// records summed, except that chunks planned and the plan and index
 	// times are the coordinator's, extract time is the slowest node's
-	// (the straggler), filter time sums over nodes, net time is the
-	// fan-out wall time, and the serving counters report admission
-	// queueing, load shedding and re-dispatches across the legs.
+	// (the straggler), net time is the fan-out wall time, and the
+	// serving counters report admission queueing, load shedding and
+	// re-dispatches across the legs.
 	QueryStats obs.QueryStats
 }
 
@@ -396,7 +395,7 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		if d.err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: node %s: %w", d.node, d.err)
 		}
-		res.Stats.Add(d.trailer.Stats)
+		res.QueryStats.Add(d.trailer.Stats)
 		res.Rows += d.trailer.Rows
 		res.SentBytes += d.trailer.SentBytes
 		res.PerNode[d.node] = d.trailer.Rows
@@ -426,31 +425,22 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 			}
 		}
 	}
-	plan, index := prep.PrepareStats()
-	// The trailer merge summed every leg's extractor counters into
-	// res.Stats; everything QueryStats cannot derive from them travels
-	// in the extras (see statsmerge_gen.go, kept in sync with the
-	// QueryStats struct by dvlint -generate).
-	res.QueryStats = mergeQueryStats(res.Stats, mergedStatsExtras{
-		ChunksPlanned: len(prep.AFCs),
-		RowsFiltered:  res.Stats.RowsScanned - res.Stats.RowsEmitted,
-
-		// Serving counters: admission queueing reported by the nodes,
-		// shedding observed by the legs.
-		QueuedQueries: queuedLegs,
-		ShedQueries:   counters.shed.Load(),
-
-		// Failover counters: dispatches beyond a leg's first, and why.
-		LegRedispatches:  counters.redispatched.Load(),
-		ReplicaFailovers: counters.failovers.Load(),
-		ReplicaRetries:   counters.retries.Load(),
-
-		PlanTime:    plan,
-		IndexTime:   index,
-		QueueTime:   time.Duration(queueNS),
-		ExtractTime: time.Duration(slowestExtract),
-		NetTime:     time.Since(netStart),
-	})
+	// The legs' records are summed above; the coordinator owns the
+	// fields below and sets them over whatever the legs reported.
+	st := &res.QueryStats
+	st.ChunksPlanned = len(prep.AFCs)
+	st.PlanTime, st.IndexTime = prep.PrepareStats()
+	st.ExtractTime = time.Duration(slowestExtract)
+	st.NetTime = time.Since(netStart)
+	// Serving counters: admission queueing reported by the nodes,
+	// shedding observed by the legs.
+	st.QueueTime = time.Duration(queueNS)
+	st.QueuedQueries = queuedLegs
+	st.ShedQueries = counters.shed.Load()
+	// Failover counters: dispatches beyond a leg's first, and why.
+	st.LegRedispatches = counters.redispatched.Load()
+	st.ReplicaFailovers = counters.failovers.Load()
+	st.ReplicaRetries = counters.retries.Load()
 	return res, nil
 }
 

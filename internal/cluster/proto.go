@@ -42,7 +42,7 @@ import (
 	"fmt"
 	"io"
 
-	"datavirt/internal/extractor"
+	"datavirt/internal/obs"
 	"datavirt/internal/storm"
 )
 
@@ -65,7 +65,11 @@ const (
 	// partial-aggregate frame (push-down aggregation). The JSON
 	// payloads ('Q' requests, 'D' trailers) decode with unknown members
 	// ignored, so retiring a field needs no version bump: a peer that
-	// still sends it interoperates.
+	// still sends it interoperates. A node built before the trailer
+	// carried obs.QueryStats sends AFCs, FilterNS and AggNS, which a new
+	// coordinator ignores: ChunksRead, FilterTime and AggTime (and
+	// RowsFiltered, which such a node never sent) read 0 for that leg,
+	// while its rows and aggregates are unaffected.
 	protocolVersion = 3
 
 	// batchRows is the number of rows per 'R' frame.
@@ -114,7 +118,8 @@ type Request struct {
 
 // Trailer is the JSON payload of a 'D' frame.
 type Trailer struct {
-	Stats extractor.Stats
+	// Stats is the leg's cost record as the node's core run returned it.
+	Stats obs.QueryStats
 	Rows  int64
 	// ExtractNS is the node's extraction wall time in nanoseconds; the
 	// coordinator keeps the maximum across nodes (the straggler).

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"datavirt/internal/extractor"
 	"datavirt/internal/obs"
@@ -133,9 +132,7 @@ func (p *Prepared) QueryContext(ctx context.Context, opt Options) (*Rows, error)
 		return nil, err
 	}
 	return NewRows(ctx, p.Cols, func(runCtx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
-		start := time.Now()
-		stats, err := p.runBatches(runCtx, opt, deliver)
-		return p.queryStats(stats, time.Since(start)), err
+		return p.runBatches(runCtx, opt, deliver)
 	}), nil
 }
 

@@ -451,18 +451,19 @@ func (o Options) Validate() error {
 // under the reuse contract of extractor.EmitFunc (the slice is reused;
 // copy to retain). Cancelling ctx stops extraction between block reads
 // and returns the context's error; the extract and filter stages are
-// reported to the context's obs.Tracer. For a streaming cursor over
-// the same execution, use QueryContext.
-func (p *Prepared) RunContext(ctx context.Context, opt Options, emit func(row table.Row) error) (extractor.Stats, error) {
+// reported to the context's obs.Tracer. The returned record is the
+// execution's complete cost record, the same one Rows.Stats reports.
+// For a streaming cursor over the same execution, use QueryContext.
+func (p *Prepared) RunContext(ctx context.Context, opt Options, emit func(row table.Row) error) (obs.QueryStats, error) {
 	return p.runBatches(ctx, opt, extractor.PerRow(emit))
 }
 
 // runBatches is the execution under RunContext, CollectContext and the
 // QueryContext cursor: projected rows reach deliver a block at a time,
 // under the batch contract of extractor.EmitFunc.
-func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extractor.BatchFunc) (extractor.Stats, error) {
+func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extractor.BatchFunc) (obs.QueryStats, error) {
 	if err := opt.Validate(); err != nil {
-		return extractor.Stats{}, err
+		return obs.QueryStats{}, err
 	}
 	if p.Agg != nil {
 		// Aggregate query: fold blocks into partials, finalize locally,
@@ -499,9 +500,7 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
 	stats, err := extractor.RunBatchesContext(ctx, afcs, p.svc.resolver, xopt, opt.Parallel, inner)
-	endExtract(err)
-	tracer.StageEnd(p.sqlText, obs.StageFilter, time.Duration(stats.FilterNS), err)
-	p.reportRun(tracer, stats)
+	p.finishRun(tracer, &stats, endExtract(err), err)
 	return stats, err
 }
 
@@ -512,22 +511,19 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 // coordinator (which merges states from all legs before finalizing);
 // local execution goes through RunContext, which finalizes immediately.
 // It fails if the prepared query is not an aggregate.
-func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*query.AggState, extractor.Stats, error) {
+func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*query.AggState, obs.QueryStats, error) {
 	if p.Agg == nil {
-		return nil, extractor.Stats{}, fmt.Errorf("core: %q is not an aggregate query", p.sqlText)
+		return nil, obs.QueryStats{}, fmt.Errorf("core: %q is not an aggregate query", p.sqlText)
 	}
 	if err := opt.Validate(); err != nil {
-		return nil, extractor.Stats{}, err
+		return nil, obs.QueryStats{}, err
 	}
 	afcs := p.execAFCs(opt)
 	tracer := obs.TracerFrom(ctx)
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
 	state, stats, err := extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, opt.Parallel, p.Agg)
-	endExtract(err)
-	tracer.StageEnd(p.sqlText, obs.StageFilter, time.Duration(stats.FilterNS), err)
-	tracer.StageEnd(p.sqlText, obs.StageAggregate, time.Duration(stats.AggNS), err)
-	p.reportRun(tracer, stats)
+	p.finishRun(tracer, &stats, endExtract(err), err)
 	return state, stats, err
 }
 
@@ -579,14 +575,20 @@ func (p *Prepared) extractorOptions(tracer obs.Tracer, opt Options) extractor.Op
 	return xopt
 }
 
-// reportRun forwards one execution's cache and sparse outcomes to the
-// tracer.
-func (p *Prepared) reportRun(tracer obs.Tracer, stats extractor.Stats) {
-	saved := stats.CacheBytesServed - stats.FSBytesRead
-	if saved < 0 {
-		saved = 0
+// finishRun completes one execution's record with the fields the
+// extractor does not count — chunks planned, rows filtered, the plan
+// and index times recorded at prepare, the extract wall time — and
+// reports the filter and aggregate stages and the cache and sparse
+// outcomes to the tracer.
+func (p *Prepared) finishRun(tracer obs.Tracer, stats *obs.QueryStats, extract time.Duration, err error) {
+	stats.ChunksPlanned = len(p.AFCs)
+	stats.RowsFiltered = stats.RowsScanned - stats.RowsEmitted
+	stats.PlanTime, stats.IndexTime, stats.ExtractTime = p.planTime, p.indexTime, extract
+	tracer.StageEnd(p.sqlText, obs.StageFilter, stats.FilterTime, err)
+	if p.Agg != nil {
+		tracer.StageEnd(p.sqlText, obs.StageAggregate, stats.AggTime, err)
 	}
-	obs.ReportCache(tracer, p.sqlText, stats.CacheHits, stats.CacheMisses, saved)
+	obs.ReportCache(tracer, p.sqlText, stats.CacheHits, stats.CacheMisses, stats.CacheBytesSaved())
 	obs.ReportSparse(tracer, p.sqlText, stats.BlocksSkipped, stats.SparseIndexHits, stats.SparseIndexMisses)
 }
 
@@ -602,38 +604,6 @@ func (p *Prepared) PrepareStats() (plan, index time.Duration) {
 // repository's benchmark reads it.
 func (p *Prepared) PlanCacheCounters() (hits, misses int64) {
 	return 0, 0
-}
-
-// queryStats assembles the per-query observability record from the
-// prepare-time timings and one execution's extractor counters.
-func (p *Prepared) queryStats(x extractor.Stats, extract time.Duration) obs.QueryStats {
-	return obs.QueryStats{
-		ChunksPlanned: len(p.AFCs),
-		ChunksRead:    x.AFCs,
-		BytesRead:     x.BytesRead,
-		RowsScanned:   x.RowsScanned,
-		RowsEmitted:   x.RowsEmitted,
-		RowsFiltered:  x.RowsScanned - x.RowsEmitted,
-
-		CacheHits:        x.CacheHits,
-		CacheMisses:      x.CacheMisses,
-		FSBytesRead:      x.FSBytesRead,
-		CacheBytesServed: x.CacheBytesServed,
-
-		BlocksSkipped:     x.BlocksSkipped,
-		SparseIndexHits:   x.SparseIndexHits,
-		SparseIndexMisses: x.SparseIndexMisses,
-
-		AggPushedQueries: x.AggPushedQueries,
-		AggPartialGroups: x.AggPartialGroups,
-		VectorBatches:    x.VectorBatches,
-
-		PlanTime:    p.planTime,
-		IndexTime:   p.indexTime,
-		ExtractTime: extract,
-		FilterTime:  time.Duration(x.FilterNS),
-		AggTime:     time.Duration(x.AggNS),
-	}
 }
 
 // identityProjection reports whether the working row already is the
@@ -654,7 +624,7 @@ func (p *Prepared) identityProjection() bool {
 // CollectContext runs the query and returns all rows (copied). Large
 // results are better consumed incrementally through QueryContext's
 // Rows cursor, which does not materialize the result set.
-func (p *Prepared) CollectContext(ctx context.Context, opt Options) ([]table.Row, extractor.Stats, error) {
+func (p *Prepared) CollectContext(ctx context.Context, opt Options) ([]table.Row, obs.QueryStats, error) {
 	var rows []table.Row
 	stats, err := p.runBatches(ctx, opt, func(batch []table.Row, owned bool) error {
 		if owned {

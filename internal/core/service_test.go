@@ -9,9 +9,9 @@ import (
 
 	"datavirt/internal/afc"
 	"datavirt/internal/cache"
-	"datavirt/internal/extractor"
 	"datavirt/internal/filter"
 	"datavirt/internal/gen"
+	"datavirt/internal/obs"
 	"datavirt/internal/table"
 )
 
@@ -39,7 +39,7 @@ func prepare(svc *Service, sql string) (*Prepared, error) {
 	return svc.PrepareContext(context.Background(), sql)
 }
 
-func collect(p *Prepared, opt Options) ([]table.Row, extractor.Stats, error) {
+func collect(p *Prepared, opt Options) ([]table.Row, obs.QueryStats, error) {
 	return p.CollectContext(context.Background(), opt)
 }
 
@@ -262,8 +262,8 @@ func TestCoalesceLayoutIThroughExtractor(t *testing.T) {
 	if int64(len(rows)) != s.IparsTotalRows() {
 		t.Fatalf("rows = %d, want %d", len(rows), s.IparsTotalRows())
 	}
-	if stats.AFCs != 1 {
-		t.Errorf("coalesced layout I full scan used %d chunks, want 1", stats.AFCs)
+	if stats.ChunksRead != 1 {
+		t.Errorf("coalesced layout I full scan used %d chunks, want 1", stats.ChunksRead)
 	}
 	// Spot-check implicit synthesis survived the merge: last row's REL
 	// must be the last realization.
@@ -399,7 +399,7 @@ func TestServiceCacheWarmsAcrossQueries(t *testing.T) {
 	defer svc.Close()
 	sql := "SELECT * FROM IparsData WHERE TIME >= 1 AND TIME <= 2"
 
-	run := func(opt Options) ([]table.Row, extractor.Stats) {
+	run := func(opt Options) ([]table.Row, obs.QueryStats) {
 		t.Helper()
 		p, err := prepare(svc, sql)
 		if err != nil {
@@ -445,19 +445,21 @@ func TestServiceCacheWarmsAcrossQueries(t *testing.T) {
 		t.Errorf("NoCache query reported no fs bytes")
 	}
 
-	// queryStats surfaces the cache counters to obs.
-	p, err := prepare(svc, sql)
+	// The cursor reports the same record CollectContext returns.
+	_, stats := run(Options{})
+	rows, err := svc.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := collect(p, Options{})
-	if err != nil {
+	for rows.Next() {
+	}
+	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	qs := p.queryStats(stats, 0)
+	qs := rows.Stats()
 	if qs.CacheHits != stats.CacheHits || qs.FSBytesRead != stats.FSBytesRead ||
 		qs.CacheMisses != stats.CacheMisses || qs.CacheBytesServed != stats.CacheBytesServed {
-		t.Errorf("queryStats dropped cache counters: %+v vs %+v", qs, stats)
+		t.Errorf("cursor record differs in cache counters: %+v vs %+v", qs, stats)
 	}
 	if !strings.Contains(qs.String(), "cache: ") {
 		t.Errorf("QueryStats.String missing cache line:\n%s", qs.String())

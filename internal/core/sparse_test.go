@@ -6,9 +6,9 @@ import (
 
 	"datavirt/internal/cache"
 	"datavirt/internal/cache/cachetest"
-	"datavirt/internal/extractor"
 	"datavirt/internal/gen"
 	"datavirt/internal/metadata"
+	"datavirt/internal/obs"
 	"datavirt/internal/sparse"
 	"datavirt/internal/table"
 )
@@ -55,7 +55,7 @@ const sparseSQL = "SELECT X, SOIL FROM IparsData WHERE Z >= 6"
 // so each zone decision maps to one extraction block.
 var sparseOpt = Options{BlockBytes: 512}
 
-func runSparse(t *testing.T, svc *Service, opt Options) ([]table.Row, extractor.Stats) {
+func runSparse(t *testing.T, svc *Service, opt Options) ([]table.Row, obs.QueryStats) {
 	t.Helper()
 	p, err := prepare(svc, sparseSQL)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"datavirt/internal/afc"
+	"datavirt/internal/obs"
 	"datavirt/internal/query"
 )
 
@@ -20,13 +21,13 @@ import (
 // un-finalized partials; the caller finalizes locally or merges states
 // from several legs first. The plan must be bound against the same
 // working layout as opt.Cols. Cancellation is as on RunBatchesContext.
-func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, plan *query.AggPlan) (*query.AggState, Stats, error) {
+func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, plan *query.AggPlan) (*query.AggState, obs.QueryStats, error) {
 	workers := runWorkers(opt, parallel, len(afcs))
 	src, srcDone := runSource(opt)
 	defer srcDone()
 
 	if workers <= 1 {
-		var stats Stats
+		var stats obs.QueryStats
 		state := query.NewAggState(plan)
 		pool := newSegPool(src, resolver)
 		defer pool.release()
@@ -43,7 +44,7 @@ func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver,
 
 	// Slot w is written by worker w alone and read after wg.Wait.
 	states := make([]*query.AggState, workers)
-	workerStats := make([]Stats, workers)
+	workerStats := make([]obs.QueryStats, workers)
 	workerErrs := make([]error, workers)
 	// Workers claim AFCs off a shared counter; the first to fail moves
 	// it past the end, so the rest stop at their next claim.
@@ -69,7 +70,7 @@ func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver,
 	wg.Wait()
 
 	state := states[0]
-	var stats Stats
+	var stats obs.QueryStats
 	var firstErr error
 	for w := range states {
 		stats.Add(workerStats[w])

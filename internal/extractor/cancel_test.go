@@ -122,7 +122,7 @@ func TestFilterTimeRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Delivery slept ≥ 10µs per row, all charged to the filter stage.
-	if min := stats.RowsEmitted * 10 * int64(time.Microsecond) / 2; stats.FilterNS < min {
-		t.Errorf("FilterNS = %d, want ≥ %d", stats.FilterNS, min)
+	if min := time.Duration(stats.RowsEmitted) * 10 * time.Microsecond / 2; stats.FilterTime < min {
+		t.Errorf("FilterTime = %s, want ≥ %s", stats.FilterTime, min)
 	}
 }

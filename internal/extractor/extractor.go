@@ -25,6 +25,7 @@ import (
 
 	"datavirt/internal/afc"
 	"datavirt/internal/cache"
+	"datavirt/internal/obs"
 	"datavirt/internal/query"
 	"datavirt/internal/schema"
 	"datavirt/internal/sparse"
@@ -59,74 +60,6 @@ func DirResolver(root string) Resolver {
 	return func(node, file string) (string, error) {
 		return SafeJoin(root, file)
 	}
-}
-
-// Stats accumulates extraction counters.
-type Stats struct {
-	AFCs        int
-	RowsScanned int64
-	RowsEmitted int64
-	BytesRead   int64
-	// FilterNS is the time spent evaluating the residual predicate and
-	// delivering rows, in nanoseconds, summed across workers (so it can
-	// exceed the run's wall time in a parallel run).
-	FilterNS int64
-
-	// CacheHits and CacheMisses count block-cache lookups made by this
-	// run's segment reads (zero when the run reads through a disabled
-	// cache).
-	CacheHits   int64
-	CacheMisses int64
-	// FSBytesRead is the bytes physically read from the filesystem by
-	// this run's demand reads; a warm cache drives it toward zero while
-	// BytesRead (the logical payload bytes, above) stays constant.
-	FSBytesRead int64
-	// CacheBytesServed is the bytes delivered through the cache layer
-	// (hits and misses combined, including stride gaps within spans).
-	CacheBytesServed int64
-
-	// BlocksSkipped counts extraction blocks proven row-free by a sparse
-	// sidecar and never read (whole-AFC grid skips count as their
-	// block-equivalents). SparseIndexHits and SparseIndexMisses count
-	// sidecar lookups per (AFC, file) with constrained stored attributes:
-	// a hit found a usable sidecar, a miss fell back to a full scan.
-	BlocksSkipped     int64
-	SparseIndexHits   int64
-	SparseIndexMisses int64
-
-	// VectorBatches counts blocks whose residual predicate ran through
-	// the vectorized (batch/columnar) evaluator instead of per-row
-	// Pred calls.
-	VectorBatches int64
-	// AggNS is the time spent folding selected rows into partial
-	// aggregates, in nanoseconds, summed across workers.
-	AggNS int64
-	// AggPushedQueries counts aggregate runs evaluated push-down style
-	// (no row materialization); AggPartialGroups is the number of
-	// partial groups those runs produced before any coordinator merge.
-	// Both are set once per RunAggregateContext call, not per AFC.
-	AggPushedQueries int64
-	AggPartialGroups int64
-}
-
-// Add merges other run's counters into s.
-func (s *Stats) Add(o Stats) {
-	s.AFCs += o.AFCs
-	s.RowsScanned += o.RowsScanned
-	s.RowsEmitted += o.RowsEmitted
-	s.BytesRead += o.BytesRead
-	s.FilterNS += o.FilterNS
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.FSBytesRead += o.FSBytesRead
-	s.CacheBytesServed += o.CacheBytesServed
-	s.BlocksSkipped += o.BlocksSkipped
-	s.SparseIndexHits += o.SparseIndexHits
-	s.SparseIndexMisses += o.SparseIndexMisses
-	s.VectorBatches += o.VectorBatches
-	s.AggNS += o.AggNS
-	s.AggPushedQueries += o.AggPushedQueries
-	s.AggPartialGroups += o.AggPartialGroups
 }
 
 // EmitFunc receives each surviving row.
@@ -239,7 +172,7 @@ type segKey struct {
 // GC frequency, not the serve path, dominates warm-scan timing.
 // Pooling opens each (node, file, dup) once and releases it when the
 // run (or worker) finishes. Demand counters are delta-folded into
-// Stats after each AFC, so totals match the unpooled accounting.
+// the run's record after each AFC, so totals match the unpooled accounting.
 type segPool struct {
 	src     cache.Source
 	resolve Resolver
@@ -250,7 +183,7 @@ type segPool struct {
 
 type poolEntry struct {
 	r      cache.Reader
-	folded cache.Counters // counter values already folded into Stats
+	folded cache.Counters // counter values already folded into the record
 }
 
 func newSegPool(src cache.Source, resolve Resolver) *segPool {
@@ -298,7 +231,7 @@ func (p *segPool) open(a *afc.AFC) ([]cache.Reader, error) {
 // fold adds every pooled reader's demand-counter growth since the
 // last fold into stats, keeping per-run totals exact while readers
 // stay open across AFCs.
-func (p *segPool) fold(stats *Stats) {
+func (p *segPool) fold(stats *obs.QueryStats) {
 	for _, e := range p.readers {
 		c := e.r.Counters()
 		stats.CacheHits += c.Hits - e.folded.Hits
@@ -330,13 +263,19 @@ func (p *segPool) release() {
 // are produced). Cancelling ctx stops every worker between block reads
 // and returns the context's error; all goroutines have exited by the
 // time the call returns.
-func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, deliver BatchFunc) (Stats, error) {
+//
+// The returned record holds the extractor's counters: chunks read,
+// payload bytes, rows scanned and emitted, cache, sparse and vector
+// counters, and filter and aggregate times summed across workers (so
+// they can exceed the run's wall time). The plan-side fields stay zero
+// for the caller to set.
+func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, deliver BatchFunc) (obs.QueryStats, error) {
 	workers := runWorkers(opt, parallel, len(afcs))
 	src, srcDone := runSource(opt)
 	defer srcDone()
 
 	if workers <= 1 {
-		var stats Stats
+		var stats obs.QueryStats
 		pool := newSegPool(src, resolver)
 		defer pool.release()
 		bb := &blockBuf{}
@@ -351,7 +290,7 @@ func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, o
 	// One owned slab per block; at most a batch per worker waits here, so
 	// a run holds no more than 2×workers×MaxBatchRows undelivered rows.
 	results := make(chan []table.Row, workers)
-	workerStats := make([]Stats, workers) // slot w written by worker w, read after results closes
+	workerStats := make([]obs.QueryStats, workers) // slot w written by worker w, read after results closes
 	done := make(chan struct{})
 	var once sync.Once
 	var workerErr error
@@ -370,7 +309,7 @@ func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, o
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(stats *Stats) {
+		go func(stats *obs.QueryStats) {
 			defer wg.Done()
 			defer func() {
 				if running.Add(-1) == 0 {
@@ -415,7 +354,7 @@ func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, o
 		}
 	}
 	wg.Wait()
-	var stats Stats
+	var stats obs.QueryStats
 	for w := range workerStats {
 		stats.Add(workerStats[w])
 	}
@@ -596,8 +535,8 @@ func (bb *blockBuf) dropSpans() {
 // runs. Either way a block's survivors reach deliver as one borrowed
 // batch (see EmitFunc) when the block ends, so a selective query's
 // first row is not held back waiting for a fuller batch.
-func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb *blockBuf, stats *Stats, agg *query.AggState, deliver BatchFunc) error {
-	stats.AFCs++
+func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb *blockBuf, stats *obs.QueryStats, agg *query.AggState, deliver BatchFunc) error {
+	stats.ChunksRead++
 	if a.NumRows == 0 {
 		return nil
 	}
@@ -722,12 +661,12 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			}
 			bb.sel = sel
 			stats.VectorBatches++
-			stats.FilterNS += time.Since(filterStart).Nanoseconds()
+			stats.FilterTime += time.Since(filterStart)
 			stats.RowsEmitted += int64(len(sel))
 			if agg != nil {
 				aggStart := time.Now()
 				agg.ObserveBatch(&bb.batch, sel)
-				stats.AggNS += time.Since(aggStart).Nanoseconds()
+				stats.AggTime += time.Since(aggStart)
 				continue
 			}
 			if len(sel) == 0 {
@@ -737,7 +676,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			rows := bb.rows[:len(sel)]
 			gatherRows(rows, &bb.batch, sel, opt.Cols)
 			err := deliver(rows, false)
-			stats.FilterNS += time.Since(emitStart).Nanoseconds()
+			stats.FilterTime += time.Since(emitStart)
 			if err != nil {
 				return err
 			}
@@ -794,15 +733,15 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			for _, row := range rows {
 				agg.ObserveRow(row)
 			}
-			stats.FilterNS += aggStart.Sub(filterStart).Nanoseconds()
-			stats.AggNS += time.Since(aggStart).Nanoseconds()
+			stats.FilterTime += aggStart.Sub(filterStart)
+			stats.AggTime += time.Since(aggStart)
 			continue
 		}
 		var err error
 		if len(rows) > 0 {
 			err = deliver(rows, false)
 		}
-		stats.FilterNS += time.Since(filterStart).Nanoseconds()
+		stats.FilterTime += time.Since(filterStart)
 		if err != nil {
 			return err
 		}
@@ -823,7 +762,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 // attributes into bb.prune, counting one sidecar hit or miss per
 // distinct file that stores at least one constrained attribute. It
 // reports whether any pruning state is active for this AFC.
-func (bb *blockBuf) setupPrune(a *afc.AFC, opt Options, stats *Stats) bool {
+func (bb *blockBuf) setupPrune(a *afc.AFC, opt Options, stats *obs.QueryStats) bool {
 	if opt.Sparse == nil || len(opt.Ranges) == 0 {
 		return false
 	}

@@ -17,6 +17,7 @@ import (
 	"datavirt/internal/gen"
 	"datavirt/internal/index"
 	"datavirt/internal/metadata"
+	"datavirt/internal/obs"
 	"datavirt/internal/query"
 	"datavirt/internal/schema"
 	"datavirt/internal/sqlparser"
@@ -87,14 +88,14 @@ func naiveRows(s gen.IparsSpec, sch *schema.Schema, cols []string, keep func(val
 
 // runRows is RunBatchesContext under a background context, with the
 // batches unrolled into per-row emit calls.
-func runRows(afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, emit EmitFunc) (Stats, error) {
+func runRows(afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, emit EmitFunc) (obs.QueryStats, error) {
 	return RunBatchesContext(context.Background(), afcs, resolver, opt, parallel, PerRow(emit))
 }
 
 // runQuery executes SQL against a plan and returns rows as float slices.
-func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]float64, Stats) {
+func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]float64, obs.QueryStats) {
 	t.Helper()
-	return runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
+	return runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
 		if parallel {
 			opt.Workers = 4
 			return runRows(afcs, resolver, opt, true, emit)
@@ -105,7 +106,7 @@ func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]f
 
 // runQueryVia plans sql as runQuery does and extracts through run.
 func runQueryVia(t *testing.T, p *afc.Plan, root, sql string,
-	run func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error)) ([][]float64, Stats) {
+	run func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error)) ([][]float64, obs.QueryStats) {
 	t.Helper()
 	q := sqlparser.MustParse(sql)
 	reg := filter.NewRegistry()
@@ -260,7 +261,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	// that reused memory it had handed over would show up here.
 	for _, parallel := range []bool{false, true} {
 		sawOwned := false
-		got, _ := runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (Stats, error) {
+		got, _ := runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
 			opt.Workers = 4
 			var kept []table.Row
 			stats, err := RunBatchesContext(context.Background(), afcs, resolver, opt, parallel,
@@ -576,7 +577,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	c := cache.New(cache.Config{BlockBytes: 4096})
 	defer c.Close()
 	opt := Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}
-	collect := func() ([][]float64, Stats) {
+	collect := func() ([][]float64, obs.QueryStats) {
 		var rows [][]float64
 		stats, err := runRows(afcs, nodeResolver(root), opt, false, func(r table.Row) error {
 			out := make([]float64, len(r))

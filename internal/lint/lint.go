@@ -18,8 +18,7 @@
 //	             internal/cache or internal/core.
 //	statssync  — obs.QueryStats counter hygiene: every field must be
 //	             merged in Add and surfaced in Counters/String (or
-//	             StageTime for durations), and the cluster trailer
-//	             merge must set every field.
+//	             StageTime for durations).
 //	closecheck — values of the closable resource types (core.Rows,
 //	             cache.File, net.Conn) must be closed, transferred or
 //	             returned on every acquisition.

@@ -149,10 +149,6 @@ func TestStatsSyncGoldenObs(t *testing.T) {
 	runGolden(t, []*lint.Analyzer{lint.StatsSync}, "statssync/obs")
 }
 
-func TestStatsSyncGoldenCluster(t *testing.T) {
-	runGolden(t, []*lint.Analyzer{lint.StatsSync}, "statssync/cluster")
-}
-
 func TestCloseCheckGolden(t *testing.T) {
 	runGolden(t, []*lint.Analyzer{lint.CloseCheck}, "closecheck")
 }

@@ -6,34 +6,27 @@ import (
 )
 
 // StatsSync keeps obs.QueryStats honest: a counter added to the struct
-// but forgotten in Add silently under-merges parallel extraction; one
-// forgotten in Counters AND String is invisible to golden tests and
-// logs; a duration missing from StageTime AND String can never be
-// attributed. The cluster side has the same drift risk: the
-// coordinator's trailer merge must set every field, or remote stats
-// silently drop on the floor. The analyzer checks, in the obs package:
+// but forgotten in Add silently under-merges parallel extraction and
+// the coordinator's sum over cluster legs; one forgotten in Counters
+// AND String is invisible to golden tests and logs; a duration missing
+// from StageTime AND String can never be attributed. The analyzer
+// checks, in the obs package:
 //
 //   - every QueryStats field is referenced in Add;
 //   - every counter (integer) field is referenced in Counters or
 //     String;
 //   - every duration field is attributed in StageTime (String alone is
-//     not enough: per-stage queries like the cluster trailer merge and
-//     the stage breakdown in logs read StageTime, not the prose);
-//
-// and in the cluster package: at least one obs.QueryStats composite
-// literal (the trailer merge) sets every field.
+//     not enough: the stage breakdown in logs reads StageTime, not the
+//     prose).
 var StatsSync = &Analyzer{
 	Name: "statssync",
-	Doc:  "obs.QueryStats fields appear in Add, Counters/String (or StageTime), and the cluster trailer merge",
+	Doc:  "obs.QueryStats fields appear in Add and in Counters/String (or StageTime)",
 	Run:  runStatsSync,
 }
 
 func runStatsSync(pass *Pass) error {
-	switch pass.Pkg.Name {
-	case "obs":
+	if pass.Pkg.Name == "obs" {
 		checkObsMethods(pass)
-	case "cluster":
-		checkClusterMerge(pass)
 	}
 	return nil
 }
@@ -112,73 +105,6 @@ func checkObsMethods(pass *Pass) {
 			}
 		} else if !refs["Counters"][f] && !refs["String"][f] {
 			pass.Reportf(f.Pos(), "QueryStats counter %s appears in neither Counters nor String — invisible to tests and logs", f.Name())
-		}
-	}
-}
-
-// checkClusterMerge requires one QueryStats composite literal in the
-// cluster package — the coordinator's trailer merge — to set every
-// field. The most complete literal is the merge; smaller literals
-// (zero values, tests' partial fixtures) are ignored.
-func checkClusterMerge(pass *Pass) {
-	type lit struct {
-		node *ast.CompositeLit
-		keys map[string]bool
-	}
-	var lits []lit
-	var statsStruct *types.Struct
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			cl, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			tv, ok := pass.Pkg.Info.Types[cl]
-			if !ok {
-				return true
-			}
-			named, ok := tv.Type.(*types.Named)
-			if !ok || named.Obj().Name() != "QueryStats" ||
-				named.Obj().Pkg() == nil || named.Obj().Pkg().Name() != "obs" {
-				return true
-			}
-			st, ok := named.Underlying().(*types.Struct)
-			if !ok {
-				return true
-			}
-			statsStruct = st
-			keys := map[string]bool{}
-			for _, el := range cl.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						keys[id.Name] = true
-					}
-				}
-			}
-			if len(cl.Elts) > 0 && len(keys) == 0 {
-				// Positional literal sets everything.
-				for i := 0; i < st.NumFields(); i++ {
-					keys[st.Field(i).Name()] = true
-				}
-			}
-			lits = append(lits, lit{cl, keys})
-			return true
-		})
-	}
-	if len(lits) == 0 || statsStruct == nil {
-		return
-	}
-	best := lits[0]
-	for _, l := range lits[1:] {
-		if len(l.keys) > len(best.keys) {
-			best = l
-		}
-	}
-	for i := 0; i < statsStruct.NumFields(); i++ {
-		f := statsStruct.Field(i)
-		if f.Exported() && !best.keys[f.Name()] {
-			pass.Reportf(best.node.Pos(),
-				"trailer merge does not set QueryStats field %s — remote stats for it are dropped", f.Name())
 		}
 	}
 }

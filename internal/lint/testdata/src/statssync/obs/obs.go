@@ -14,8 +14,7 @@ type QueryStats struct {
 	LogTime  time.Duration // want "is not attributed in StageTime"
 
 	// BlocksSkipped stands in for a data-skipping counter surfaced via
-	// String rather than Counters: healthy obs-side, but the cluster
-	// fixture's trailer merge forgets it.
+	// String rather than Counters: healthy.
 	BlocksSkipped int64
 
 	hidden int64 // unexported: out of scope

@@ -50,7 +50,10 @@ const (
 // Stages lists all stages in execution order.
 var Stages = []Stage{StagePlan, StageIndex, StageQueue, StageExtract, StageFilter, StageAggregate, StageNet}
 
-// QueryStats aggregates the measured cost of one query execution.
+// QueryStats aggregates the measured cost of one query execution. It
+// is the engine's one cost record: the extractor counts into it, core
+// completes it with the plan-side fields, a cluster node ships it in
+// its trailer, and the coordinator sums the legs' records with Add.
 type QueryStats struct {
 	// ChunksPlanned counts the aligned file chunks the plan selected
 	// after index pruning.
@@ -156,8 +159,41 @@ func (s *QueryStats) StageTime(st Stage) time.Duration {
 	return 0
 }
 
-// Add is generated into add_gen.go by dvlint -generate so a counter
-// added to the struct can never be forgotten in the merge.
+// Add merges another execution's stats into s: every field sums,
+// stage times included. The statssync analyzer checks that it names
+// every field, so a new counter cannot be dropped from the merge.
+func (s *QueryStats) Add(o QueryStats) {
+	s.ChunksPlanned += o.ChunksPlanned
+	s.ChunksRead += o.ChunksRead
+	s.BytesRead += o.BytesRead
+	s.RowsScanned += o.RowsScanned
+	s.RowsEmitted += o.RowsEmitted
+	s.RowsFiltered += o.RowsFiltered
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.FSBytesRead += o.FSBytesRead
+	s.CacheBytesServed += o.CacheBytesServed
+	s.PlanCacheHits += o.PlanCacheHits
+	s.PlanCacheMisses += o.PlanCacheMisses
+	s.BlocksSkipped += o.BlocksSkipped
+	s.SparseIndexHits += o.SparseIndexHits
+	s.SparseIndexMisses += o.SparseIndexMisses
+	s.QueuedQueries += o.QueuedQueries
+	s.ShedQueries += o.ShedQueries
+	s.LegRedispatches += o.LegRedispatches
+	s.ReplicaFailovers += o.ReplicaFailovers
+	s.ReplicaRetries += o.ReplicaRetries
+	s.AggPushedQueries += o.AggPushedQueries
+	s.AggPartialGroups += o.AggPartialGroups
+	s.VectorBatches += o.VectorBatches
+	s.PlanTime += o.PlanTime
+	s.IndexTime += o.IndexTime
+	s.QueueTime += o.QueueTime
+	s.ExtractTime += o.ExtractTime
+	s.FilterTime += o.FilterTime
+	s.AggTime += o.AggTime
+	s.NetTime += o.NetTime
+}
 
 // Counters renders the deterministic (time-free) counters, one value
 // per line — the form golden tests compare.
