@@ -67,34 +67,17 @@ type Implicit struct {
 	Value schema.Value
 }
 
-// RowDim synthesizes a per-row attribute from the row position. In the
-// plain form produced by the planner, value(i) = Lo + i*Step. Coalesced
-// chunks (see Coalesce) use the generalized modular-affine form
-//
-//	value(i) = Lo + ((i/Div) mod Count) * Step
-//
-// where Div ≤ 1 means 1 (no inner repetition) and Count ≤ 0 means
-// unbounded (no wrap).
+// RowDim synthesizes a per-row attribute from the row position:
+// value(i) = Lo + i*Step.
 type RowDim struct {
 	Name     string
 	Kind     schema.Kind
 	Lo, Step int64
-	// Div repeats each value for Div consecutive rows.
-	Div int64
-	// Count wraps the sequence after Count distinct values.
-	Count int64
 }
 
 // ValueAt computes the attribute's value for absolute row index i.
 func (rd *RowDim) ValueAt(i int64) int64 {
-	idx := i
-	if rd.Div > 1 {
-		idx /= rd.Div
-	}
-	if rd.Count > 0 {
-		idx %= rd.Count
-	}
-	return rd.Lo + idx*rd.Step
+	return rd.Lo + i*rd.Step
 }
 
 // AFC is one aligned file chunk set.

@@ -485,3 +485,12 @@ Dataset "t" {
 		t.Fatalf("paired %d files, last = %+v", len(files), files[len(files)-1])
 	}
 }
+
+func TestRowDimValueAt(t *testing.T) {
+	rd := RowDim{Lo: 7, Step: 2}
+	for i, want := range []int64{7, 9, 11, 13} {
+		if got := rd.ValueAt(int64(i)); got != want {
+			t.Errorf("ValueAt(%d) = %d, want %d", i, got, want)
+		}
+	}
+}

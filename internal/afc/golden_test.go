@@ -24,10 +24,13 @@ import (
 // recorded from the per-chunk planner this package used before the
 // per-group hoisting, so any change to what Generate emits shows here,
 // not only changes to the rows the chunks decode to (TestAFCEquivalence).
+// The 22 digests of plans with row dimensions were re-recorded when
+// RowDim lost its always-zero Div and Count fields; they equal the
+// earlier planner's digests with ", Div:0, Count:0" cut from the text.
 var planGolden = map[string]string{
-	"bigendian/0":     "2dff7d9e9bfb56cf",
-	"bigendian/1":     "f01da34a34eac84f",
-	"bigendian/2":     "5ea992e58dfa1938",
+	"bigendian/0":     "74ba1c0e56a5a611",
+	"bigendian/1":     "e2888c920f1fd4d0",
+	"bigendian/2":     "75b94cf614912862",
 	"ipars-CLUSTER/0": "103437488121afa3",
 	"ipars-CLUSTER/1": "b33a853e7afd71b1",
 	"ipars-CLUSTER/2": "32ab0e4ad77b5110",
@@ -84,25 +87,25 @@ var planGolden = map[string]string{
 	"ipars-VI/4":      "d55c0fb38bf6d4d1",
 	"ipars-VI/5":      "1192e1d47abada8f",
 	"ipars-VI/6":      "b02bf03a75f18ff3",
-	"pinned/0":        "628d070dbefb560b",
-	"pinned/1":        "a2fcd6678b4a8528",
-	"pinned/2":        "e7e1a4605b4b8b1e",
-	"random1/0":       "8d99d085c1a5fa32",
-	"random1/1":       "d7d3dc4ae6252f3b",
-	"random2/0":       "681c4faf6b3e8ad9",
-	"random2/1":       "f895fd98539938f4",
-	"random3/0":       "e264d9f017c44efe",
-	"random3/1":       "3d576172f1d3a8ae",
-	"random4/0":       "76b58b5af22af779",
-	"random4/1":       "a361dbdb04affbbc",
-	"random5/0":       "5e3292481517b27c",
-	"random5/1":       "c4cf2947739f4c23",
-	"random6/0":       "60f93256f0a49ed8",
-	"random6/1":       "0d06225635733fcd",
-	"random7/0":       "b83032846b2448a7",
-	"random7/1":       "ff87862d22a322cd",
-	"random8/0":       "0d3990e070aa6db1",
-	"random8/1":       "fb9f50b5e0c07c23",
+	"pinned/0":        "559cb1eb988cb098",
+	"pinned/1":        "440905e74e6cae88",
+	"pinned/2":        "ce970c4d37c0a93c",
+	"random1/0":       "406a10bc49b6cf6d",
+	"random1/1":       "e056d6ef3ddba229",
+	"random2/0":       "4b39433070341dbc",
+	"random2/1":       "9d99256d0a6314e9",
+	"random3/0":       "4d7a80b7c691508e",
+	"random3/1":       "26b8396342d333e1",
+	"random4/0":       "4f81d432c48bfd20",
+	"random4/1":       "2938cbddf962b638",
+	"random5/0":       "b2f91792e9913a5c",
+	"random5/1":       "b67d6d14061abea5",
+	"random6/0":       "e2841993a3b5da9f",
+	"random6/1":       "393f78349af949a9",
+	"random7/0":       "198592796bd741bc",
+	"random7/1":       "8c339d7646db0e71",
+	"random8/0":       "4fe951b8aa297acb",
+	"random8/1":       "d12547de8821422b",
 	"titan/0":         "c08c69d6b73696b0",
 	"titan/1":         "f4df5d5119053eb7",
 	"titan/2":         "45a3782dedc5f0c1",

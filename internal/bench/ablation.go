@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"strings"
 
 	"datavirt/internal/core"
 	"datavirt/internal/extractor"
@@ -154,85 +153,6 @@ func RunAblationChunks(cfg Config) (*Table, error) {
 		}
 		t.AddRow(v.name, fmt.Sprint(len(prep.AFCs)), fmt.Sprint(rows), ms(dur))
 	}
-	return t, nil
-}
-
-// RunAblationCoalesce measures chunk coalescing (ours): merging
-// contiguous aligned file chunks before extraction. Layout I (one file,
-// REL and TIME outer loops) collapses to a single chunk on a full scan;
-// the Figure 4 cluster layout cannot merge (COORDS is re-read per time
-// step) and serves as the control.
-func RunAblationCoalesce(cfg Config) (*Table, error) {
-	// Small grids make each aligned chunk tiny (dozens of rows), the
-	// regime where per-chunk overhead dominates and merging pays.
-	spec := gen.IparsSpec{
-		Realizations: 2,
-		TimeSteps:    cfg.scaleInt(4000, 64, 2),
-		GridPoints:   cfg.scaleInt(64, 16, 16),
-		Partitions:   1,
-		Attrs:        17,
-		Seed:         604,
-	}
-	t := &Table{
-		ID:     "ablation-coalesce",
-		Title:  "Chunk coalescing on vs off (full scan, tiny chunks)",
-		Header: []string{"layout", "mode", "afcs", "rows", "time_ms"},
-	}
-	for _, layoutID := range []string{"I", "III", "CLUSTER"} {
-		lspec := spec
-		if layoutID == "CLUSTER" {
-			lspec.Partitions = 2
-		}
-		root, err := ensureDir(cfg, "ablation-coalesce", strings.ToLower(layoutID))
-		if err != nil {
-			return nil, err
-		}
-		if !haveMarker(root, "data", lspec) {
-			cfg.logf("ablation-coalesce: generating layout %s", layoutID)
-			if _, err := gen.WriteIpars(root, lspec, layoutID); err != nil {
-				return nil, err
-			}
-			if err := setMarker(root, "data", lspec); err != nil {
-				return nil, err
-			}
-		}
-		svc, err := core.Open(filepath.Join(root, "ipars_"+strings.ToLower(layoutID)+".dvd"), root)
-		if err != nil {
-			return nil, err
-		}
-		prep, err := prepare(svc, "SELECT * FROM IparsData")
-		if err != nil {
-			return nil, err
-		}
-		var refRows int64 = -1
-		for _, coalesce := range []bool{false, true} {
-			mode := "off"
-			if coalesce {
-				mode = "on"
-			}
-			var rows int64
-			var chunks int
-			dur, err := timeBest(cfg, func() error {
-				var stats obs.QueryStats
-				var err error
-				rows, stats, err = countRows(prep, core.Options{Coalesce: coalesce})
-				chunks = stats.ChunksRead
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("ablation-coalesce %s/%s: %w", layoutID, mode, err)
-			}
-			if refRows < 0 {
-				refRows = rows
-			} else if rows != refRows {
-				return nil, fmt.Errorf("ablation-coalesce %s: %s returned %d rows, want %d",
-					layoutID, mode, rows, refRows)
-			}
-			t.AddRow(layoutID, mode, fmt.Sprint(chunks), fmt.Sprint(rows), ms(dur))
-		}
-	}
-	t.Notes = append(t.Notes,
-		"layout I collapses to one chunk; CLUSTER is the control (COORDS re-reads block merging)")
 	return t, nil
 }
 

@@ -143,7 +143,6 @@ func Experiments() []Experiment {
 		{"fig11b", "Varying query size on Titan, hand vs generated (Figure 11b)", RunFig11b},
 		{"ablation-index", "Ablation: chunk-index pruning on vs off (ours)", RunAblationIndex},
 		{"ablation-chunk", "Ablation: chunked vs monolithic Titan storage (ours)", RunAblationChunks},
-		{"ablation-coalesce", "Ablation: chunk coalescing on vs off (ours)", RunAblationCoalesce},
 	}
 }
 

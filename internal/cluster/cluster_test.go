@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -427,6 +428,7 @@ func TestDeadNodeError(t *testing.T) {
 
 func TestNodeRejectsBadFrames(t *testing.T) {
 	s := defaultSpec()
+	s.Partitions = 1 // node0 holds every file, so one node serves a full query
 	root := t.TempDir()
 	descPath, err := gen.WriteIpars(root, s, "CLUSTER")
 	if err != nil {
@@ -482,11 +484,42 @@ func TestNodeRejectsBadFrames(t *testing.T) {
 	writeFrame(conn3, frameRows, 1, []byte{}) //nolint:errcheck
 	conn3.Close()
 
-	// Node still serves after bad clients.
-	coordAddrs := map[string]string{"node0": node.Addr()}
-	_ = coordAddrs
-	if node.Name() != "node0" {
-		t.Error("Name wrong")
+	// A destination count from the wire must not size the node's
+	// per-destination staging: it is refused with an 'E' frame.
+	conn4, err := net.Dial("tcp", node.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := Request{
+		Version:   protocolVersion,
+		SQL:       "SELECT TIME FROM IparsData",
+		Partition: storm.PartitionSpec{Scheme: storm.RoundRobin, NumDests: math.MaxInt64},
+	}
+	if err := writeJSONFrame(conn4, frameQuery, 7, req); err != nil {
+		t.Fatal(err)
+	}
+	typ, qid, payload, err = readFrame(conn4, nil)
+	if err != nil || typ != frameError || qid != 7 || !strings.Contains(string(payload), "destinations") {
+		t.Fatalf("NumDests check: %q qid=%d %s %v", typ, qid, payload, err)
+	}
+	conn4.Close()
+
+	// The node still serves a full query after the bad clients.
+	d, err := metadata.ParseFile(descPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(d, map[string]string{"node0": node.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	rows, _, err := coord.CollectQueryContext(context.Background(), "SELECT * FROM IparsData")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(rows)) != s.IparsTotalRows() {
+		t.Errorf("rows after bad clients = %d, want %d", len(rows), s.IparsTotalRows())
 	}
 }
 

@@ -417,9 +417,6 @@ type Options struct {
 	NodeFilter string
 	// BlockBytes bounds per-segment read buffers.
 	BlockBytes int
-	// Coalesce merges contiguous aligned file chunks before extraction
-	// (see afc.Coalesce), trading chunk count for larger reads.
-	Coalesce bool
 	// NoCache bypasses the service's shared block cache for this query;
 	// reads go straight to the filesystem (handles are still pooled for
 	// the duration of the run).
@@ -528,14 +525,11 @@ func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*quer
 }
 
 // execAFCs selects the aligned file chunks one execution reads, after
-// node filtering and coalescing.
+// node filtering.
 func (p *Prepared) execAFCs(opt Options) []afc.AFC {
 	afcs := p.AFCs
 	if opt.NodeFilter != "" {
 		afcs = FilterByNode(afcs, opt.NodeFilter)
-	}
-	if opt.Coalesce {
-		afcs = afc.Coalesce(afcs)
 	}
 	return afcs
 }
@@ -646,7 +640,7 @@ func (s *Service) QueryContext(ctx context.Context, sql string) (*Rows, error) {
 }
 
 // QueryContextOptions is QueryContext with explicit execution options
-// (parallel extraction, worker count, block size, coalescing).
+// (parallel extraction, worker count, block size).
 func (s *Service) QueryContextOptions(ctx context.Context, sql string, opt Options) (*Rows, error) {
 	p, err := s.PrepareContext(ctx, sql)
 	if err != nil {

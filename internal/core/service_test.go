@@ -180,41 +180,6 @@ func TestNodeFilterPartitionsWork(t *testing.T) {
 	}
 }
 
-func TestCoalesceOptionMatches(t *testing.T) {
-	svc, s := iparsService(t, "CLUSTER")
-	p, err := prepare(svc, "SELECT * FROM IparsData WHERE SOIL > 0.4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, _, err := collect(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coalesced, stats, err := collect(p, Options{Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(coalesced) {
-		t.Fatalf("coalesce changed row count: %d vs %d", len(coalesced), len(plain))
-	}
-	a := make([]string, len(plain))
-	b := make([]string, len(coalesced))
-	for i := range plain {
-		a[i] = table.FormatRow(plain[i])
-		b[i] = table.FormatRow(coalesced[i])
-	}
-	sort.Strings(a)
-	sort.Strings(b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs: %s vs %s", i, a[i], b[i])
-		}
-	}
-	if stats.RowsScanned != s.IparsTotalRows() {
-		t.Errorf("scanned = %d", stats.RowsScanned)
-	}
-}
-
 func TestSplitByNodeRejectsCrossNodeChunks(t *testing.T) {
 	local := afc.AFC{
 		NumRows: 2,
@@ -246,30 +211,6 @@ func TestSplitByNodeRejectsCrossNodeChunks(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = CheckColocated(ok) }); n != 0 {
 		t.Errorf("CheckColocated allocated %v times on co-located chunks, want 0", n)
-	}
-}
-
-func TestCoalesceLayoutIThroughExtractor(t *testing.T) {
-	svc, s := iparsService(t, "I")
-	p, err := prepare(svc, "SELECT * FROM IparsData")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, stats, err := collect(p, Options{Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(rows)) != s.IparsTotalRows() {
-		t.Fatalf("rows = %d, want %d", len(rows), s.IparsTotalRows())
-	}
-	if stats.ChunksRead != 1 {
-		t.Errorf("coalesced layout I full scan used %d chunks, want 1", stats.ChunksRead)
-	}
-	// Spot-check implicit synthesis survived the merge: last row's REL
-	// must be the last realization.
-	last := rows[len(rows)-1]
-	if last[0].AsInt() != int64(s.Realizations-1) {
-		t.Errorf("last row REL = %v", last[0])
 	}
 }
 

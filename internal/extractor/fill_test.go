@@ -1,6 +1,8 @@
 package extractor
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -135,5 +137,56 @@ func TestRowDimFloatKind(t *testing.T) {
 		if ts[i] != want[i] {
 			t.Fatalf("row dims = %v", ts)
 		}
+	}
+}
+
+// BenchmarkFill times the column decoders over one IPARS L0 block: 512
+// rows of 22 Float attributes at an 88-byte stride, in both byte orders,
+// through the row-wise (fillColumn) and the vector (fillVec) decoder.
+// One op decodes the whole block.
+func BenchmarkFill(b *testing.B) {
+	const rows, cols, stride = 512, 22, 88
+	orders := []struct {
+		name string
+		bo   binary.ByteOrder
+	}{{"LE", binary.LittleEndian}, {"BE", binary.BigEndian}}
+	for _, o := range orders {
+		buf := make([]byte, rows*stride)
+		for i := 0; i < rows*cols; i++ {
+			o.bo.PutUint32(buf[i*4:], math.Float32bits(float32(i)*0.25))
+		}
+		column, vec := fillColumn, fillVec
+		if o.bo == binary.BigEndian {
+			column, vec = fillColumnBE, fillVecBE
+		}
+		b.Run("column/"+o.name, func(b *testing.B) {
+			block := make([]table.Row, rows)
+			for r := range block {
+				block[r] = make(table.Row, cols)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < cols; c++ {
+					column(block, c, schema.Float, buf, int64(c*4), stride)
+				}
+			}
+		})
+		b.Run("vec/"+o.name, func(b *testing.B) {
+			f := make([][]float64, cols)
+			ints := make([][]int64, cols)
+			for c := range f {
+				f[c], ints[c] = make([]float64, rows), make([]int64, rows)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(buf)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for c := 0; c < cols; c++ {
+					vec(f[c], ints[c], schema.Float, buf, int64(c*4), stride)
+				}
+			}
+		})
 	}
 }

@@ -59,7 +59,7 @@ type QueryStats struct {
 	// after index pruning.
 	ChunksPlanned int
 	// ChunksRead counts the chunks actually extracted (after node
-	// filtering and coalescing they can differ from ChunksPlanned).
+	// filtering they can differ from ChunksPlanned).
 	ChunksRead int
 	// BytesRead is the payload bytes read from data files.
 	BytesRead int64

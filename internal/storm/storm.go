@@ -73,11 +73,19 @@ type Partitioner interface {
 // ColumnLookup resolves an attribute name to a row index.
 type ColumnLookup func(name string) (int, bool)
 
+// maxDests caps NumDests. A node server stages a batch of rows per
+// destination, so the spec it receives from the wire must not size that
+// staging (1024 destinations × 512 rows of IPARS L0 is ≈ 46 MB).
+const maxDests = 1024
+
 // NewPartitioner builds the partitioner for a spec against a row
 // layout.
 func NewPartitioner(spec PartitionSpec, lookup ColumnLookup) (Partitioner, error) {
 	if spec.NumDests < 1 {
 		return nil, fmt.Errorf("storm: partition spec needs at least one destination")
+	}
+	if spec.NumDests > maxDests {
+		return nil, fmt.Errorf("storm: partition spec has %d destinations, at most %d allowed", spec.NumDests, maxDests)
 	}
 	switch spec.Scheme {
 	case RoundRobin:

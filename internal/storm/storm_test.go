@@ -84,6 +84,7 @@ func TestRangePartitioner(t *testing.T) {
 func TestPartitionerErrors(t *testing.T) {
 	cases := []PartitionSpec{
 		{Scheme: RoundRobin, NumDests: 0},
+		{Scheme: RoundRobin, NumDests: maxDests + 1},
 		{Scheme: HashAttr, NumDests: 2, Attr: "NOPE"},
 		{Scheme: RangeAttr, NumDests: 3, Attr: "A", Bounds: []float64{1}},
 		{Scheme: RangeAttr, NumDests: 3, Attr: "A", Bounds: []float64{5, 1}},
