@@ -30,13 +30,12 @@ import (
 
 // config carries the execution flags through both query paths.
 type config struct {
-	parallel bool
-	workers  int
-	quiet    bool
-	header   bool
-	explain  bool
-	stats    bool
-	timeout  time.Duration
+	workers int
+	quiet   bool
+	header  bool
+	explain bool
+	stats   bool
+	timeout time.Duration
 
 	cacheMB    int
 	cacheBlock int
@@ -61,8 +60,7 @@ func main() {
 	root := flag.String("root", ".", "data root directory (holds <node>/<dir>/<file>)")
 	nodes := flag.String("nodes", "", "run distributed: comma-separated node address table name=host:port,...")
 	var cfg config
-	flag.BoolVar(&cfg.parallel, "parallel", false, "extract aligned file chunks with a worker pool")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker pool size (0 = automatic)")
+	flag.IntVar(&cfg.workers, "workers", 0, "aggregate fold pool size (0 = automatic)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress rows; print only the summary")
 	flag.BoolVar(&cfg.header, "header", true, "print a column header line")
 	flag.BoolVar(&cfg.explain, "explain", false, "print the query plan (ranges and aligned file chunks) instead of rows")
@@ -171,7 +169,7 @@ func runLocal(ctx context.Context, svc *core.Service, sql string, cfg config) er
 	}
 	start := time.Now()
 	rows, err := prep.QueryContext(ctx, core.Options{
-		Parallel: cfg.parallel, Workers: cfg.workers, NoCache: cfg.noCache, NoSparse: cfg.noSparse,
+		Workers: cfg.workers, NoCache: cfg.noCache, NoSparse: cfg.noSparse,
 	})
 	if err != nil {
 		return err

@@ -107,23 +107,9 @@ func main() {
 		return
 	}
 
-	spec := storm.PartitionSpec{NumDests: *dests, Attr: *attr}
-	switch *scheme {
-	case "roundrobin":
-		spec.Scheme = storm.RoundRobin
-	case "hash":
-		spec.Scheme = storm.HashAttr
-	case "range":
-		spec.Scheme = storm.RangeAttr
-		for _, b := range strings.Split(*bounds, ",") {
-			var v float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(b), "%g", &v); err != nil {
-				fatal(fmt.Errorf("bad -bounds entry %q", b))
-			}
-			spec.Bounds = append(spec.Bounds, v)
-		}
-	default:
-		fatal(fmt.Errorf("unknown partition scheme %q", *scheme))
+	spec, err := partitionSpec(*scheme, *dests, *attr, *bounds)
+	if err != nil {
+		fatal(err)
 	}
 	sinks := make([]storm.Sink, *dests)
 	counts := make([]int64, *dests)
@@ -145,6 +131,30 @@ func main() {
 	out.Flush()
 	fmt.Fprintf(os.Stderr, "%d rows in %s; per destination: %v; per node: %v\n",
 		res.Rows, time.Since(start).Round(time.Millisecond), counts, res.PerNode)
+}
+
+// partitionSpec builds and validates the partition spec the flags
+// describe, before anything is sized by the destination count.
+func partitionSpec(scheme string, dests int, attr, bounds string) (storm.PartitionSpec, error) {
+	spec := storm.PartitionSpec{NumDests: dests, Attr: attr}
+	switch scheme {
+	case "roundrobin":
+		spec.Scheme = storm.RoundRobin
+	case "hash":
+		spec.Scheme = storm.HashAttr
+	case "range":
+		spec.Scheme = storm.RangeAttr
+		for _, b := range strings.Split(bounds, ",") {
+			var v float64
+			if _, err := fmt.Sscanf(strings.TrimSpace(b), "%g", &v); err != nil {
+				return spec, fmt.Errorf("bad -bounds entry %q", b)
+			}
+			spec.Bounds = append(spec.Bounds, v)
+		}
+	default:
+		return spec, fmt.Errorf("unknown partition scheme %q", scheme)
+	}
+	return spec, spec.Validate()
 }
 
 func fatal(err error) {

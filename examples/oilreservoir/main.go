@@ -70,7 +70,7 @@ func main() {
 		// A cell is "bypassed" if it satisfies the criteria at any step
 		// in the window; collect the distinct cells.
 		cells := map[cell]bool{}
-		if _, err := prep.RunContext(ctx, core.Options{Parallel: true}, func(row table.Row) error {
+		if _, err := prep.RunContext(ctx, core.Options{}, func(row table.Row) error {
 			cells[cell{int(row[0].AsFloat()), int(row[1].AsFloat()), int(row[2].AsFloat())}] = true
 			return nil
 		}); err != nil {

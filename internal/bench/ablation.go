@@ -68,7 +68,7 @@ func RunAblationIndex(cfg Config) (*Table, error) {
 			var e error
 			stats, e = extractor.RunBatchesContext(context.Background(), afcs, resolver, extractor.Options{
 				Cols: sch.Attrs(), Pred: pred,
-			}, false, func(batch []table.Row, _ bool) error { rows += int64(len(batch)); return nil })
+			}, func(batch []table.Row, _ bool) error { rows += int64(len(batch)); return nil })
 			return e
 		})
 		if err != nil {

@@ -614,7 +614,7 @@ func TestCounterParityWithLocal(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}
-		_, want, err := p.CollectContext(context.Background(), core.Options{Parallel: true})
+		_, want, err := p.CollectContext(context.Background(), core.Options{})
 		if err != nil {
 			t.Fatalf("%q: %v", sql, err)
 		}

@@ -203,6 +203,7 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows,
 // Deprecated: use QueryContext, which returns a streaming cursor; this
 // callback shim remains for push-style clients and returns the full
 // per-node Result.
+// Pinned by benchmark/layers.go (the cluster layer's overhead probe).
 func (c *Coordinator) QueryFuncContext(ctx context.Context, sql string, emit func(row table.Row) error) (*Result, error) {
 	perRow := extractor.PerRow(emit)
 	return c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, rows []table.Row) error {
@@ -311,7 +312,6 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		Version:   protocolVersion,
 		SQL:       sql,
 		Partition: spec,
-		Parallel:  true,
 	}
 	// Forward the deadline so the node stops extracting server-side
 	// when the client's budget runs out.

@@ -91,7 +91,12 @@ const (
 // exhausted the query fails with an error matching this via errors.Is.
 var ErrOverloaded = errors.New("cluster: node overloaded, query shed")
 
-// Request is the JSON payload of a 'Q' frame.
+// Request is the JSON payload of a 'Q' frame. Retired fields, which a
+// coordinator built before their removal may still send and a node
+// ignores: WindowBytes, Weight and MaxResultBytes (per-query credit,
+// scheduler share and byte budget), and Parallel (a node always folds
+// aggregates through its worker pool and streams row legs in plan
+// order on one goroutine).
 type Request struct {
 	Version int
 	// SQL is the query text.
@@ -100,8 +105,6 @@ type Request struct {
 	// computes each tuple's destination (partition generation at the
 	// server). A zero NumDests means a single unpartitioned stream.
 	Partition storm.PartitionSpec
-	// Parallel asks the node to extract with a worker pool.
-	Parallel bool
 	// TimeoutMS bounds the node-side execution in milliseconds; the
 	// coordinator derives it from its context deadline so a node keeps
 	// no work in flight after the client has given up. Zero means no

@@ -139,8 +139,9 @@ func TestFrameLimits(t *testing.T) {
 // TestMixedVersionPayloads keeps mixed-version clusters working: a
 // trailer from a node that still reports plan-cache counters, and a 'Q'
 // request from a coordinator that still sends the retired window,
-// weight and result-size fields, both decode — in the unit form the
-// coordinator and node use, and through a live node session.
+// weight, result-size and Parallel fields, both decode — in the unit
+// form the coordinator and node use, and through a live node session,
+// which still answers the old request with every row.
 func TestMixedVersionPayloads(t *testing.T) {
 	var tr Trailer
 	old := `{"Stats":{"AFCs":2,"RowsScanned":10},"Rows":7,"ExtractNS":5,"PlanCacheHits":1,"PlanCacheMisses":0,"SentBytes":64}`
@@ -169,7 +170,7 @@ func TestMixedVersionPayloads(t *testing.T) {
 
 	fields := map[string]any{
 		"Version": protocolVersion, "SQL": "SELECT TIME FROM IparsData",
-		"WindowBytes": 1 << 16, "Weight": 2, "MaxResultBytes": 1 << 20,
+		"WindowBytes": 1 << 16, "Weight": 2, "MaxResultBytes": 1 << 20, "Parallel": true,
 	}
 	payload, err := json.Marshal(fields)
 	if err != nil {
@@ -189,6 +190,7 @@ func TestMixedVersionPayloads(t *testing.T) {
 	if err := writeFrame(conn, frameQuery, 1, payload); err != nil {
 		t.Fatal(err)
 	}
+	rowFrames := 0
 	for {
 		typ, _, body, err := readFrame(conn, nil)
 		if err != nil {
@@ -196,14 +198,14 @@ func TestMixedVersionPayloads(t *testing.T) {
 		}
 		switch typ {
 		case frameRows:
-			continue
+			rowFrames++
 		case frameDone:
 			var done Trailer
 			if err := json.Unmarshal(body, &done); err != nil {
 				t.Fatal(err)
 			}
-			if done.Rows != spec.IparsTotalRows() {
-				t.Errorf("node answered %d rows, want %d", done.Rows, spec.IparsTotalRows())
+			if done.Rows != spec.IparsTotalRows() || rowFrames == 0 {
+				t.Errorf("node answered %d rows in %d frames, want %d", done.Rows, rowFrames, spec.IparsTotalRows())
 			}
 			return
 		default:

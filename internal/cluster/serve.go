@@ -521,10 +521,7 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 	}
 
 	var rows int64
-	stats, err := prep.RunContext(ctx, core.Options{
-		NodeFilter: partition,
-		Parallel:   req.Parallel,
-	}, func(row table.Row) error {
+	stats, err := prep.RunContext(ctx, core.Options{NodeFilter: partition}, func(row table.Row) error {
 		d := 0
 		if part != nil {
 			d = part.Dest(row)
@@ -568,10 +565,7 @@ func (s *nodeSession) executeAggregate(ctx context.Context, st *outStream, req R
 	if req.Partition.NumDests > 0 {
 		return Trailer{}, fmt.Errorf("cluster: aggregate queries cannot be partitioned")
 	}
-	state, stats, err := prep.RunAggPartialContext(ctx, core.Options{
-		NodeFilter: partition,
-		Parallel:   req.Parallel,
-	})
+	state, stats, err := prep.RunAggPartialContext(ctx, core.Options{NodeFilter: partition})
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			return Trailer{}, cerr

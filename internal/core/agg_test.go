@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -109,32 +110,37 @@ func TestAggregateQueryAgainstRowOracle(t *testing.T) {
 	}
 }
 
+// TestAggregateParallelMatchesSequential folds one plan through every
+// pool size from 1 (the caller alone) to 4, with the vector and the
+// scalar filter: exact accumulators make every merge bit-identical.
 func TestAggregateParallelMatchesSequential(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	defer svc.Close()
-	p, err := prepare(svc, "SELECT TIME, COUNT(*), AVG(SOIL), SUM(SGAS) FROM IparsData GROUP BY TIME")
+	p, err := prepare(svc, "SELECT TIME, COUNT(*), AVG(SOIL), SUM(SGAS), MAX(SWAT) FROM IparsData WHERE SOIL > 0.2 GROUP BY TIME")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := collect(p, Options{})
+	if len(p.AFCs) < 8 {
+		t.Fatalf("%d AFCs: too few for four workers to split", len(p.AFCs))
+	}
+	seq, _, err := collect(p, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := collect(p, Options{Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Exact accumulators make the parallel merge bit-identical.
-	rowsEqual(t, "parallel", seq, par)
-
-	// The scalar-filter diagnostic path must also agree.
-	scalar, sstats, err := collect(p, Options{ScalarFilter: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqual(t, "scalar", seq, scalar)
-	if sstats.VectorBatches != 0 {
-		t.Errorf("ScalarFilter run counted %d vector batches", sstats.VectorBatches)
+	for _, scalar := range []bool{false, true} {
+		for workers := 1; workers <= 4; workers++ {
+			got, stats, err := collect(p, Options{Workers: workers, ScalarFilter: scalar})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsEqual(t, fmt.Sprintf("workers=%d scalar=%v", workers, scalar), seq, got)
+			if scalar && stats.VectorBatches != 0 {
+				t.Errorf("ScalarFilter run counted %d vector batches", stats.VectorBatches)
+			}
+			if stats.ChunksRead != len(p.AFCs) {
+				t.Errorf("workers=%d scalar=%v: read %d chunks of %d", workers, scalar, stats.ChunksRead, len(p.AFCs))
+			}
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // rowsBuffer is the channel depth, in batches, between the extraction
 // goroutine and the consumer. It applies to owned batches (coordinator
-// frames, parallel-worker slabs, aggregate results), which the producer
+// frames, aggregate results), which the producer
 // hands over and forgets, so the channel decouples bursty production
 // from row-at-a-time iteration: a cursor holds no more than rowsBuffer
 // undelivered owned batches. A borrowed batch never queues behind

@@ -71,7 +71,7 @@ func TestRowsCloseCancelsExtraction(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	rows, err := svc.QueryContextOptions(context.Background(),
-		"SELECT * FROM IparsData", Options{Parallel: true, Workers: 4, BlockBytes: 256})
+		"SELECT * FROM IparsData", Options{BlockBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,8 +90,8 @@ func TestRowsCloseCancelsExtraction(t *testing.T) {
 }
 
 // TestRowsParentContextCancelled cancels the caller's context during
-// parallel extraction: Next must stop promptly and Err report
-// context.Canceled, with all workers gone.
+// extraction: Next must stop promptly and Err report context.Canceled,
+// with the extraction goroutine gone.
 func TestRowsParentContextCancelled(t *testing.T) {
 	svc, _ := bigIparsService(t)
 	before := runtime.NumGoroutine()
@@ -99,7 +99,7 @@ func TestRowsParentContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rows, err := svc.QueryContextOptions(ctx,
-		"SELECT * FROM IparsData", Options{Parallel: true, Workers: 4, BlockBytes: 256})
+		"SELECT * FROM IparsData", Options{BlockBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -408,9 +408,9 @@ func (s *Service) PrepareParsedContext(ctx context.Context, q *sqlparser.Query) 
 
 // Options tune query execution.
 type Options struct {
-	// Parallel extracts AFCs with a worker pool.
-	Parallel bool
-	// Workers bounds the pool (0 = default).
+	// Workers bounds the worker pool an aggregate query folds through
+	// (0 = GOMAXPROCS capped at 8). Row queries stream in plan order on
+	// one goroutine whatever its value.
 	Workers int
 	// NodeFilter restricts execution to AFCs whose segments all live on
 	// the given node (used by cluster node servers). Empty = all.
@@ -428,6 +428,7 @@ type Options struct {
 	// ScalarFilter forces per-row predicate evaluation instead of the
 	// vectorized (batch) path. The two paths select identical rows, so
 	// this is a diagnostic/benchmark knob.
+	// Pinned by benchmark/run.go (the oracle's reference path).
 	ScalarFilter bool
 }
 
@@ -496,7 +497,7 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 	tracer := obs.TracerFrom(ctx)
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	stats, err := extractor.RunBatchesContext(ctx, afcs, p.svc.resolver, xopt, opt.Parallel, inner)
+	stats, err := extractor.RunBatchesContext(ctx, afcs, p.svc.resolver, xopt, inner)
 	p.finishRun(tracer, &stats, endExtract(err), err)
 	return stats, err
 }
@@ -519,7 +520,7 @@ func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*quer
 	tracer := obs.TracerFrom(ctx)
 	xopt := p.extractorOptions(tracer, opt)
 	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	state, stats, err := extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, opt.Parallel, p.Agg)
+	state, stats, err := extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
 	p.finishRun(tracer, &stats, endExtract(err), err)
 	return state, stats, err
 }
@@ -596,6 +597,7 @@ func (p *Prepared) PrepareStats() (plan, index time.Duration) {
 // PlanCacheCounters always returns 0, 0: there is no plan cache, and
 // every prepare generates its AFC list. The method stays because the
 // repository's benchmark reads it.
+// Pinned by benchmark/layers.go (the core layer's prepare split).
 func (p *Prepared) PlanCacheCounters() (hits, misses int64) {
 	return 0, 0
 }
@@ -640,7 +642,7 @@ func (s *Service) QueryContext(ctx context.Context, sql string) (*Rows, error) {
 }
 
 // QueryContextOptions is QueryContext with explicit execution options
-// (parallel extraction, worker count, block size).
+// (fold pool size, block size, node filter).
 func (s *Service) QueryContextOptions(ctx context.Context, sql string, opt Options) (*Rows, error) {
 	p, err := s.PrepareContext(ctx, sql)
 	if err != nil {

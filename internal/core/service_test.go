@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -127,22 +128,31 @@ func TestPreparedProjectionAndValues(t *testing.T) {
 	}
 }
 
-func TestParallelOption(t *testing.T) {
+// TestWorkersOption: Workers bounds only the aggregate fold pool, so a
+// row query returns the same rows in the same (plan) order whatever its
+// value, and a negative value is rejected.
+func TestWorkersOption(t *testing.T) {
 	svc, _ := iparsService(t, "CLUSTER")
 	p, err := prepare(svc, "SELECT * FROM IparsData WHERE SOIL > 0.5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, _, err := collect(p, Options{})
+	want, _, err := collect(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := collect(p, Options{Parallel: true, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if len(want) == 0 {
+		t.Fatal("query selected nothing; test is vacuous")
 	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel rows = %d, sequential = %d", len(par), len(seq))
+	for _, workers := range []int{1, 4} {
+		got, _, err := collect(p, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsEqual(t, fmt.Sprintf("workers=%d", workers), want, got)
+	}
+	if _, _, err := collect(p, Options{Workers: -1}); err == nil || !strings.Contains(err.Error(), "Options.Workers") {
+		t.Errorf("Workers = -1: err = %v", err)
 	}
 }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"datavirt/internal/query"
+	"datavirt/internal/sparse"
 	"datavirt/internal/table"
 )
 
@@ -24,7 +26,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var n int64
-	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, false, PerRow(func(table.Row) error {
+	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, PerRow(func(table.Row) error {
 		n++
 		return nil
 	}))
@@ -40,7 +42,7 @@ func TestRunContextCancelled(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	n = 0
-	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, false, PerRow(func(table.Row) error {
+	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, PerRow(func(table.Row) error {
 		n++
 		if n == 10 {
 			cancel()
@@ -55,32 +57,39 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRunParallelContextCancelled cancels a parallel extraction
-// mid-flight and asserts the run returns ctx.Err() promptly without
-// leaking worker goroutines (the acceptance criterion of ISSUE 1).
+// TestRunParallelContextCancelled cancels the aggregate fold pool
+// mid-flight and asserts the run returns ctx.Err() promptly, before
+// folding every chunk, without leaking worker goroutines.
 func TestRunParallelContextCancelled(t *testing.T) {
 	s := spec()
 	s.TimeSteps, s.GridPoints = 20, 200 // enough AFCs/rows to be mid-flight
 	p, root := setupIpars(t, s, "CLUSTER")
-	afcs, err := p.Generate(query.Ranges{}, p.Schema.Names(), nil)
+	plan, opt, ranges := prepareAgg(t, p.Schema, "SELECT REL, COUNT(*), AVG(SOIL) FROM IparsData WHERE SOIL > -1 GROUP BY REL")
+	afcs, err := p.Generate(ranges, p.Schema.Names(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{Cols: p.Schema.Attrs(), Workers: 4, BlockBytes: 64}
-
-	before := runtime.NumGoroutine()
+	opt.Workers, opt.BlockBytes = 4, 64
+	// The sidecar lookup runs on the workers once per constrained file
+	// per chunk, before its first block: the third one cancels the run.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var n int64
-	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root), opt, true, PerRow(func(table.Row) error {
-		n++
-		if n == 10 {
+	var lookups atomic.Int64
+	opt.Ranges = ranges
+	opt.Sparse = func(node, file string) *sparse.Sidecar {
+		if lookups.Add(1) == 3 {
 			cancel()
 		}
 		return nil
-	}))
+	}
+
+	before := runtime.NumGoroutine()
+	_, stats, err := RunAggregateContext(ctx, afcs, nodeResolver(root), opt, plan)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("parallel cancel: err = %v", err)
+		t.Fatalf("pool cancel: err = %v", err)
+	}
+	if stats.ChunksRead >= len(afcs) {
+		t.Errorf("cancelled pool still read all %d chunks", len(afcs))
 	}
 	// All pool goroutines must have exited;
 	// allow the scheduler a moment to reap them.
@@ -100,10 +109,11 @@ func TestRunParallelContextDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, opt, _ := prepareAgg(t, p.Schema, "SELECT TIME, SUM(SGAS) FROM IparsData GROUP BY TIME")
+	opt.Workers = 4
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err = RunBatchesContext(ctx, afcs, nodeResolver(root),
-		Options{Cols: p.Schema.Attrs(), Workers: 4}, true, PerRow(func(table.Row) error { return nil }))
+	_, _, err = RunAggregateContext(ctx, afcs, nodeResolver(root), opt, plan)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v", err)
 	}
@@ -116,7 +126,7 @@ func TestFilterTimeRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
+	stats, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
 		func(table.Row) error { time.Sleep(10 * time.Microsecond); return nil })
 	if err != nil {
 		t.Fatal(err)

@@ -12,15 +12,11 @@ package extractor
 import (
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"datavirt/internal/afc"
@@ -72,12 +68,13 @@ func DirResolver(root string) Resolver {
 // MaxBatchRows rows) reach a BatchFunc as one batch, and an EmitFunc
 // sees the same batches unrolled row by row (PerRow). Every row an
 // EmitFunc sees, and every batch a BatchFunc is handed with owned ==
-// false, is borrowed: the row slices and their backing array belong to
-// the producer and are overwritten by the next block, so a receiver that
-// retains rows beyond the call copies the batch once with
-// table.CopyRows. A batch handed
-// over with owned == true is freshly allocated memory the producer
-// never touches again; the receiver keeps it as is. The core.Rows
+// false — every batch the extractor delivers — is borrowed: the row
+// slices and their backing array belong to the producer and are
+// overwritten by the next block, so a receiver that retains rows beyond
+// the call copies the batch once with table.CopyRows. A batch handed
+// over with owned == true (a decoded wire frame, finalized aggregate
+// rows) is freshly allocated memory the producer never touches again;
+// the receiver keeps it as is. The core.Rows
 // cursor hands out either kind in place, without a copy: its deliver
 // call holds a borrowed batch until the consumer's Next moves past it,
 // and its Row is valid until the next Next or Close — a caller that
@@ -121,8 +118,8 @@ type Options struct {
 	ScalarFilter bool
 	// BlockBytes bounds the I/O buffer per segment (default 1 MiB).
 	BlockBytes int
-	// Workers sets the parallelism of a parallel run (default GOMAXPROCS
-	// capped at 8).
+	// Workers bounds RunAggregateContext's fold pool (default GOMAXPROCS
+	// capped at 8). Row runs use the calling goroutine alone.
 	Workers int
 	// Source supplies byte readers for segment files — typically the
 	// node's shared block cache (*cache.Cache, see internal/cache), so
@@ -252,145 +249,28 @@ func (p *segPool) release() {
 }
 
 // RunBatchesContext is the extractor's one row entry: it extracts the
-// AFCs — sequentially, or with parallel set through a bounded worker
-// pool — and hands each block's surviving rows to deliver as one batch
-// (wrap a per-row callback with PerRow). Sequential batches are borrowed
-// from the run's block buffer; parallel workers copy each block's
-// survivors into a slab of their own to cross goroutines, so those
-// batches arrive owned. deliver is only ever called on the calling
-// goroutine, and row order across AFCs is unspecified when parallel (as
-// in the paper's middleware, which partitions and ships tuples as they
-// are produced). Cancelling ctx stops every worker between block reads
-// and returns the context's error; all goroutines have exited by the
-// time the call returns.
+// AFCs in plan order on the calling goroutine and hands each block's
+// surviving rows to deliver as one borrowed batch (wrap a per-row
+// callback with PerRow), so rows arrive in plan order. Cancelling ctx
+// stops the run between block reads and returns the context's error.
 //
 // The returned record holds the extractor's counters: chunks read,
 // payload bytes, rows scanned and emitted, cache, sparse and vector
-// counters, and filter and aggregate times summed across workers (so
-// they can exceed the run's wall time). The plan-side fields stay zero
-// for the caller to set.
-func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, deliver BatchFunc) (obs.QueryStats, error) {
-	workers := runWorkers(opt, parallel, len(afcs))
+// counters, and filter and aggregate times. The plan-side fields stay
+// zero for the caller to set.
+func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, deliver BatchFunc) (obs.QueryStats, error) {
 	src, srcDone := runSource(opt)
 	defer srcDone()
-
-	if workers <= 1 {
-		var stats obs.QueryStats
-		pool := newSegPool(src, resolver)
-		defer pool.release()
-		bb := &blockBuf{}
-		for i := range afcs {
-			if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, nil, deliver); err != nil {
-				return stats, err
-			}
-		}
-		return stats, nil
-	}
-
-	// One owned slab per block; at most a batch per worker waits here, so
-	// a run holds no more than 2×workers×MaxBatchRows undelivered rows.
-	results := make(chan []table.Row, workers)
-	workerStats := make([]obs.QueryStats, workers) // slot w written by worker w, read after results closes
-	done := make(chan struct{})
-	var once sync.Once
-	var workerErr error
-	fail := func(err error) {
-		once.Do(func() {
-			workerErr = err
-			close(done)
-		})
-	}
-	// Workers claim AFCs off a shared counter and the last one out closes
-	// results: no feeder or closer goroutine, so a small plan pays for its
-	// workers' hand-offs to the collector and nothing else.
-	var next, running atomic.Int64
-	running.Store(int64(workers))
-	var wg sync.WaitGroup
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(stats *obs.QueryStats) {
-			defer wg.Done()
-			defer func() {
-				if running.Add(-1) == 0 {
-					close(results)
-				}
-			}()
-			bb := &blockBuf{}
-			pool := newSegPool(src, resolver)
-			defer pool.release() // before results can close: the source outlives every reader
-			ship := func(rows []table.Row, _ bool) error {
-				select {
-				case results <- table.CopyRows(nil, rows):
-					return nil
-				case <-done:
-					return errStopped
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			for i := next.Add(1) - 1; i < int64(len(afcs)); i = next.Add(1) - 1 {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if err := extractOne(ctx, &afcs[i], pool, opt, bb, stats, nil, ship); err != nil {
-					fail(err) // a no-op for errStopped: the run has failed already
-					return
-				}
-			}
-		}(&workerStats[w])
-	}
-
-	var emitErr error
-	for rows := range results {
-		if emitErr != nil {
-			continue // drain
-		}
-		if err := deliver(rows, true); err != nil {
-			emitErr = err
-			fail(err)
-		}
-	}
-	wg.Wait()
 	var stats obs.QueryStats
-	for w := range workerStats {
-		stats.Add(workerStats[w])
+	pool := newSegPool(src, resolver)
+	defer pool.release()
+	bb := &blockBuf{}
+	for i := range afcs {
+		if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, nil, deliver); err != nil {
+			return stats, err
+		}
 	}
-	if workerErr != nil {
-		return stats, workerErr
-	}
-	return stats, emitErr
-}
-
-// errStopped unwinds a parallel worker out of extractOne once the run
-// has failed elsewhere (done is closed, so the first error is already
-// recorded); it never leaves RunBatchesContext.
-var errStopped = errors.New("extractor: run stopped")
-
-// runWorkers sizes one run's worker pool: 1 unless parallel, else
-// opt.Workers (defaultWorkers when unset) capped at one per AFC.
-func runWorkers(opt Options, parallel bool, afcs int) int {
-	if !parallel {
-		return 1
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = defaultWorkers()
-	}
-	return min(workers, afcs)
-}
-
-func defaultWorkers() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return stats, nil
 }
 
 // colSource binds one output column to its value source within an AFC.

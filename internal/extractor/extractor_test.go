@@ -88,20 +88,14 @@ func naiveRows(s gen.IparsSpec, sch *schema.Schema, cols []string, keep func(val
 
 // runRows is RunBatchesContext under a background context, with the
 // batches unrolled into per-row emit calls.
-func runRows(afcs []afc.AFC, resolver Resolver, opt Options, parallel bool, emit EmitFunc) (obs.QueryStats, error) {
-	return RunBatchesContext(context.Background(), afcs, resolver, opt, parallel, PerRow(emit))
+func runRows(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
+	return RunBatchesContext(context.Background(), afcs, resolver, opt, PerRow(emit))
 }
 
 // runQuery executes SQL against a plan and returns rows as float slices.
-func runQuery(t *testing.T, p *afc.Plan, root, sql string, parallel bool) ([][]float64, obs.QueryStats) {
+func runQuery(t *testing.T, p *afc.Plan, root, sql string) ([][]float64, obs.QueryStats) {
 	t.Helper()
-	return runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
-		if parallel {
-			opt.Workers = 4
-			return runRows(afcs, resolver, opt, true, emit)
-		}
-		return runRows(afcs, resolver, opt, false, emit)
-	})
+	return runQueryVia(t, p, root, sql, runRows)
 }
 
 // runQueryVia plans sql as runQuery does and extracts through run.
@@ -238,54 +232,70 @@ func TestAllLayoutsEquivalent(t *testing.T) {
 		p, root := setupIpars(t, s, layoutID)
 		for qi, qc := range queries {
 			want := naiveRows(s, p.Schema, qc.cols, qc.keep)
-			got, _ := runQuery(t, p, root, qc.sql, false)
+			got, _ := runQuery(t, p, root, qc.sql)
 			assertSameRows(t, fmt.Sprintf("%s/q%d", layoutID, qi), got, want)
 		}
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
+// TestRowsBorrowedInPlanOrder holds the row path's delivery contract:
+// every batch is borrowed and at most MaxBatchRows long, and rows arrive
+// in plan order — the whole run equals its AFCs run one at a time and
+// concatenated, row for row, even with Workers set. Batches are retained
+// through table.CopyRows and read only once the run is over, so a
+// producer that reused memory it had handed over would show up here.
+func TestRowsBorrowedInPlanOrder(t *testing.T) {
 	s := spec()
 	p, root := setupIpars(t, s, "CLUSTER")
 	sql := "SELECT * FROM IparsData WHERE TIME >= 2 AND SOIL > 0.3"
-	seq, seqStats := runQuery(t, p, root, sql, false)
-	par, parStats := runQuery(t, p, root, sql, true)
-	assertSameRows(t, "parallel-vs-sequential", par, seq)
-	if seqStats.RowsEmitted != parStats.RowsEmitted || seqStats.RowsScanned != parStats.RowsScanned {
-		t.Errorf("stats mismatch: %+v vs %+v", seqStats, parStats)
-	}
-
-	// The same runs drained the way the cursor drains them: batches are
-	// retained (owned ones as they are, borrowed ones through
-	// table.CopyRows) and only read once the run is over, so a producer
-	// that reused memory it had handed over would show up here.
-	for _, parallel := range []bool{false, true} {
-		sawOwned := false
-		got, _ := runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
-			opt.Workers = 4
-			var kept []table.Row
-			stats, err := RunBatchesContext(context.Background(), afcs, resolver, opt, parallel,
-				func(rows []table.Row, owned bool) error {
-					if len(rows) == 0 || len(rows) > MaxBatchRows {
-						t.Errorf("batch of %d rows", len(rows))
-					}
-					if owned {
-						sawOwned = true
-						kept = append(kept, rows...)
-					} else {
-						kept = table.CopyRows(kept, rows)
-					}
-					return nil
-				})
-			if err != nil {
-				return stats, err
-			}
-			return stats, PerRow(emit)(kept, true)
-		})
-		if sawOwned != parallel {
-			t.Errorf("parallel=%v delivered owned batches: %v", parallel, sawOwned)
+	want, wantStats := runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
+		if len(afcs) < 4 {
+			t.Fatalf("need several AFCs, got %d", len(afcs))
 		}
-		assertSameRows(t, fmt.Sprintf("batches-retained/parallel=%v", parallel), got, seq)
+		var total obs.QueryStats
+		for i := range afcs {
+			stats, err := runRows(afcs[i:i+1], resolver, opt, emit)
+			if err != nil {
+				return total, err
+			}
+			total.Add(stats)
+		}
+		return total, nil
+	})
+	got, gotStats := runQueryVia(t, p, root, sql, func(afcs []afc.AFC, resolver Resolver, opt Options, emit EmitFunc) (obs.QueryStats, error) {
+		opt.Workers = 4
+		var kept []table.Row
+		stats, err := RunBatchesContext(context.Background(), afcs, resolver, opt,
+			func(rows []table.Row, owned bool) error {
+				if len(rows) == 0 || len(rows) > MaxBatchRows {
+					t.Errorf("batch of %d rows", len(rows))
+				}
+				if owned {
+					t.Error("the extractor handed over an owned batch")
+				}
+				kept = table.CopyRows(kept, rows)
+				return nil
+			})
+		if err != nil {
+			return stats, err
+		}
+		return stats, PerRow(emit)(kept, true)
+	})
+	if len(want) == 0 {
+		t.Fatal("query selected nothing; test is vacuous")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for k := range want[i] {
+			if got[i][k] != want[i][k] {
+				t.Fatalf("row %d differs: got %v, want %v (rows out of plan order)", i, got[i], want[i])
+			}
+		}
+	}
+	if gotStats.RowsEmitted != wantStats.RowsEmitted || gotStats.RowsScanned != wantStats.RowsScanned {
+		t.Errorf("stats mismatch: %+v vs %+v", gotStats, wantStats)
 	}
 }
 
@@ -299,7 +309,7 @@ func TestFilterFunctionQuery(t *testing.T) {
 		sp := math.Sqrt(v["OILVX"]*v["OILVX"] + v["OILVY"]*v["OILVY"] + v["OILVZ"]*v["OILVZ"])
 		return v["TIME"] <= 3 && sp < 20
 	})
-	got, _ := runQuery(t, p, root, sql, false)
+	got, _ := runQuery(t, p, root, sql)
 	assertSameRows(t, "speed-filter", got, want)
 	if len(got) == 0 {
 		t.Fatal("filter selected nothing; test is vacuous")
@@ -325,7 +335,7 @@ func TestTitanChunkedExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sql := "SELECT * FROM TitanData WHERE X <= 300 AND Y <= 300 AND Z <= 40 AND S1 < 0.5"
-	got, stats := runQuery(t, p, root, sql, false)
+	got, stats := runQuery(t, p, root, sql)
 
 	var want [][]float64
 	for j := int64(0); j < int64(ts.Points); j++ {
@@ -351,7 +361,7 @@ func TestStatsBytesRead(t *testing.T) {
 	// Full scan reads every payload byte of every AFC exactly once per
 	// group: COORDS bytes are re-read per TIME chunk (paper behaviour),
 	// so BytesRead >= total data bytes.
-	_, stats := runQuery(t, p, root, "SELECT * FROM IparsData", false)
+	_, stats := runQuery(t, p, root, "SELECT * FROM IparsData")
 	if stats.BytesRead < p.TotalDataBytes() {
 		t.Errorf("BytesRead = %d < data %d", stats.BytesRead, p.TotalDataBytes())
 	}
@@ -380,15 +390,16 @@ func TestTruncatedFileError(t *testing.T) {
 	}
 	var work []schema.Attribute
 	work = append(work, p.Schema.Attrs()...)
-	_, err = runRows(afcs, nodeResolver(root), Options{Cols: work}, false, func(table.Row) error { return nil })
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: work}, func(table.Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "shorter than layout requires") {
 		t.Errorf("truncated file: err = %v", err)
 	}
-	// Parallel run surfaces the same failure.
-	_, err = runRows(afcs, nodeResolver(root), Options{Cols: work, Workers: 4}, true,
-		func(table.Row) error { return nil })
-	if err == nil {
-		t.Error("parallel run ignored truncated file")
+	// The aggregate pool surfaces the same failure.
+	plan, opt, _ := prepareAgg(t, p.Schema, "SELECT REL, COUNT(*), SUM(SOIL) FROM IparsData GROUP BY REL")
+	opt.Workers = 4
+	_, _, err = RunAggregateContext(context.Background(), afcs, nodeResolver(root), opt, plan)
+	if err == nil || !strings.Contains(err.Error(), "shorter than layout requires") {
+		t.Errorf("truncated file, aggregate pool: err = %v", err)
 	}
 }
 
@@ -402,7 +413,7 @@ func TestMissingFileError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
 		func(table.Row) error { return nil })
 	if err == nil {
 		t.Error("missing file not reported")
@@ -418,7 +429,7 @@ func TestEmitError(t *testing.T) {
 	}
 	boom := fmt.Errorf("sink full")
 	n := 0
-	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
 		func(table.Row) error {
 			n++
 			if n > 10 {
@@ -429,18 +440,8 @@ func TestEmitError(t *testing.T) {
 	if err != boom {
 		t.Errorf("emit error not propagated: %v", err)
 	}
-	// Parallel: emit errors stop the run promptly.
-	n = 0
-	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Workers: 4}, true,
-		func(table.Row) error {
-			n++
-			if n > 10 {
-				return boom
-			}
-			return nil
-		})
-	if err != boom {
-		t.Errorf("parallel emit error: %v", err)
+	if n != 11 {
+		t.Errorf("emit called %d times, want the run to stop at the failing row (11)", n)
 	}
 }
 
@@ -450,7 +451,7 @@ func TestBindErrors(t *testing.T) {
 			Attrs: []afc.SegAttr{{Name: "A", Kind: schema.Float}}},
 	}}
 	_, err := runRows([]afc.AFC{a}, DirResolver("/nonexistent"),
-		Options{Cols: []schema.Attribute{{Name: "B", Kind: schema.Float}}}, false,
+		Options{Cols: []schema.Attribute{{Name: "B", Kind: schema.Float}}},
 		func(table.Row) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "no source for attribute") {
 		t.Errorf("bind error = %v", err)
@@ -469,11 +470,11 @@ func TestSmallBlockSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rowsBig, rowsSmall int64
-	if _, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()}, false,
+	if _, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs()},
 		func(table.Row) error { rowsBig++; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), BlockBytes: 16}, false,
+	if _, err := runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), BlockBytes: 16},
 		func(table.Row) error { rowsSmall++; return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +539,7 @@ func TestHandleReuseAcrossAFCs(t *testing.T) {
 	src := cache.New(cache.Config{Disabled: true, OpenFile: disk.Open})
 	defer src.Close()
 	var rows int64
-	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Source: src}, false,
+	_, err = runRows(afcs, nodeResolver(root), Options{Cols: p.Schema.Attrs(), Source: src},
 		func(table.Row) error { rows++; return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +560,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	s := spec()
 	p, root := setupIpars(t, s, "CLUSTER")
 	sql := "SELECT * FROM IparsData WHERE TIME >= 2 AND TIME <= 5"
-	plain, _ := runQuery(t, p, root, sql, false)
+	plain, _ := runQuery(t, p, root, sql)
 
 	q := sqlparser.MustParse(sql)
 	needed := p.Schema.Names()
@@ -579,7 +580,7 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	opt := Options{Cols: p.Schema.Attrs(), Pred: pred, Source: c}
 	collect := func() ([][]float64, obs.QueryStats) {
 		var rows [][]float64
-		stats, err := runRows(afcs, nodeResolver(root), opt, false, func(r table.Row) error {
+		stats, err := runRows(afcs, nodeResolver(root), opt, func(r table.Row) error {
 			out := make([]float64, len(r))
 			for i := range r {
 				out[i] = r[i].AsFloat()
@@ -605,17 +606,17 @@ func TestCachedRunMatchesUncached(t *testing.T) {
 	if warmStats.CacheMisses != 0 || warmStats.CacheHits == 0 {
 		t.Errorf("warm pass not served from cache: %+v", warmStats)
 	}
-	// Parallel through the same shared cache agrees too.
-	opt.Workers = 4
-	var rows int64
-	pstats, err := runRows(afcs, nodeResolver(root), opt, true, func(table.Row) error { rows++; return nil })
+	// The aggregate pool's workers share the same cache and agree too.
+	plan, aopt, _ := prepareAgg(t, p.Schema, "SELECT COUNT(*) FROM IparsData WHERE TIME >= 2 AND TIME <= 5")
+	aopt.Workers, aopt.Source = 4, c
+	state, astats, err := RunAggregateContext(context.Background(), afcs, nodeResolver(root), aopt, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows != int64(len(plain)) {
-		t.Errorf("parallel cached rows = %d, want %d", rows, len(plain))
+	if got := state.Finalize(); len(got) != 1 || got[0][0].Int != int64(len(plain)) {
+		t.Errorf("pooled cached COUNT(*) = %v, want %d", got, len(plain))
 	}
-	if pstats.FSBytesRead != 0 {
-		t.Errorf("parallel warm pass read %d fs bytes", pstats.FSBytesRead)
+	if astats.FSBytesRead != 0 {
+		t.Errorf("pooled warm pass read %d fs bytes", astats.FSBytesRead)
 	}
 }

@@ -1,6 +1,7 @@
 package extractor
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"os"
@@ -63,7 +64,7 @@ func TestFillColumnAllKindsBothOrders(t *testing.T) {
 		dir := t.TempDir()
 		a, attrs := allKindsAFC(t, dir, big, 7)
 		var got []table.Row
-		_, err := runRows([]afc.AFC{a}, DirResolver(dir), Options{Cols: attrs}, false,
+		_, err := runRows([]afc.AFC{a}, DirResolver(dir), Options{Cols: attrs},
 			func(r table.Row) error {
 				got = append(got, append(table.Row(nil), r...))
 				return nil
@@ -85,25 +86,36 @@ func TestFillColumnAllKindsBothOrders(t *testing.T) {
 	}
 }
 
-// TestDefaultWorkers exercises the automatic pool sizing path.
+// TestDefaultWorkers exercises the fold pool's sizing and a run of the
+// automatically sized pool.
 func TestDefaultWorkers(t *testing.T) {
-	if n := defaultWorkers(); n < 1 || n > 8 {
-		t.Errorf("defaultWorkers = %d", n)
+	if n := runWorkers(Options{}, 100); n < 1 || n > 8 {
+		t.Errorf("default pool = %d", n)
+	}
+	for _, c := range []struct{ workers, afcs, want int }{
+		{3, 100, 3}, {16, 5, 5}, {4, 0, 1}, {0, 0, 1}, {0, 1, 1},
+	} {
+		if got := runWorkers(Options{Workers: c.workers}, c.afcs); got != c.want {
+			t.Errorf("runWorkers(Workers=%d, %d AFCs) = %d, want %d", c.workers, c.afcs, got, c.want)
+		}
 	}
 	dir := t.TempDir()
 	var afcs []afc.AFC
-	var attrs []schema.Attribute
+	var sch *schema.Schema
 	for i := 0; i < 4; i++ {
-		a, at := allKindsAFC(t, dir, false, 3)
+		a, attrs := allKindsAFC(t, dir, false, 3)
 		afcs = append(afcs, a)
-		attrs = at
+		sch = schema.MustNew("T", attrs)
 	}
-	var n int64
-	// Workers: 0 → defaultWorkers (may collapse to sequential on 1 CPU).
-	_, err := runRows(afcs, DirResolver(dir), Options{Cols: attrs, Workers: 0}, true,
-		func(table.Row) error { n++; return nil })
-	if err != nil || n != 12 {
-		t.Errorf("parallel run with default workers: %d rows, %v", n, err)
+	plan, opt, _ := prepareAgg(t, sch, "SELECT COUNT(*), SUM(L), MAX(D) FROM T")
+	state, _, err := RunAggregateContext(context.Background(), afcs, DirResolver(dir), opt, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four copies of rows 0..2: L = r*10+3, D = r*10+5.
+	got := state.Finalize()
+	if len(got) != 1 || got[0][0].Int != 12 || got[0][1].Int != 4*(3+13+23) || got[0][2].Float != 25 {
+		t.Errorf("default pool over 4 AFCs = %v", got)
 	}
 }
 
@@ -124,7 +136,7 @@ func TestRowDimFloatKind(t *testing.T) {
 	}
 	cols := []schema.Attribute{{Name: "T", Kind: schema.Float}, {Name: "P", Kind: schema.Double}}
 	var ts []float64
-	_, err := runRows([]afc.AFC{a}, DirResolver(dir), Options{Cols: cols}, false,
+	_, err := runRows([]afc.AFC{a}, DirResolver(dir), Options{Cols: cols},
 		func(r table.Row) error {
 			ts = append(ts, r[0].AsFloat())
 			return nil

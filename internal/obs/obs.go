@@ -84,6 +84,7 @@ type QueryStats struct {
 	// PlanCacheHits and PlanCacheMisses are always zero: there is no
 	// plan cache, every prepare generates its AFC list. The fields stay
 	// because the repository's benchmark reads them.
+	// Pinned by benchmark/trace.go and benchmark/layers.go (plan_hit_ratio).
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 

@@ -78,14 +78,33 @@ type ColumnLookup func(name string) (int, bool)
 // staging (1024 destinations × 512 rows of IPARS L0 is ≈ 46 MB).
 const maxDests = 1024
 
-// NewPartitioner builds the partitioner for a spec against a row
-// layout.
-func NewPartitioner(spec PartitionSpec, lookup ColumnLookup) (Partitioner, error) {
+// Validate checks what a spec can be checked for without a row layout:
+// 1 ≤ NumDests ≤ 1024, and for RangeAttr NumDests-1 ascending bounds.
+// A client calls it before sizing anything by NumDests.
+func (spec PartitionSpec) Validate() error {
 	if spec.NumDests < 1 {
-		return nil, fmt.Errorf("storm: partition spec needs at least one destination")
+		return fmt.Errorf("storm: partition spec needs at least one destination")
 	}
 	if spec.NumDests > maxDests {
-		return nil, fmt.Errorf("storm: partition spec has %d destinations, at most %d allowed", spec.NumDests, maxDests)
+		return fmt.Errorf("storm: partition spec has %d destinations, at most %d allowed", spec.NumDests, maxDests)
+	}
+	if spec.Scheme == RangeAttr {
+		if len(spec.Bounds) != spec.NumDests-1 {
+			return fmt.Errorf("storm: range partitioning needs %d bounds, got %d",
+				spec.NumDests-1, len(spec.Bounds))
+		}
+		if !sort.Float64sAreSorted(spec.Bounds) {
+			return fmt.Errorf("storm: range bounds must be ascending")
+		}
+	}
+	return nil
+}
+
+// NewPartitioner validates a spec and builds its partitioner against a
+// row layout.
+func NewPartitioner(spec PartitionSpec, lookup ColumnLookup) (Partitioner, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	switch spec.Scheme {
 	case RoundRobin:
@@ -100,13 +119,6 @@ func NewPartitioner(spec PartitionSpec, lookup ColumnLookup) (Partitioner, error
 		idx, ok := lookup(spec.Attr)
 		if !ok {
 			return nil, fmt.Errorf("storm: range partitioning on unknown attribute %q", spec.Attr)
-		}
-		if len(spec.Bounds) != spec.NumDests-1 {
-			return nil, fmt.Errorf("storm: range partitioning needs %d bounds, got %d",
-				spec.NumDests-1, len(spec.Bounds))
-		}
-		if !sort.Float64sAreSorted(spec.Bounds) {
-			return nil, fmt.Errorf("storm: range bounds must be ascending")
 		}
 		return &rangePart{idx: idx, bounds: spec.Bounds}, nil
 	}

@@ -95,6 +95,14 @@ func TestPartitionerErrors(t *testing.T) {
 			t.Errorf("spec %d accepted", i)
 		}
 	}
+	// Destination counts and range bounds fail Validate alone, without
+	// a row layout; the attribute and scheme need NewPartitioner.
+	for i, spec := range cases {
+		layoutFree := i == 0 || i == 1 || i == 3 || i == 4
+		if err := spec.Validate(); (err != nil) != layoutFree {
+			t.Errorf("spec %d: Validate = %v", i, err)
+		}
+	}
 }
 
 func TestSchemeString(t *testing.T) {
