@@ -30,7 +30,7 @@ func main() {
 	trace := flag.Bool("trace", false, "log every query stage (implies -slow 0s for all stages)")
 	cacheMB := flag.Int("cache-mb", 64, "block cache budget in MiB (0 disables block caching; handles stay pooled)")
 	cacheBlock := flag.Int("cache-block", 256<<10, "block cache block size in bytes")
-	maxConcurrent := flag.Int("max-concurrent", 0, "queries executing at once across all sessions (0 = 2x GOMAXPROCS, at least 4)")
+	maxConcurrent := flag.Int("max-concurrent", 0, "queries executing at once across all connections (0 = 2x GOMAXPROCS, at least 4)")
 	maxQueue := flag.Int("max-queue", 0, "admission queue depth beyond which arrivals are shed busy (0 = 64, negative = no queue)")
 	flag.Parse()
 

@@ -67,8 +67,8 @@ func main() {
 		fmt.Printf("started node server %s on %s\n", name, node.Addr())
 	}
 
-	// The remote client: a coordinator multiplexing queries over pooled
-	// node sessions. Close releases the persistent connections.
+	// The remote client: a coordinator that keeps a pool of idle node
+	// connections, one query per connection. Close releases them.
 	coord, err := cluster.NewCoordinator(d, addrs)
 	if err != nil {
 		log.Fatal(err)

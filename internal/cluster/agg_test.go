@@ -16,7 +16,7 @@ import (
 
 // localService opens a single-process service over the same generated
 // dataset a cluster was started on, for local-vs-distributed oracles.
-func localService(t *testing.T, s gen.IparsSpec) *core.Service {
+func localService(t testing.TB, s gen.IparsSpec) *core.Service {
 	t.Helper()
 	root := t.TempDir()
 	descPath, err := gen.WriteIpars(root, s, "CLUSTER")

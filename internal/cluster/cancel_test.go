@@ -275,7 +275,7 @@ func TestClusterQueryCancelledMidStream(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream cancel: err = %v", err)
 	}
-	// Coordinator-side goroutines must drain once the pooled sessions
+	// Coordinator-side goroutines must drain once the pooled connections
 	// are released (node-side handlers close with their connections).
 	coord.Close()
 	deadline := time.Now().Add(2 * time.Second)

@@ -476,7 +476,7 @@ func TestNodeRejectsBadFrames(t *testing.T) {
 	}
 	conn2.Close()
 
-	// A frame type only servers send → the session is torn down.
+	// A frame type only servers send → the connection is torn down.
 	conn3, err := net.Dial("tcp", node.Addr())
 	if err != nil {
 		t.Fatal(err)

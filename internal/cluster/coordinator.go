@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,10 +25,10 @@ import (
 )
 
 // Coordinator is the client-side entry point of the distributed system:
-// it holds the descriptor (for planning and row decoding), keeps two
-// persistent multiplexed sessions to every node server, fans each query
-// out, and merges or routes the returned tuple streams. It performs no
-// file I/O.
+// it holds the descriptor (for planning and row decoding), keeps a pool
+// of idle connections to every node server, fans each query out — one
+// leg per partition, each on a connection of its own — and merges or
+// routes the returned tuple streams. It performs no file I/O.
 //
 // The knob fields may be adjusted after NewCoordinator and before the
 // first query; they tolerate slow, overloaded or dead nodes in the
@@ -59,14 +60,13 @@ type Coordinator struct {
 	// OverloadBackoff is the first overload retry's delay, doubled per
 	// attempt (default 25ms).
 	OverloadBackoff time.Duration
-	// LegStallAfter, when positive, bounds the gap between frames
-	// received by one leg's stream: a leg with no frame progress for
-	// this long fails with errLegStalled. If nothing of it reached the
-	// merge yet, it is re-dispatched — to a standby replica when its
-	// partition has a live one, else once more to the same node over a
-	// pooled session. The watchdog is per leg, so a blackholed query
-	// does not tear down the session it shares with healthy ones. Zero
-	// disables it.
+	// LegStallAfter, when positive, bounds the wait for each frame of a
+	// leg: it is the read deadline on the leg's connection, and a leg
+	// whose node sends nothing for this long fails with errLegStalled and
+	// its connection is closed. If nothing of it reached the merge yet,
+	// it is re-dispatched — to a standby replica when its partition has a
+	// live one, else once more to the same node over a fresh connection.
+	// Zero disables it.
 	LegStallAfter time.Duration
 	// FailoverStageBytes bounds how many result-payload bytes a
 	// replicated leg stages before the coordinator commits them to the
@@ -113,8 +113,9 @@ func NewCoordinator(d *metadata.Descriptor, addrs map[string]string) (*Coordinat
 // Schema returns the virtual table schema.
 func (c *Coordinator) Schema() *schema.Schema { return c.svc.Schema() }
 
-// Close releases every pooled node session. In-flight queries fail;
-// the coordinator may be used again afterwards (pools re-form).
+// Close closes every pooled node connection, idle or busy. In-flight
+// queries fail; the coordinator may be used again afterwards (pools
+// re-form).
 func (c *Coordinator) Close() error {
 	c.poolMu.Lock()
 	pools := c.pools
@@ -126,7 +127,7 @@ func (c *Coordinator) Close() error {
 	return nil
 }
 
-// pool returns the session pool for node, creating it on first use.
+// pool returns the connection pool for node, creating it on first use.
 func (c *Coordinator) pool(node string) *nodePool {
 	c.poolMu.Lock()
 	defer c.poolMu.Unlock()
@@ -136,7 +137,10 @@ func (c *Coordinator) pool(node string) *nodePool {
 	if p, ok := c.pools[node]; ok {
 		return p
 	}
-	p := &nodePool{dial: func(ctx context.Context) (net.Conn, error) { return c.dialNode(ctx, node) }}
+	p := &nodePool{
+		dial: func(ctx context.Context) (net.Conn, error) { return c.dialNode(ctx, node) },
+		busy: map[*poolConn]bool{},
+	}
 	c.pools[node] = p
 	return p
 }
@@ -289,7 +293,7 @@ type legCounters struct {
 }
 
 // runPrepared fans the prepared query out to every node over the
-// session pools, merges the streams and assembles the Result. Rows
+// connection pools, merges the streams and assembles the Result. Rows
 // reach deliver a batch at a time — one decoded 'R' frame (or the
 // finalized groups of an aggregate) with its partition destination —
 // from this goroutine only. Every batch is owned in the sense of
@@ -388,8 +392,7 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 			cancelLegs()
 		}
 	}
-	var slowestExtract int64
-	var queuedLegs, queueNS int64
+	var slowestExtract time.Duration
 	for range nodes {
 		d := <-donec
 		if d.err != nil && firstErr == nil {
@@ -399,11 +402,7 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		res.Rows += d.trailer.Rows
 		res.SentBytes += d.trailer.SentBytes
 		res.PerNode[d.node] = d.trailer.Rows
-		if d.trailer.ExtractNS > slowestExtract {
-			slowestExtract = d.trailer.ExtractNS
-		}
-		queuedLegs += d.trailer.Queued
-		queueNS += d.trailer.QueueNS
+		slowestExtract = max(slowestExtract, d.trailer.Stats.ExtractTime)
 	}
 	if firstErr != nil {
 		if ctx.Err() != nil {
@@ -430,12 +429,10 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 	st := &res.QueryStats
 	st.ChunksPlanned = len(prep.AFCs)
 	st.PlanTime, st.IndexTime = prep.PrepareStats()
-	st.ExtractTime = time.Duration(slowestExtract)
+	st.ExtractTime = slowestExtract
 	st.NetTime = time.Since(netStart)
-	// Serving counters: admission queueing reported by the nodes,
-	// shedding observed by the legs.
-	st.QueueTime = time.Duration(queueNS)
-	st.QueuedQueries = queuedLegs
+	// Shedding is observed by the legs; admission queueing is summed
+	// from the nodes' records above.
 	st.ShedQueries = counters.shed.Load()
 	// Failover counters: dispatches beyond a leg's first, and why.
 	st.LegRedispatches = counters.redispatched.Load()
@@ -444,7 +441,7 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 	return res, nil
 }
 
-// runLeg drives one partition's leg: replica placement, session
+// runLeg drives one partition's leg: replica placement, connection
 // checkout, bounded retry of legs shed by admission control, and the
 // re-dispatch of a leg whose serving node dies or stalls before any of
 // its results reached the merge. A replicated leg stages its results
@@ -452,7 +449,7 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 // leg streams straight into the merge, so only a leg that has delivered
 // no frame is replayed. A failed leg moves to a standby replica when a
 // live one exists; a stalled leg with none left is retried once on the
-// same node, whose pool hands it a session round-robin.
+// same node, over another connection.
 //
 // The loop terminates: every iteration either returns, permanently
 // adds a node to failed (candidates only shrink), consumes one unit of
@@ -565,7 +562,7 @@ func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request,
 		if _, ok := c.pickReplica(replicas, failed, ""); ok {
 			counters.failovers.Add(1)
 		} else if errors.Is(err, errLegStalled) && !stallRetried {
-			// A stalled stream on a live node: its session may be stuck
+			// A stalled stream on a live node: its connection may be stuck
 			// while the node is not, so the node gets one more try.
 			stallRetried = true
 			delete(failed, node)
@@ -617,66 +614,66 @@ func healthErr(err error) error {
 	return err
 }
 
-// legStream runs one wire stream of a leg over a shared session:
-// sends the query, consumes its frames, grants flow-control credit, and
-// decodes row batches ('R') or merges partial aggregates ('A', via
-// onAgg). delivered reports whether any frame was handed to onBatch or
-// onAgg, i.e. whether a failed stream can still be replayed.
+// legStream runs one wire stream of a leg on a pooled connection: it
+// sends the query, reads its frames on this goroutine, and decodes row
+// batches ('R') or merges partial aggregates ('A', via onAgg).
+// delivered reports whether any frame was handed to onBatch or onAgg,
+// i.e. whether a failed stream can still be replayed. A reused
+// connection that turns out closed before its first frame — the node
+// hung up while it sat idle — is replaced by a fresh dial, and that
+// failure is not the leg's.
 func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request, codec *table.Codec,
 	onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (tr Trailer, delivered bool, err error) {
 
-	// ctxErr prefers the context's error over the failure it induced.
-	ctxErr := func(err error) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
+	for fresh := false; ; fresh = true {
+		pc, err := pool.get(ctx, fresh)
+		if err != nil {
+			return Trailer{}, false, ctxErr(ctx, err)
 		}
-		return err
+		tr, frames, delivered, err := c.legOn(ctx, pool, pc, req, codec, onBatch, onAgg)
+		if err != nil && pc.reused && frames == 0 && ctx.Err() == nil && isClosedConn(err) {
+			continue
+		}
+		return tr, delivered, ctxErr(ctx, err)
 	}
+}
 
-	sess, err := pool.session(ctx)
-	if err != nil {
-		return Trailer{}, false, ctxErr(err)
-	}
-	leg, err := sess.start(req)
-	if err != nil {
-		return Trailer{}, false, ctxErr(err)
-	}
-	// A context cancellation abandons the leg: the node is told to
-	// cancel, the demux reader drops the query's residue frames, and
-	// the blocked next() below returns.
-	stop := context.AfterFunc(ctx, func() {
-		sess.abandon(leg, ctx.Err())
-	})
-	defer stop()
-	// The stall watchdog abandons a leg with no frame progress within
-	// LegStallAfter — a blackholed stream on an otherwise live session,
-	// which the connection itself never reports. It is reset after every
-	// frame; a fire racing a late frame only costs a spurious
-	// re-dispatch, never a duplicate delivery (the leg's remaining
-	// events drain before next returns the stall error, so delivered
-	// already covers them when runLeg decides).
-	var watchdog *time.Timer
-	if c.LegStallAfter > 0 {
-		watchdog = time.AfterFunc(c.LegStallAfter, func() {
-			sess.abandon(leg, errLegStalled)
-		})
-		defer watchdog.Stop()
-	}
+// legOn runs one leg on pc and checks pc back into pool: kept after a
+// terminal frame, closed after anything else. Cancelling ctx closes
+// the connection, which the node reads as the query's cancellation.
+func (c *Coordinator) legOn(ctx context.Context, pool *nodePool, pc *poolConn, req Request, codec *table.Codec,
+	onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (tr Trailer, frames int, delivered bool, err error) {
 
+	terminal := false
+	stop := context.AfterFunc(ctx, func() { pc.Close() })
+	defer func() {
+		pool.put(pc, stop() && terminal)
+	}()
+	pc.qid++
+	if err := writeJSONFrame(pc, frameQuery, pc.qid, req); err != nil {
+		return Trailer{}, 0, false, err
+	}
 	for {
-		ev, err := leg.next()
-		if watchdog != nil {
-			watchdog.Reset(c.LegStallAfter)
+		if c.LegStallAfter > 0 {
+			pc.SetReadDeadline(time.Now().Add(c.LegStallAfter)) //nolint:errcheck — a dead conn fails the read below
+		}
+		typ, qid, payload, err := readFrame(pc.br, pc.buf)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return Trailer{}, frames, delivered, errLegStalled
 		}
 		if err != nil {
-			sess.abandon(leg, err)
-			return Trailer{}, delivered, ctxErr(err)
+			return Trailer{}, frames, delivered, err
 		}
-		switch ev.typ {
+		frames++
+		pc.buf = payload
+		if qid != pc.qid {
+			return Trailer{}, frames, delivered, fmt.Errorf("cluster: frame for query %d on a connection serving query %d", qid, pc.qid)
+		}
+		switch typ {
 		case frameRows:
 			var dest int
 			var rows []table.Row
-			if dest, rows, err = decodeRowsFrame(codec, ev.payload); err == nil {
+			if dest, rows, err = decodeRowsFrame(codec, payload); err == nil {
 				delivered = true
 				onBatch(dest, rows)
 			}
@@ -685,26 +682,35 @@ func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request
 				err = fmt.Errorf("cluster: unexpected aggregate frame for a row query")
 			} else {
 				delivered = true
-				err = onAgg(ev.payload)
+				err = onAgg(payload)
 			}
 		case frameDone:
-			if err := json.Unmarshal(ev.payload, &tr); err != nil {
-				return Trailer{}, delivered, fmt.Errorf("cluster: bad trailer: %w", err)
+			terminal = true
+			if err := json.Unmarshal(payload, &tr); err != nil {
+				return Trailer{}, frames, delivered, fmt.Errorf("cluster: bad trailer: %w", err)
 			}
-			return tr, delivered, nil
+			return tr, frames, delivered, nil
 		case frameBusy:
-			return Trailer{}, delivered, fmt.Errorf("node shed query: %w", ErrOverloaded)
+			terminal = true
+			return Trailer{}, frames, delivered, fmt.Errorf("node shed query: %w", ErrOverloaded)
 		case frameError:
-			return Trailer{}, delivered, fmt.Errorf("%s", ev.payload)
+			terminal = true
+			return Trailer{}, frames, delivered, fmt.Errorf("%s", payload)
 		default:
-			err = fmt.Errorf("cluster: unexpected frame %q", ev.typ)
+			err = fmt.Errorf("cluster: unexpected frame %q", typ)
 		}
 		if err != nil {
-			sess.abandon(leg, err)
-			return Trailer{}, delivered, err
+			return Trailer{}, frames, delivered, err
 		}
-		leg.consumedRows(len(ev.payload))
 	}
+}
+
+// ctxErr prefers the context's error over the failure it induced.
+func ctxErr(ctx context.Context, err error) error {
+	if cerr := ctx.Err(); cerr != nil && err != nil {
+		return cerr
+	}
+	return err
 }
 
 // decodeRowsFrame decodes an 'R' payload: destID | rowCount | rows.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 
 	"datavirt/internal/table"
 )
@@ -11,8 +12,8 @@ import (
 // committing it to the merge (and giving up replayability).
 const defaultStageBytes = 8 << 20
 
-// errLegStalled fails a leg whose stream made no frame progress
-// within LegStallAfter. It counts against the node's health; if nothing
+// errLegStalled fails a leg whose connection delivered no frame within
+// LegStallAfter. It counts against the node's health; if nothing
 // of the leg reached the merge, the coordinator re-dispatches it to a
 // standby replica, or once more to the same node when none is left.
 var errLegStalled = errors.New("cluster: leg stalled: no frame progress within LegStallAfter")
@@ -41,9 +42,9 @@ type legStage struct {
 }
 
 // stagedItem is one withheld delivery: a decoded row batch (agg nil)
-// or an encoded partial-aggregate payload. Both are safe to retain —
-// the demux reader copies every frame payload and DecodeAll allocates
-// fresh rows.
+// or an encoded partial-aggregate payload. Both are safe to retain:
+// DecodeAll allocates fresh rows, and agg copies the payload out of the
+// connection's reused read buffer.
 type stagedItem struct {
 	dest int
 	rows []table.Row
@@ -76,7 +77,7 @@ func (g *legStage) agg(payload []byte) error {
 	if g.committed {
 		return g.onAgg(payload)
 	}
-	g.staged = append(g.staged, stagedItem{agg: payload})
+	g.staged = append(g.staged, stagedItem{agg: slices.Clone(payload)})
 	g.bytes += int64(len(payload))
 	if g.bytes >= g.budget {
 		return g.commit()

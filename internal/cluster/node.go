@@ -15,9 +15,9 @@ import (
 // Node is one cluster node server. It owns the subset of a dataset's
 // files whose storage directories name it and answers query requests by
 // running the generated index and extraction functions over that subset.
-// Each accepted connection is a multiplexed session carrying many
-// concurrent queries; a node-wide admission controller bounds how many
-// run at once and sheds the excess.
+// Each accepted connection carries one query at a time, written to it
+// as it is extracted; a node-wide admission controller bounds how many
+// queries run at once across all connections and sheds the excess.
 type Node struct {
 	name string
 	svc  *core.Service
@@ -51,7 +51,7 @@ type Node struct {
 	Tracer obs.Tracer
 
 	// MaxConcurrent bounds how many queries execute at once across all
-	// of this node's sessions; further arrivals wait in a FIFO queue.
+	// of this node's connections; further arrivals wait in a FIFO queue.
 	// Zero means 2×GOMAXPROCS (at least 4). Set before traffic arrives.
 	MaxConcurrent int
 
@@ -189,7 +189,7 @@ func (n *Node) acceptLoop() {
 				n.mu.Unlock()
 				conn.Close()
 			}()
-			if err := newNodeSession(n, conn).serve(); err != nil {
+			if err := n.serveConn(conn); err != nil {
 				n.Logf("cluster node %s: %v", n.name, err)
 			}
 		}()

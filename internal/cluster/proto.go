@@ -4,17 +4,17 @@
 // query out, merges the tuple streams, and optionally routes tuples to
 // client processors using the partition generated at the service side —
 // the deployment the paper evaluates on 1–16 nodes, grown into a
-// concurrent serving system: many in-flight queries are multiplexed
-// over a small set of persistent node connections.
+// concurrent serving system: the coordinator keeps a pool of idle
+// connections to every node, and each connection carries one query at
+// a time.
 //
-// The wire protocol (version 3) is length-prefixed binary frames over
-// TCP, every frame tagged with the query ID it belongs to so one
-// connection carries many queries at once:
+// The wire protocol (version 4) is length-prefixed binary frames over
+// TCP. Every frame carries the query ID of the request it belongs to:
+// the coordinator picks it, and the node echoes it on every frame of
+// the answer.
 //
 //	frame   = len uint32 (LE) | type byte | qid uint32 (LE) | payload
 //	'Q'     = query request (JSON header), client → node
-//	'C'     = cancel query qid (empty payload), client → node
-//	'W'     = flow-control credit: uint32 window bytes, client → node
 //	'R'     = row batch: destID uint32 | rowCount uint32 | rows (codec)
 //	'A'     = partial aggregates (query.AggState wire encoding)
 //	'D'     = done: JSON stats trailer (terminal)
@@ -28,11 +28,10 @@
 // aggregates over its blocks and streams them in 'A' frames — each an
 // independently mergeable group of partials — which the coordinator
 // merges and finalizes, so result traffic scales with group count
-// rather than row count. Each query has a byte-granular flow-control
-// window: the node only sends row or aggregate batches against credit
-// the client has granted (every query starts with defaultWindowBytes,
-// 'W' replenishes it), so one slow consumer cannot monopolize a shared
-// connection.
+// rather than row count. There is no flow control in the protocol: a
+// connection carries one query, so TCP's window paces the node to the
+// coordinator, and a consumer that stops reading stalls only its own
+// query. Closing the connection cancels the query on the node.
 package cluster
 
 import (
@@ -41,44 +40,39 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"datavirt/internal/obs"
 	"datavirt/internal/storm"
 )
 
 const (
-	frameQuery  = 'Q'
-	frameCancel = 'C'
-	frameWindow = 'W'
-	frameRows   = 'R'
-	frameAgg    = 'A'
-	frameDone   = 'D'
-	frameError  = 'E'
-	frameBusy   = 'B'
+	frameQuery = 'Q'
+	frameRows  = 'R'
+	frameAgg   = 'A'
+	frameDone  = 'D'
+	frameError = 'E'
+	frameBusy  = 'B'
 
 	// maxFrame guards against corrupt length prefixes.
 	maxFrame = 64 << 20
+	// readStep bounds how far readFrame's buffer grows ahead of the
+	// payload bytes that have arrived: a length prefix alone costs
+	// nothing.
+	readStep = 1 << 20
 
-	// protocolVersion is checked per query request. Version 2 added
-	// query-ID-tagged frames (connection multiplexing), flow-control
-	// windows, and the cancel/busy frames; version 3 added the 'A'
-	// partial-aggregate frame (push-down aggregation). The JSON
-	// payloads ('Q' requests, 'D' trailers) decode with unknown members
-	// ignored, so retiring a field needs no version bump: a peer that
-	// still sends it interoperates. A node built before the trailer
-	// carried obs.QueryStats sends AFCs, FilterNS and AggNS, which a new
-	// coordinator ignores: ChunksRead, FilterTime and AggTime (and
-	// RowsFiltered, which such a node never sent) read 0 for that leg,
-	// while its rows and aggregates are unaffected.
-	protocolVersion = 3
+	// protocolVersion is checked per query request, and a node answers
+	// a request of any other version with an 'E' frame naming both.
+	// Version 2 added query-ID-tagged frames, version 3 the 'A'
+	// partial-aggregate frame, and version 4 made a connection carry one
+	// query at a time: the 'W' credit and 'C' cancel frames are gone, and
+	// the 'D' trailer is the leg's obs.QueryStats plus row and byte
+	// counts. The JSON payloads decode with unknown members ignored, so a
+	// retired request field a peer still sends is harmless.
+	protocolVersion = 4
 
 	// batchRows is the number of rows per 'R' frame.
 	batchRows = 512
-
-	// defaultWindowBytes is the flow-control credit every query starts
-	// with: the node may send this many result payload bytes before it
-	// waits for 'W' frames.
-	defaultWindowBytes = 1 << 20
 
 	// frameHeaderLen is len + type + qid.
 	frameHeaderLen = 9
@@ -92,10 +86,9 @@ const (
 var ErrOverloaded = errors.New("cluster: node overloaded, query shed")
 
 // Request is the JSON payload of a 'Q' frame. Retired fields, which a
-// coordinator built before their removal may still send and a node
-// ignores: WindowBytes, Weight and MaxResultBytes (per-query credit,
-// scheduler share and byte budget), and Parallel (a node always folds
-// aggregates through its worker pool and streams row legs in plan
+// node ignores: WindowBytes, Weight and MaxResultBytes (per-query
+// credit, scheduler share and byte budget), and Parallel (a node always
+// folds aggregates through its worker pool and streams row legs in plan
 // order on one goroutine).
 type Request struct {
 	Version int
@@ -121,26 +114,15 @@ type Request struct {
 
 // Trailer is the JSON payload of a 'D' frame.
 type Trailer struct {
-	// Stats is the leg's cost record as the node's core run returned it.
+	// Stats is the leg's cost record: the node's core run, plus its
+	// admission wait in QueueTime and QueuedQueries.
 	Stats obs.QueryStats
 	Rows  int64
-	// ExtractNS is the node's extraction wall time in nanoseconds; the
-	// coordinator keeps the maximum across nodes (the straggler).
-	ExtractNS int64 `json:",omitempty"`
-	// Queued is 1 when this leg waited in the node's admission queue
-	// before running; QueueNS is that wait in nanoseconds.
-	Queued  int64 `json:",omitempty"`
-	QueueNS int64 `json:",omitempty"`
 	// SentBytes is the result payload the leg streamed ('R' or 'A'
 	// frame bodies) — the coordinator-side transfer cost a pushed-down
 	// aggregate keeps proportional to group count, not row count.
 	SentBytes int64 `json:",omitempty"`
 }
-
-// isDataFrame reports whether typ carries result data subject to flow
-// control ('R' row batches and 'A' partial aggregates); every other
-// server frame is terminal.
-func isDataFrame(typ byte) bool { return typ == frameRows || typ == frameAgg }
 
 // writeFrame writes one frame tagged with qid.
 func writeFrame(w io.Writer, typ byte, qid uint32, payload []byte) error {
@@ -161,9 +143,9 @@ func writeFrame(w io.Writer, typ byte, qid uint32, payload []byte) error {
 // rowsFrameEncoder writes 'R' frames — destID | rowCount | rows —
 // without assembling the payload in a temporary: the 17-byte header
 // (length prefix, type, query ID, destination, count) is encoded into
-// the reused per-stream buffer and the row body is written straight
-// from the caller's batch buffer, so steady-state row streaming
-// allocates nothing per frame.
+// the encoder's reused array and the row body is written straight from
+// the caller's batch buffer, so steady-state row streaming allocates
+// nothing per frame.
 type rowsFrameEncoder struct {
 	hdr [frameHeaderLen + 8]byte
 }
@@ -184,36 +166,29 @@ func (e *rowsFrameEncoder) writeRowsFrame(w io.Writer, qid, dest, count uint32, 
 	return err
 }
 
-// encodeRowsBody prepends destID | rowCount to a row batch, producing
-// the payload of an 'R' frame (used by the node-side scheduler, which
-// queues encoded payloads rather than writing them inline).
-func encodeRowsBody(dest, count uint32, rows []byte) []byte {
-	body := make([]byte, 8+len(rows))
-	binary.LittleEndian.PutUint32(body[0:4], dest)
-	binary.LittleEndian.PutUint32(body[4:8], count)
-	copy(body[8:], rows)
-	return body
-}
-
-// readFrame reads one frame, reusing buf when it has capacity.
+// readFrame reads one frame, reusing buf's capacity. The length prefix
+// is untrusted, so the buffer grows as payload bytes arrive, at most
+// readStep ahead of them, never to the size the prefix claims.
 func readFrame(r io.Reader, buf []byte) (typ byte, qid uint32, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
 	}
-	qid = binary.LittleEndian.Uint32(hdr[5:9])
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	buf = buf[:0]
+	for len(buf) < n {
+		step := min(n-len(buf), readStep)
+		buf = slices.Grow(buf, step)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+step])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return 0, 0, nil, fmt.Errorf("cluster: short frame: %w", err)
+		}
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, 0, nil, fmt.Errorf("cluster: short frame: %w", err)
-	}
-	return hdr[4], qid, buf, nil
+	return hdr[4], binary.LittleEndian.Uint32(hdr[5:9]), buf, nil
 }
 
 // writeJSONFrame marshals v into a frame.
@@ -223,19 +198,4 @@ func writeJSONFrame(w io.Writer, typ byte, qid uint32, v any) error {
 		return err
 	}
 	return writeFrame(w, typ, qid, b)
-}
-
-// windowPayload encodes a 'W' credit grant.
-func windowPayload(credit uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], credit)
-	return b[:]
-}
-
-// parseWindow decodes a 'W' payload.
-func parseWindow(payload []byte) (uint32, error) {
-	if len(payload) != 4 {
-		return 0, fmt.Errorf("cluster: window frame of %d bytes", len(payload))
-	}
-	return binary.LittleEndian.Uint32(payload), nil
 }

@@ -5,14 +5,17 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"datavirt/internal/core"
 	"datavirt/internal/gen"
+	"datavirt/internal/metadata"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -43,12 +46,13 @@ func TestFrameBufferReuse(t *testing.T) {
 }
 
 func TestRowsFrameWireFormat(t *testing.T) {
-	// writeRowsFrame must emit exactly the bytes of writeFrame over an
-	// assembled destID|rowCount|body payload (encodeRowsBody) — the
-	// session reader cannot tell them apart.
+	// writeRowsFrame must emit exactly the bytes of writeFrame over a
+	// destID|rowCount|body payload — the leg reader cannot tell them
+	// apart.
 	body := []byte("0123456789abcdef0123456789abcdef")
 	var want bytes.Buffer
-	if err := writeFrame(&want, frameRows, 9, encodeRowsBody(3, 2, body)); err != nil {
+	payload := append([]byte{3, 0, 0, 0, 2, 0, 0, 0}, body...)
+	if err := writeFrame(&want, frameRows, 9, payload); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
@@ -77,40 +81,18 @@ func TestRowsFrameNoAllocs(t *testing.T) {
 	}
 }
 
-func TestWindowPayloadRoundTrip(t *testing.T) {
-	got, err := parseWindow(windowPayload(1 << 20))
-	if err != nil || got != 1<<20 {
-		t.Fatalf("window round trip: %d %v", got, err)
-	}
-	if _, err := parseWindow([]byte{1, 2, 3}); err == nil {
-		t.Error("short window payload accepted")
-	}
-}
-
-// BenchmarkRowsFrame compares the zero-copy 'R' frame writer against
-// the assemble-then-write path; run with -benchmem to see the
-// per-batch allocation drop (one payload-sized allocation per frame).
+// BenchmarkRowsFrame measures the zero-copy 'R' frame writer; run with
+// -benchmem to see that a frame allocates nothing.
 func BenchmarkRowsFrame(b *testing.B) {
 	body := make([]byte, 512*64) // one full batch of 64-byte rows
-	b.Run("direct", func(b *testing.B) {
-		enc := &rowsFrameEncoder{}
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			if err := enc.writeRowsFrame(io.Discard, 1, 1, 512, body); err != nil {
-				b.Fatal(err)
-			}
+	enc := &rowsFrameEncoder{}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(body)))
+	for i := 0; i < b.N; i++ {
+		if err := enc.writeRowsFrame(io.Discard, 1, 1, 512, body); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("assemble", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(int64(len(body)))
-		for i := 0; i < b.N; i++ {
-			if err := writeFrame(io.Discard, frameRows, 1, encodeRowsBody(1, 512, body)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func TestFrameLimits(t *testing.T) {
@@ -118,7 +100,7 @@ func TestFrameLimits(t *testing.T) {
 	if err := writeFrame(&buf, frameRows, 1, make([]byte, maxFrame+1)); err == nil {
 		t.Error("oversized write accepted")
 	}
-	// A corrupt length prefix is rejected before allocation.
+	// A length prefix over the limit is rejected before allocation.
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:4], maxFrame+1)
 	hdr[4] = frameRows
@@ -136,22 +118,51 @@ func TestFrameLimits(t *testing.T) {
 	}
 }
 
-// TestMixedVersionPayloads keeps mixed-version clusters working: a
-// trailer from a node that still reports plan-cache counters, and a 'Q'
-// request from a coordinator that still sends the retired window,
-// weight, result-size and Parallel fields, both decode — in the unit
-// form the coordinator and node use, and through a live node session,
-// which still answers the old request with every row.
-func TestMixedVersionPayloads(t *testing.T) {
-	var tr Trailer
-	old := `{"Stats":{"AFCs":2,"RowsScanned":10},"Rows":7,"ExtractNS":5,"PlanCacheHits":1,"PlanCacheMisses":0,"SentBytes":64}`
-	if err := json.Unmarshal([]byte(old), &tr); err != nil {
-		t.Fatalf("old trailer: %v", err)
+// TestHeaderAloneCostsNoHeap sends a node four frame headers that each
+// claim maxFrame bytes, then nothing more: the node's read buffers
+// must grow with the bytes that arrive, not with the length prefixes.
+func TestHeaderAloneCostsNoHeap(t *testing.T) {
+	_, node, _ := startOneNode(t, nil, nil)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	if tr.Rows != 7 || tr.Stats.RowsScanned != 10 || tr.ExtractNS != 5 || tr.SentBytes != 64 {
-		t.Errorf("old trailer decoded to %+v", tr)
+	before := heap()
+	var hdr [frameHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[:4], maxFrame)
+	hdr[4] = frameQuery
+	for i := 0; i < 4; i++ {
+		conn, err := net.Dial("tcp", node.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(hdr[:]); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Give the node's read loops time to take the headers in.
+	for i := 0; i < 10; i++ {
+		time.Sleep(25 * time.Millisecond)
+		if grown := int64(heap()) - int64(before); grown > 8<<20 {
+			t.Fatalf("four bare frame headers grew the heap by %d MiB, want < 8 MiB", grown>>20)
+		}
+	}
+}
 
+// TestMixedVersionPayloads pins what a version mismatch does in each
+// direction, and that retired request fields stay harmless within v4:
+//   - a v3 'Q' sent to a v4 node is answered with an 'E' frame naming
+//     both versions;
+//   - a v4 coordinator facing a v3 node (which refuses the request by
+//     version, as every v3 node does) fails the query with an error
+//     naming both versions, rather than returning a leg with zero
+//     counters;
+//   - a v4 'Q' still carrying the retired WindowBytes, Weight,
+//     MaxResultBytes and Parallel fields is answered in full.
+func TestMixedVersionPayloads(t *testing.T) {
 	spec := gen.IparsSpec{Realizations: 1, TimeSteps: 3, GridPoints: 8, Partitions: 1, Attrs: 2, Seed: 4}
 	root := t.TempDir()
 	descPath, err := gen.WriteIpars(root, spec, "CLUSTER")
@@ -167,49 +178,100 @@ func TestMixedVersionPayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-
-	fields := map[string]any{
-		"Version": protocolVersion, "SQL": "SELECT TIME FROM IparsData",
-		"WindowBytes": 1 << 16, "Weight": 2, "MaxResultBytes": 1 << 20, "Parallel": true,
-	}
-	payload, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var req Request
-	if err := json.Unmarshal(payload, &req); err != nil || req.Version != protocolVersion || req.SQL != fields["SQL"] {
-		t.Fatalf("old request decoded to %+v, %v", req, err)
-	}
-
-	conn, err := net.Dial("tcp", node.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-	if err := writeFrame(conn, frameQuery, 1, payload); err != nil {
-		t.Fatal(err)
-	}
-	rowFrames := 0
-	for {
-		typ, _, body, err := readFrame(conn, nil)
+	ask := func(fields map[string]any) (rows int64, frames int, errMsg string) {
+		t.Helper()
+		payload, err := json.Marshal(fields)
 		if err != nil {
 			t.Fatal(err)
 		}
-		switch typ {
-		case frameRows:
-			rowFrames++
-		case frameDone:
-			var done Trailer
-			if err := json.Unmarshal(body, &done); err != nil {
+		conn, err := net.Dial("tcp", node.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+		if err := writeFrame(conn, frameQuery, 1, payload); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			typ, qid, body, err := readFrame(conn, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if done.Rows != spec.IparsTotalRows() || rowFrames == 0 {
-				t.Errorf("node answered %d rows in %d frames, want %d", done.Rows, rowFrames, spec.IparsTotalRows())
+			if qid != 1 {
+				t.Fatalf("node answered query 1 with a frame for query %d", qid)
 			}
-			return
-		default:
-			t.Fatalf("node answered frame %q: %s", typ, body)
+			switch typ {
+			case frameRows:
+				frames++
+			case frameDone:
+				var done Trailer
+				if err := json.Unmarshal(body, &done); err != nil {
+					t.Fatal(err)
+				}
+				return done.Rows, frames, ""
+			case frameError:
+				return 0, frames, string(body)
+			default:
+				t.Fatalf("node answered frame %q: %s", typ, body)
+			}
 		}
+	}
+	const sql = "SELECT TIME FROM IparsData"
+
+	if _, _, msg := ask(map[string]any{"Version": 3, "SQL": sql}); !strings.Contains(msg, "3") || !strings.Contains(msg, "4") {
+		t.Errorf("v3 request: node answered %q, want an error naming versions 3 and 4", msg)
+	}
+
+	rows, frames, msg := ask(map[string]any{
+		"Version": protocolVersion, "SQL": sql,
+		"WindowBytes": 1 << 16, "Weight": 2, "MaxResultBytes": 1 << 20, "Parallel": true,
+	})
+	if msg != "" || rows != spec.IparsTotalRows() || frames == 0 {
+		t.Errorf("v4 request with retired fields: %d rows in %d frames, error %q; want %d rows", rows, frames, msg, spec.IparsTotalRows())
+	}
+
+	// A v3 node checks the version of every request before anything
+	// else and refuses a v4 one by name.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				for {
+					_, qid, payload, err := readFrame(c, nil)
+					if err != nil {
+						return
+					}
+					var req Request
+					json.Unmarshal(payload, &req) //nolint:errcheck — a zero version is refused like any other
+					msg := fmt.Sprintf("protocol version %d not supported (want 3)", req.Version)
+					if writeFrame(c, frameError, qid, []byte(msg)) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	d, err := metadata.ParseFile(descPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(d, map[string]string{"node0": ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	_, res, err := coord.CollectQueryContext(context.Background(), sql)
+	if err == nil || !strings.Contains(err.Error(), "version 4") || !strings.Contains(err.Error(), "want 3") {
+		t.Fatalf("v4 coordinator against a v3 node: result %+v, err %v; want an error naming both versions", res, err)
 	}
 }

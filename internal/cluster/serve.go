@@ -21,7 +21,7 @@ import (
 // admission is the node's concurrency gate: at most max queries run at
 // once, at most maxQueue wait in FIFO order for a slot, and arrivals
 // beyond that are shed immediately (the caller answers with a busy
-// frame). Slots are node-wide, shared by every session.
+// frame). Slots are node-wide, shared by every connection.
 type admission struct {
 	mu      sync.Mutex
 	max     int
@@ -96,93 +96,24 @@ func (a *admission) counters() (queued, shed int64) {
 	return a.queued, a.shed
 }
 
-// outItem is one frame queued for a session's writer: a row batch
-// (frameRows, subject to flow control) or a terminal frame.
-type outItem struct {
-	typ     byte
-	payload []byte
-}
-
-// outStream is the per-query send state on a node session. The
-// session's writer goroutine drains streams with a fair policy: among
-// streams with a sendable head item it picks the one with the smallest
-// virtual time (result bytes sent so far), so a heavy scan cannot
-// starve point queries sharing the connection.
-type outStream struct {
-	qid     uint32
-	window  int64     //dvlint:guardedby nodeSession.mu (remaining flow-control credit, bytes)
-	pending []outItem //dvlint:guardedby nodeSession.mu
-	bytes   int       //dvlint:guardedby nodeSession.mu (payload bytes in pending; backpressures the extractor)
-	vtime   int64     //dvlint:guardedby nodeSession.mu (result payload bytes sent)
-	closed  bool      //dvlint:guardedby nodeSession.mu (terminal frame queued; drop further enqueues)
-	// aborted marks a cancelled query: buffered row frames are
-	// discarded (the client dropped the stream, and they could starve
-	// the terminal frame of window credit) and the emitter is unblocked.
-	aborted bool //dvlint:guardedby nodeSession.mu
-	cancel  context.CancelFunc
-}
-
-// perStreamBuffer bounds how far a query's extraction may run ahead of
-// its wire transmission before the emitting goroutine blocks.
-const perStreamBuffer = 1 << 20
-
-// nodeSession serves one multiplexed connection on a node: a reader
-// loop (the caller) dispatches query/cancel/window frames, one
-// goroutine per admitted query extracts rows, and a single writer
-// goroutine owns the outbound half of the connection, scheduling row
-// batches across queries fairly and within each query in order.
-type nodeSession struct {
-	node *Node
-	conn net.Conn
-	bw   *bufio.Writer
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu      sync.Mutex
-	cond    *sync.Cond
-	streams map[uint32]*outStream //dvlint:guardedby mu
-	closed  bool                  //dvlint:guardedby mu
-	wg      sync.WaitGroup
-}
-
-func newNodeSession(n *Node, conn net.Conn) *nodeSession {
-	ctx, cancel := context.WithCancel(n.baseCtx)
-	s := &nodeSession{
-		node:    n,
-		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, 1<<16),
-		ctx:     ctx,
-		cancel:  cancel,
-		streams: map[uint32]*outStream{},
-	}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-// serve runs the session to connection close. It returns the first
+// serveConn serves one connection to connection close, one query at a
+// time. The loop keeps reading while a query runs, so a hang-up (or
+// any read error) cancels the query at once; a pipelined 'Q' waits
+// until the previous query's goroutine has finished, and until then the
+// running query owns the connection's writer. It returns the first
 // protocol-level error, nil on a clean client disconnect.
-func (s *nodeSession) serve() error {
-	s.wg.Add(1)
-	go s.writeLoop()
-	err := s.readLoop()
-	// Tear down: stop queries, wake the writer, join everything.
-	s.cancel()
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-	s.wg.Wait()
-	return err
-}
-
-func (s *nodeSession) readLoop() error {
-	br := bufio.NewReaderSize(s.conn, 1<<16)
+func (n *Node) serveConn(conn net.Conn) error {
+	ctx, cancel := context.WithCancel(n.baseCtx)
+	var running sync.WaitGroup
+	defer running.Wait()
+	defer cancel()
+	br := bufio.NewReaderSize(conn, 1<<16)
+	bw := bufio.NewWriterSize(conn, 1<<16)
 	var buf []byte
 	for {
 		typ, qid, payload, err := readFrame(br, buf)
 		if err != nil {
-			if s.ctx.Err() != nil || isClosedConn(err) {
+			if ctx.Err() != nil || isClosedConn(err) {
 				return nil // node shutting down or client hung up
 			}
 			return err
@@ -190,236 +121,51 @@ func (s *nodeSession) readLoop() error {
 		buf = payload
 		switch typ {
 		case frameQuery:
-			var req Request
-			if err := json.Unmarshal(payload, &req); err != nil {
-				s.finishStream(qid, frameError, []byte(fmt.Sprintf("bad request: %v", err)))
-				continue
-			}
-			if req.Version != protocolVersion {
-				s.finishStream(qid, frameError, []byte(fmt.Sprintf("protocol version %d not supported (want %d)", req.Version, protocolVersion)))
-				continue
-			}
-			s.startQuery(qid, req)
-		case frameCancel:
-			s.mu.Lock()
-			st := s.streams[qid]
-			s.mu.Unlock()
-			if st != nil {
-				if st.cancel != nil {
-					st.cancel()
-				}
-				s.abortStream(st)
-			}
-		case frameWindow:
-			credit, err := parseWindow(payload)
-			if err != nil {
-				return err
-			}
-			s.mu.Lock()
-			if st := s.streams[qid]; st != nil {
-				st.window += int64(credit)
-				s.cond.Broadcast()
-			}
-			s.mu.Unlock()
 		default:
 			return fmt.Errorf("cluster: unexpected client frame %q", typ)
 		}
-	}
-}
-
-// startQuery registers the stream and launches the query goroutine.
-func (s *nodeSession) startQuery(qid uint32, req Request) {
-	qctx, qcancel := context.WithCancel(s.ctx)
-	st := &outStream{qid: qid, window: defaultWindowBytes, cancel: qcancel}
-	s.mu.Lock()
-	if _, dup := s.streams[qid]; dup || s.closed {
-		s.mu.Unlock()
-		qcancel()
-		if dup {
-			s.finishStream(qid, frameError, []byte(fmt.Sprintf("duplicate query id %d", qid)))
-		}
-		return
-	}
-	s.streams[qid] = st
-	s.mu.Unlock()
-
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer qcancel()
-		s.runQuery(qctx, st, req)
-	}()
-}
-
-// enqueue appends a frame to the stream, blocking while the stream's
-// buffered bytes exceed perStreamBuffer. It returns false once the
-// stream or session is closed (the emitter should stop).
-func (s *nodeSession) enqueue(st *outStream, item outItem) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for st.bytes >= perStreamBuffer && !st.closed && !st.aborted && !s.closed && s.ctx.Err() == nil {
-		s.cond.Wait()
-	}
-	if st.closed || st.aborted || s.closed || s.ctx.Err() != nil {
-		return false
-	}
-	st.pending = append(st.pending, item)
-	st.bytes += len(item.payload)
-	if !isDataFrame(item.typ) {
-		st.closed = true
-	}
-	s.cond.Broadcast()
-	return true
-}
-
-// finishStream queues a terminal frame for qid, creating a transient
-// stream when none is registered (pre-admission errors).
-func (s *nodeSession) finishStream(qid uint32, typ byte, payload []byte) {
-	s.mu.Lock()
-	st := s.streams[qid]
-	if st == nil {
-		st = &outStream{qid: qid}
-		if s.closed {
-			s.mu.Unlock()
-			return
-		}
-		s.streams[qid] = st
-	}
-	if st.closed {
-		s.mu.Unlock()
-		return
-	}
-	if st.aborted {
-		// The client abandoned the query; drop buffered rows so the
-		// terminal frame (which needs no window credit) goes right out.
-		st.pending = st.pending[:0]
-		st.bytes = 0
-	}
-	st.pending = append(st.pending, outItem{typ: typ, payload: payload})
-	st.bytes += len(payload)
-	st.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// abortStream discards a cancelled query's buffered row frames
-// (keeping any terminal frame) and unblocks its emitter.
-func (s *nodeSession) abortStream(st *outStream) {
-	s.mu.Lock()
-	st.aborted = true
-	kept := st.pending[:0]
-	bytes := 0
-	for _, it := range st.pending {
-		if !isDataFrame(it.typ) {
-			kept = append(kept, it)
-			bytes += len(it.payload)
-		}
-	}
-	st.pending = kept
-	st.bytes = bytes
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// pickStream chooses the next sendable stream under fair queuing; nil
-// when nothing is ready. Callers hold s.mu.
-func (s *nodeSession) pickStream() *outStream {
-	var best *outStream
-	for _, st := range s.streams {
-		if len(st.pending) == 0 {
+		running.Wait()
+		req, err := decodeRequest(payload)
+		if err != nil {
+			if writeTerminal(bw, frameError, qid, []byte(err.Error())) != nil {
+				return nil // the peer is gone
+			}
 			continue
 		}
-		// Data frames need flow-control credit; terminal frames always go.
-		if isDataFrame(st.pending[0].typ) && st.window <= 0 {
-			continue
-		}
-		if best == nil || st.vtime < best.vtime {
-			best = st
-		}
-	}
-	return best
-}
-
-// popFrame dequeues st's head frame and charges it: a data frame spends
-// flow-control credit and advances the stream's virtual time, and the
-// stream is dropped once its terminal frame is out. Callers hold s.mu.
-func (s *nodeSession) popFrame(st *outStream) (item outItem, terminal bool) {
-	item = st.pending[0]
-	st.pending = st.pending[1:]
-	st.bytes -= len(item.payload)
-	if isDataFrame(item.typ) {
-		st.window -= int64(len(item.payload))
-		st.vtime += int64(len(item.payload))
-	}
-	terminal = st.closed && len(st.pending) == 0
-	if terminal {
-		delete(s.streams, st.qid)
-	}
-	return item, terminal
-}
-
-func (s *nodeSession) writeLoop() {
-	defer s.wg.Done()
-	for {
-		s.mu.Lock()
-		var st *outStream
-		for {
-			st = s.pickStream()
-			if st != nil || s.closed {
-				break
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			if err := n.runQuery(ctx, bw, qid, req); err != nil {
+				conn.Close() // the peer is gone; unblock the read loop
 			}
-			// Flush buffered frames before going idle.
-			s.mu.Unlock()
-			if err := s.bw.Flush(); err != nil {
-				s.failWriter(err)
-				return
-			}
-			s.mu.Lock()
-			if st = s.pickStream(); st != nil || s.closed {
-				break
-			}
-			s.cond.Wait()
-		}
-		if st == nil { // closed and nothing ready
-			s.mu.Unlock()
-			s.bw.Flush() //nolint:errcheck — best effort on teardown
-			return
-		}
-		item, terminal := s.popFrame(st)
-		s.cond.Broadcast() // unblock emitters waiting on buffer space
-		s.mu.Unlock()
-
-		if err := writeFrame(s.bw, item.typ, st.qid, item.payload); err != nil {
-			s.failWriter(err)
-			return
-		}
-		if terminal {
-			if err := s.bw.Flush(); err != nil {
-				s.failWriter(err)
-				return
-			}
-		}
+		}()
 	}
 }
 
-// failWriter tears the session down after a write error: the peer is
-// gone, so in-flight queries are cancelled rather than completed.
-func (s *nodeSession) failWriter(err error) {
-	if s.ctx.Err() == nil && !isClosedConn(err) {
-		s.node.Logf("cluster node %s: write: %v", s.node.name, err)
+// decodeRequest parses a 'Q' payload and checks its protocol version.
+func decodeRequest(payload []byte) (Request, error) {
+	var req Request
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return req, fmt.Errorf("bad request: %v", err)
 	}
-	s.cancel()
-	s.conn.Close() // unblocks the reader
-	s.mu.Lock()
-	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	if req.Version != protocolVersion {
+		return req, fmt.Errorf("protocol version %d not supported (want %d)", req.Version, protocolVersion)
+	}
+	return req, nil
+}
+
+// writeTerminal writes a query's last frame and flushes the connection.
+func writeTerminal(bw *bufio.Writer, typ byte, qid uint32, payload []byte) error {
+	if err := writeFrame(bw, typ, qid, payload); err != nil {
+		return err
+	}
+	return bw.Flush()
 }
 
 // runQuery admits, prepares, executes and streams one query, ending
-// the stream with a done trailer, an error frame, or a busy frame.
-func (s *nodeSession) runQuery(ctx context.Context, st *outStream, req Request) {
-	n := s.node
+// it with a done trailer, an error frame, or a busy frame. Its error is
+// a failed write: the connection is unusable.
+func (n *Node) runQuery(ctx context.Context, bw *bufio.Writer, qid uint32, req Request) error {
 	if n.Tracer != nil {
 		ctx = obs.WithTracer(ctx, n.Tracer)
 	}
@@ -430,41 +176,36 @@ func (s *nodeSession) runQuery(ctx context.Context, st *outStream, req Request) 
 	}
 
 	// Admission: acquire an execution slot (or shed). The wait is
-	// reported as the query's queue stage and in the trailer.
+	// reported as the query's queue stage and in the trailer's stats.
 	endQueue := obs.Begin(obs.TracerFrom(ctx), req.SQL, obs.StageQueue)
 	waited, queued, err := n.admission().acquire(ctx)
 	endQueue(err)
+	if errors.Is(err, ErrOverloaded) {
+		return writeTerminal(bw, frameBusy, qid, []byte(err.Error()))
+	}
 	if err != nil {
-		if err == ErrOverloaded {
-			s.finishStream(st.qid, frameBusy, []byte(err.Error()))
-		} else {
-			s.finishStream(st.qid, frameError, []byte(err.Error()))
-		}
-		return
+		return writeTerminal(bw, frameError, qid, []byte(err.Error()))
 	}
 	defer n.admission().release()
 
-	trailer, err := s.execute(ctx, st, req)
+	trailer, err := n.execute(ctx, bw, qid, req)
 	if err != nil {
-		s.finishStream(st.qid, frameError, []byte(err.Error()))
-		return
+		return writeTerminal(bw, frameError, qid, []byte(err.Error()))
 	}
-	trailer.QueueNS = waited.Nanoseconds()
+	trailer.Stats.QueueTime = waited
 	if queued {
-		trailer.Queued = 1
+		trailer.Stats.QueuedQueries = 1
 	}
 	payload, err := json.Marshal(trailer)
 	if err != nil {
-		s.finishStream(st.qid, frameError, []byte(err.Error()))
-		return
+		return writeTerminal(bw, frameError, qid, []byte(err.Error()))
 	}
-	s.finishStream(st.qid, frameDone, payload)
+	return writeTerminal(bw, frameDone, qid, payload)
 }
 
-// execute runs the admitted query, streaming row batches through the
-// session scheduler, and returns the trailer.
-func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (Trailer, error) {
-	n := s.node
+// execute runs the admitted query, writing row batches straight to the
+// connection, and returns the trailer.
+func (n *Node) execute(ctx context.Context, bw *bufio.Writer, qid uint32, req Request) (Trailer, error) {
 	// Every request plans afresh: AFC generation over the descriptor
 	// compiled at Open is cheap enough that a repeated query pays the
 	// same small prepare as a new one.
@@ -477,7 +218,7 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 		return Trailer{}, err
 	}
 	if prep.Agg != nil {
-		return s.executeAggregate(ctx, st, req, prep, partition)
+		return n.executeAggregate(ctx, bw, qid, req, prep, partition)
 	}
 	codec := table.NewCodec(prep.OutSchema)
 
@@ -497,27 +238,27 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 		numDests = 1
 	}
 
-	// Per-destination batches, flushed through the scheduler as encoded
-	// 'R' payloads (the scheduler owns frame ordering across queries).
+	// Per-destination batches, each written as one 'R' frame and flushed
+	// so the coordinator sees every batch as soon as it is full.
 	type batch struct {
 		rows int
 		buf  []byte
 	}
 	batches := make([]batch, numDests)
+	var enc rowsFrameEncoder
 	var sentBytes int64
 	flush := func(d int) error {
 		b := &batches[d]
 		if b.rows == 0 {
 			return nil
 		}
-		payload := encodeRowsBody(uint32(d), uint32(b.rows), b.buf)
-		sentBytes += int64(len(payload))
-		if !s.enqueue(st, outItem{typ: frameRows, payload: payload}) {
-			return context.Canceled // stream or session closed under us
+		sentBytes += int64(8 + len(b.buf))
+		if err := enc.writeRowsFrame(bw, qid, uint32(d), uint32(b.rows), b.buf); err != nil {
+			return err
 		}
 		b.rows = 0
 		b.buf = b.buf[:0]
-		return nil
+		return bw.Flush()
 	}
 
 	var rows int64
@@ -553,7 +294,7 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 			return Trailer{}, err
 		}
 	}
-	return Trailer{Stats: stats, Rows: rows, ExtractNS: stats.ExtractTime.Nanoseconds(), SentBytes: sentBytes}, nil
+	return Trailer{Stats: stats, Rows: rows, SentBytes: sentBytes}, nil
 }
 
 // executeAggregate runs an aggregate query leg: partial aggregates are
@@ -561,7 +302,7 @@ func (s *nodeSession) execute(ctx context.Context, st *outStream, req Request) (
 // shipped to the coordinator in 'A' frames, each an independently
 // mergeable chunk of groups. The coordinator merges every leg's
 // partials and finalizes, so this leg never sees the final result.
-func (s *nodeSession) executeAggregate(ctx context.Context, st *outStream, req Request, prep *core.Prepared, partition string) (Trailer, error) {
+func (n *Node) executeAggregate(ctx context.Context, bw *bufio.Writer, qid uint32, req Request, prep *core.Prepared, partition string) (Trailer, error) {
 	if req.Partition.NumDests > 0 {
 		return Trailer{}, fmt.Errorf("cluster: aggregate queries cannot be partitioned")
 	}
@@ -575,11 +316,11 @@ func (s *nodeSession) executeAggregate(ctx context.Context, st *outStream, req R
 	var sentBytes int64
 	for _, chunk := range state.EncodeChunks(0) {
 		sentBytes += int64(len(chunk))
-		if !s.enqueue(st, outItem{typ: frameAgg, payload: chunk}) {
-			return Trailer{}, context.Canceled // stream or session closed under us
+		if err := writeFrame(bw, frameAgg, qid, chunk); err != nil {
+			return Trailer{}, err
 		}
 	}
-	return Trailer{Stats: stats, ExtractNS: stats.ExtractTime.Nanoseconds(), SentBytes: sentBytes}, nil
+	return Trailer{Stats: stats, SentBytes: sentBytes}, nil
 }
 
 // isClosedConn reports whether err is the use-of-closed-connection

@@ -75,9 +75,10 @@ func sortedKeys(rows []table.Row) []string {
 }
 
 // TestConcurrentClientsSharedPool fires queries from many clients
-// concurrently over one coordinator's pooled sessions (so queries
-// genuinely interleave on shared connections); every one of them must
-// see exactly the rows a sequential run sees.
+// concurrently through one coordinator's connection pools (so queries
+// run side by side on one node, and connections are reused across
+// them); every one of them must see exactly the rows a sequential run
+// sees.
 func TestConcurrentClientsSharedPool(t *testing.T) {
 	spec := gen.IparsSpec{
 		Realizations: 2, TimeSteps: 10, GridPoints: 120, Partitions: 3,
@@ -248,7 +249,7 @@ func TestOverloadRetrySucceeds(t *testing.T) {
 // stallFirstProxy listens on a fresh port; the first accepted
 // connection is blackholed (reads are swallowed, nothing is ever sent
 // back), every later connection is forwarded to target. It simulates a
-// node whose first session stalls while the node itself is healthy.
+// node whose first connection stalls while the node itself is healthy.
 func stallFirstProxy(t *testing.T, target string) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -303,9 +304,9 @@ func waitGoroutines(t *testing.T, before int) {
 }
 
 // TestStallRescuesUnreplicatedLeg runs a query on an unreplicated
-// partition whose first session is blackholed: the stall watchdog must
-// fail the leg before it delivered anything, runLeg must re-dispatch it
-// once to the same node over the pool's second session, the query must
+// partition whose first connection is blackholed: the stall read
+// deadline must fail the leg before it delivered anything, runLeg must
+// re-dispatch it once to the same node over a new connection, the query must
 // return complete, correct rows, and afterwards neither goroutines nor
 // connections may leak.
 func TestStallRescuesUnreplicatedLeg(t *testing.T) {
@@ -334,7 +335,7 @@ func TestStallRescuesUnreplicatedLeg(t *testing.T) {
 }
 
 // TestStallCancellationNoLeaks cancels queries mid-stream while every
-// leg runs with the stall watchdog armed and checks nothing —
+// leg runs with the stall deadline armed and checks nothing —
 // goroutines or connections — outlives the coordinator.
 func TestStallCancellationNoLeaks(t *testing.T) {
 	coord, _ := startCluster(t, gen.IparsSpec{
@@ -371,82 +372,78 @@ func TestStallCancellationNoLeaks(t *testing.T) {
 	dialer.assertAllClosed(t)
 }
 
-// TestFairScheduler drives the node session's send policy — pickStream
-// and popFrame, the write loop's choice and accounting — over in-memory
-// streams, with no network.
-func TestFairScheduler(t *testing.T) {
-	s := &nodeSession{streams: map[uint32]*outStream{}}
-	s.cond = sync.NewCond(&s.mu)
-	data := func(n int) outItem { return outItem{typ: frameRows, payload: make([]byte, n)} }
-	done := outItem{typ: frameDone}
-	add := func(qid uint32, window int64, items ...outItem) *outStream {
-		st := &outStream{qid: qid, window: window, pending: items}
-		for _, it := range items {
-			st.bytes += len(it.payload)
-			st.closed = st.closed || !isDataFrame(it.typ)
-		}
-		s.streams[qid] = st
-		return st
+// TestPointQueryBesideUndrainedScan is the fairness property of one
+// query per connection: a full scan whose cursor has read one row and
+// then stopped holds its own connection (and, through TCP's window, its
+// node-side writer), so a point query on the same coordinator and node
+// still finishes promptly.
+func TestPointQueryBesideUndrainedScan(t *testing.T) {
+	coord, _ := startCluster(t, gen.IparsSpec{
+		Realizations: 1, TimeSteps: 20, GridPoints: 3000, Partitions: 1,
+		Attrs: 17, Seed: 8,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	scan, err := coord.QueryContext(ctx, "SELECT * FROM IparsData")
+	if err != nil {
+		t.Fatal(err)
 	}
-	type sent struct {
-		qid uint32
-		typ byte
-	}
-	send := func() (sent, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		st := s.pickStream()
-		if st == nil {
-			return sent{}, false
-		}
-		item, _ := s.popFrame(st)
-		return sent{st.qid, item.typ}, true
+	defer scan.Close()
+	if !scan.Next() {
+		t.Fatalf("scan returned no row: %v", scan.Err())
 	}
 
-	t.Run("point query overtakes a scan", func(t *testing.T) {
-		scan := add(1, defaultWindowBytes, data(1000), data(1000), data(1000), done)
-		if got, _ := send(); got != (sent{1, frameRows}) {
-			t.Fatalf("first frame = %+v, want the scan's", got)
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		rows, _, err := coord.CollectQueryContext(ctx, "SELECT TIME, SOIL FROM IparsData WHERE TIME = 3")
+		if err == nil && len(rows) != 3000 {
+			err = fmt.Errorf("%d rows, want 3000", len(rows))
 		}
-		if scan.vtime != 1000 || scan.window != defaultWindowBytes-1000 || scan.bytes != 2000 {
-			t.Fatalf("scan charged vtime %d window %d bytes %d after one frame", scan.vtime, scan.window, scan.bytes)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("point query beside an undrained scan: %v", err)
 		}
-		add(2, defaultWindowBytes, data(100), done) // arrives behind the scan
-		var order []sent
-		for {
-			got, ok := send()
-			if !ok {
-				break
-			}
-			order = append(order, got)
-		}
-		want := []sent{{2, frameRows}, {2, frameDone}, {1, frameRows}, {1, frameRows}, {1, frameDone}}
-		if fmt.Sprint(order) != fmt.Sprint(want) {
-			t.Fatalf("send order %v, want %v", order, want)
-		}
-		if len(s.streams) != 0 {
-			t.Fatalf("%d streams left after their terminal frames", len(s.streams))
-		}
-	})
+	case <-time.After(2 * time.Second):
+		t.Fatalf("point query still running %v after it started beside an undrained scan", time.Since(start))
+	}
+}
 
-	t.Run("no credit skips data, not the terminal frame", func(t *testing.T) {
-		st := add(3, 1500, data(1000), data(1000), data(1000))
-		if got, _ := send(); got != (sent{3, frameRows}) {
-			t.Fatalf("first frame = %+v, want stream 3's", got)
+// TestQueryAfterNodeRestart restarts an unreplicated node on the same
+// address while the coordinator holds idle connections to its old
+// incarnation: the next query must notice the hung-up connection before
+// its first frame, dial afresh, and return every row without a
+// re-dispatch.
+func TestQueryAfterNodeRestart(t *testing.T) {
+	coord, node, s := startOneNode(t, nil, nil)
+	const sql = "SELECT TIME FROM IparsData"
+	for i := 0; i < 2; i++ {
+		if _, _, err := coord.CollectQueryContext(context.Background(), sql); err != nil {
+			t.Fatal(err)
 		}
-		if got, _ := send(); got != (sent{3, frameRows}) {
-			t.Fatalf("second frame = %+v, want stream 3's (500 bytes of credit left)", got)
-		}
-		if got, ok := send(); ok {
-			t.Fatalf("sent %+v from a stream with %d bytes of credit", got, st.window)
-		}
-		s.abortStream(st)
-		s.finishStream(3, frameError, []byte("cancelled"))
-		if got, _ := send(); got != (sent{3, frameError}) {
-			t.Fatalf("terminal frame of a stream without credit = %+v, want it sent", got)
-		}
-		if _, ok := s.streams[3]; ok {
-			t.Fatal("stream still registered after its terminal frame")
-		}
-	})
+	}
+	addr := node.Addr()
+	if err := node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := StartNode(context.Background(), node.Name(), node.svc, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted.Logf = t.Logf
+	t.Cleanup(func() { restarted.Close() })
+
+	rows, res, err := coord.CollectQueryContext(context.Background(), sql)
+	if err != nil {
+		t.Fatalf("query after restart: %v", err)
+	}
+	if int64(len(rows)) != s.IparsTotalRows() {
+		t.Errorf("rows = %d, want %d", len(rows), s.IparsTotalRows())
+	}
+	if res.QueryStats.LegRedispatches != 0 {
+		t.Errorf("LegRedispatches = %d, want 0: a stale idle connection is not a failed leg", res.QueryStats.LegRedispatches)
+	}
 }
