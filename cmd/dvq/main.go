@@ -63,7 +63,7 @@ func main() {
 	flag.IntVar(&cfg.workers, "workers", 0, "aggregate fold pool size (0 = automatic)")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress rows; print only the summary")
 	flag.BoolVar(&cfg.header, "header", true, "print a column header line")
-	flag.BoolVar(&cfg.explain, "explain", false, "print the query plan (ranges and aligned file chunks) instead of rows")
+	flag.BoolVar(&cfg.explain, "explain", false, "print the query plan (ranges, aligned file chunks, and the runs left after sidecar pruning) instead of rows")
 	flag.BoolVar(&cfg.stats, "stats", false, "print per-stage query statistics after the summary")
 	flag.DurationVar(&cfg.timeout, "timeout", 0, "cancel the query after this duration (0 = none)")
 	flag.IntVar(&cfg.cacheMB, "cache-mb", 64, "block cache budget in MiB (0 disables block caching; handles stay pooled)")
@@ -148,16 +148,22 @@ func runLocal(ctx context.Context, svc *core.Service, sql string, cfg config) er
 	if err != nil {
 		return err
 	}
+	opt := core.Options{Workers: cfg.workers, NoCache: cfg.noCache, NoSparse: cfg.noSparse}
 	if cfg.explain {
-		fmt.Printf("table: %s\ncolumns: %s\nranges: %s\naligned file chunks: %d\n",
-			svc.TableName(), strings.Join(prep.Cols, ", "), prep.Ranges, len(prep.AFCs))
-		limit := 20
-		for i := range prep.AFCs {
+		// What one execution will read: the planned chunks after the
+		// sidecars' cut, decided without reading a data file.
+		runs, st := prep.Chunks(ctx, opt)
+		fmt.Printf("table: %s\ncolumns: %s\nranges: %s\nchunks planned: %d\nruns after sidecars: %d\n"+
+			"blocks skipped: %d\nsidecars: %d hits / %d misses\n",
+			svc.TableName(), strings.Join(prep.Cols, ", "), prep.Ranges, st.ChunksPlanned, len(runs),
+			st.BlocksSkipped, st.SparseIndexHits, st.SparseIndexMisses)
+		const limit = 20
+		for i := range runs {
 			if i >= limit {
-				fmt.Printf("... %d more\n", len(prep.AFCs)-limit)
+				fmt.Printf("... %d more\n", len(runs)-limit)
 				break
 			}
-			fmt.Println("  " + prep.AFCs[i].String())
+			fmt.Println("  " + runs[i].String())
 		}
 		return nil
 	}
@@ -168,9 +174,7 @@ func runLocal(ctx context.Context, svc *core.Service, sql string, cfg config) er
 		fmt.Fprintln(out, strings.Join(prep.Cols, "\t"))
 	}
 	start := time.Now()
-	rows, err := prep.QueryContext(ctx, core.Options{
-		Workers: cfg.workers, NoCache: cfg.noCache, NoSparse: cfg.noSparse,
-	})
+	rows, err := prep.QueryContext(ctx, opt)
 	if err != nil {
 		return err
 	}

@@ -106,6 +106,24 @@ func (a *AFC) Bytes() int64 {
 	return n
 }
 
+// Slice returns rows [base, base+n) of the chunk as a chunk of its own:
+// each segment starts base strides later (a constant segment stays
+// put) and each row dimension base steps later. The segment and
+// row-dimension slices are copied, so a itself is unchanged.
+func (a *AFC) Slice(base, n int64) AFC {
+	out := *a
+	out.NumRows = n
+	out.Segments = append([]Segment(nil), a.Segments...)
+	for i := range out.Segments {
+		out.Segments[i].Offset += base * out.Segments[i].RowStride
+	}
+	out.RowDims = append([]RowDim(nil), a.RowDims...)
+	for i := range out.RowDims {
+		out.RowDims[i].Lo += base * out.RowDims[i].Step
+	}
+	return out
+}
+
 // String renders a compact diagnostic form.
 func (a *AFC) String() string {
 	var b strings.Builder

@@ -268,7 +268,8 @@ type Prepared struct {
 	OutSchema *schema.Schema
 	// Ranges are the per-attribute constraint sets driving the index.
 	Ranges query.Ranges
-	// AFCs are the aligned file chunks the query must read.
+	// AFCs are the aligned file chunks the chunk index selected; Chunks
+	// chooses what one execution reads of them.
 	AFCs []afc.AFC
 	// Agg is the aggregate plan for GROUP BY / aggregate-function
 	// queries, nil for row queries. Aggregate queries evaluate partial
@@ -475,7 +476,6 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 		}
 		return stats, err
 	}
-	afcs := p.execAFCs(opt)
 	inner := deliver
 	if !p.identityProjection() {
 		// Project each batch into a scratch matrix that is sized by the
@@ -494,12 +494,9 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 			return deliver(out[:len(rows)], false)
 		}
 	}
-	tracer := obs.TracerFrom(ctx)
-	xopt := p.extractorOptions(tracer, opt)
-	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	stats, err := extractor.RunBatchesContext(ctx, afcs, p.svc.resolver, xopt, inner)
-	p.finishRun(tracer, &stats, endExtract(err), err)
-	return stats, err
+	return p.extract(ctx, opt, func(afcs []afc.AFC, xopt extractor.Options) (obs.QueryStats, error) {
+		return extractor.RunBatchesContext(ctx, afcs, p.svc.resolver, xopt, inner)
+	})
 }
 
 // RunAggPartialContext executes an aggregate query up to — but not
@@ -516,29 +513,23 @@ func (p *Prepared) RunAggPartialContext(ctx context.Context, opt Options) (*quer
 	if err := opt.Validate(); err != nil {
 		return nil, obs.QueryStats{}, err
 	}
-	afcs := p.execAFCs(opt)
-	tracer := obs.TracerFrom(ctx)
-	xopt := p.extractorOptions(tracer, opt)
-	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
-	state, stats, err := extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
-	p.finishRun(tracer, &stats, endExtract(err), err)
+	var state *query.AggState
+	stats, err := p.extract(ctx, opt, func(afcs []afc.AFC, xopt extractor.Options) (st obs.QueryStats, err error) {
+		state, st, err = extractor.RunAggregateContext(ctx, afcs, p.svc.resolver, xopt, p.Agg)
+		return st, err
+	})
 	return state, stats, err
 }
 
-// execAFCs selects the aligned file chunks one execution reads, after
-// node filtering.
-func (p *Prepared) execAFCs(opt Options) []afc.AFC {
-	afcs := p.AFCs
-	if opt.NodeFilter != "" {
-		afcs = FilterByNode(afcs, opt.NodeFilter)
-	}
-	return afcs
-}
-
-// extractorOptions assembles the extractor's options for one execution:
-// working layout, both predicate forms, block cache and sparse-sidecar
-// provider.
-func (p *Prepared) extractorOptions(tracer obs.Tracer, opt Options) extractor.Options {
+// extract is one execution's extract stage: Chunks chooses the chunks
+// and run extracts them. The record gains what the extractor does not
+// count — Chunks' record, rows filtered, the plan and index times of
+// prepare, the stage's wall time — and the filter and aggregate stages
+// and the cache and sparse outcomes go to the context's tracer.
+func (p *Prepared) extract(ctx context.Context, opt Options, run func([]afc.AFC, extractor.Options) (obs.QueryStats, error)) (obs.QueryStats, error) {
+	tracer := obs.TracerFrom(ctx)
+	endExtract := obs.Begin(tracer, p.sqlText, obs.StageExtract)
+	afcs, stats := p.Chunks(ctx, opt)
 	xopt := extractor.Options{
 		Cols: p.work, Pred: p.pred, VecPred: p.vecPred, ScalarFilter: opt.ScalarFilter,
 		BlockBytes: opt.BlockBytes, Workers: opt.Workers,
@@ -546,45 +537,17 @@ func (p *Prepared) extractorOptions(tracer obs.Tracer, opt Options) extractor.Op
 	if !opt.NoCache {
 		xopt.Source = p.svc.blockSource()
 	}
-	if !opt.NoSparse && len(p.Ranges) > 0 {
-		xopt.Ranges = p.Ranges
-		// The provider is called from extraction workers; the run-level
-		// seen set reports each unusable sidecar once per run.
-		var sparseMu sync.Mutex
-		seen := map[string]bool{}
-		xopt.Sparse = func(node, file string) *sparse.Sidecar {
-			e := p.svc.loadSidecar(node, file)
-			if e.errMsg != "" {
-				key := node + "\x00" + file
-				sparseMu.Lock()
-				first := !seen[key]
-				seen[key] = true
-				sparseMu.Unlock()
-				if first {
-					obs.ReportSparseFallback(tracer, file, e.errMsg)
-				}
-			}
-			return e.sc
-		}
-	}
-	return xopt
-}
-
-// finishRun completes one execution's record with the fields the
-// extractor does not count — chunks planned, rows filtered, the plan
-// and index times recorded at prepare, the extract wall time — and
-// reports the filter and aggregate stages and the cache and sparse
-// outcomes to the tracer.
-func (p *Prepared) finishRun(tracer obs.Tracer, stats *obs.QueryStats, extract time.Duration, err error) {
-	stats.ChunksPlanned = len(p.AFCs)
+	xstats, err := run(afcs, xopt)
+	stats.Add(xstats)
 	stats.RowsFiltered = stats.RowsScanned - stats.RowsEmitted
-	stats.PlanTime, stats.IndexTime, stats.ExtractTime = p.planTime, p.indexTime, extract
+	stats.PlanTime, stats.IndexTime, stats.ExtractTime = p.planTime, p.indexTime, endExtract(err)
 	tracer.StageEnd(p.sqlText, obs.StageFilter, stats.FilterTime, err)
 	if p.Agg != nil {
 		tracer.StageEnd(p.sqlText, obs.StageAggregate, stats.AggTime, err)
 	}
 	obs.ReportCache(tracer, p.sqlText, stats.CacheHits, stats.CacheMisses, stats.CacheBytesSaved())
 	obs.ReportSparse(tracer, p.sqlText, stats.BlocksSkipped, stats.SparseIndexHits, stats.SparseIndexMisses)
+	return stats, err
 }
 
 // PrepareStats returns the wall times of the plan and index stages

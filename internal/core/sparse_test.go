@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"datavirt/internal/cache"
@@ -197,6 +200,88 @@ func TestSparseCachedPasses(t *testing.T) {
 	}
 	if skipped[0] != skipped[1] {
 		t.Errorf("skip counts diverge across passes: %v", skipped)
+	}
+}
+
+// TestSparseGridDropsChunk stores X = Y along one loop, so each zone
+// map covers every value of both and cannot prune X >= 6 AND Y <= 1;
+// only the (X, Y) occupancy grid proves the chunk holds no such row. The
+// chunk must be dropped whole, before any block is read.
+func TestSparseGridDropsChunk(t *testing.T) {
+	d, err := metadata.Parse(`
+[S]
+G = int
+X = int
+Y = int
+V = float
+
+[GridData]
+DatasetDescription = S
+DIR[0] = node0/g
+
+Dataset "GridData" {
+  DATATYPE { S }
+  DATAINDEX { G }
+  DATASPACE { LOOP G 0:99:1 { X Y V } }
+  DATA { DIR[0]/f }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	if err := gen.Materialize(d, root, func(attr string, at map[string]int64) float64 {
+		return float64(at["G"] % 10)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sparse.BuildDataset(d, sparse.NodeResolver(root), sparse.BuildOptions{GridAttrs: []string{"X", "Y"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Compile(d, NodeResolver(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	p, err := prepare(svc, "SELECT V FROM GridData WHERE X >= 6 AND Y <= 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, st, err := collect(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 0 || st.ChunksPlanned != 1 || st.ChunksRead != 0 || st.BlocksSkipped != 1 || st.RowsScanned != 0 {
+		t.Errorf("grid did not drop the chunk: %d rows, %+v", len(rows), st)
+	}
+	if _, off, err := collect(p, Options{NoSparse: true}); err != nil || off.RowsScanned != 100 {
+		t.Errorf("full scan: %v, %+v", err, off)
+	}
+}
+
+// TestChunksReadNoDataFile plans the pruned query, deletes the data
+// file, drops the memoized sidecars and plans again: Chunks decides from
+// the sidecars alone, so the runs and counters must be the same.
+func TestChunksReadNoDataFile(t *testing.T) {
+	svc, scPath := sparseService(t)
+	p, err := prepare(svc, sparseSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats := p.Chunks(context.Background(), sparseOpt)
+	if wantStats.BlocksSkipped == 0 || wantStats.SparseIndexHits != 1 {
+		t.Fatalf("sidecars cut nothing: %d chunks -> %d runs, %+v", len(p.AFCs), len(want), wantStats)
+	}
+	if err := os.Remove(strings.TrimSuffix(scPath, sparse.Suffix)); err != nil {
+		t.Fatal(err)
+	}
+	svc.InvalidatePlans()
+	got, gotStats := p.Chunks(context.Background(), sparseOpt)
+	if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+		t.Errorf("planning without the data file: %d runs %+v, with it %d runs %+v", len(got), gotStats, len(want), wantStats)
+	}
+	if _, _, err := collect(p, sparseOpt); err == nil {
+		t.Error("the query ran without its data file")
 	}
 }
 

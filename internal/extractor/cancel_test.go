@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"datavirt/internal/query"
-	"datavirt/internal/sparse"
 	"datavirt/internal/table"
 )
 
@@ -70,21 +69,20 @@ func TestRunParallelContextCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Workers, opt.BlockBytes = 4, 64
-	// The sidecar lookup runs on the workers once per constrained file
-	// per chunk, before its first block: the third one cancels the run.
+	// Each worker resolves a file the first time one of its chunks
+	// reads it: the third resolution cancels the run.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var lookups atomic.Int64
-	opt.Ranges = ranges
-	opt.Sparse = func(node, file string) *sparse.Sidecar {
-		if lookups.Add(1) == 3 {
+	var resolutions atomic.Int64
+	resolve := func(node, file string) (string, error) {
+		if resolutions.Add(1) == 3 {
 			cancel()
 		}
-		return nil
+		return nodeResolver(root)(node, file)
 	}
 
 	before := runtime.NumGoroutine()
-	_, stats, err := RunAggregateContext(ctx, afcs, nodeResolver(root), opt, plan)
+	_, stats, err := RunAggregateContext(ctx, afcs, resolve, opt, plan)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pool cancel: err = %v", err)
 	}

@@ -24,7 +24,6 @@ import (
 	"datavirt/internal/obs"
 	"datavirt/internal/query"
 	"datavirt/internal/schema"
-	"datavirt/internal/sparse"
 	"datavirt/internal/table"
 )
 
@@ -116,7 +115,8 @@ type Options struct {
 	// set — the oracle in differential tests and the baseline in
 	// benchmarks.
 	ScalarFilter bool
-	// BlockBytes bounds the I/O buffer per segment (default 1 MiB).
+	// BlockBytes bounds the I/O buffer per segment and so the rows of
+	// an extraction block (see BlockRows).
 	BlockBytes int
 	// Workers bounds RunAggregateContext's fold pool (default GOMAXPROCS
 	// capped at 8). Row runs use the calling goroutine alone.
@@ -128,17 +128,6 @@ type Options struct {
 	// are still pooled across the run's AFCs instead of reopening the
 	// file per chunk.
 	Source cache.Source
-
-	// Ranges is the query's canonical per-attribute constraint sets
-	// (conservatively over-approximating the WHERE clause). Together
-	// with Sparse it enables data skipping: blocks whose sidecar zone
-	// maps cannot intersect the ranges are never read.
-	Ranges query.Ranges
-	// Sparse returns the sparse sidecar for a (node, file) pair, or nil
-	// when the file has none. nil disables data skipping entirely;
-	// pruning is always a pure optimization — rows are identical with
-	// and without it.
-	Sparse func(node, file string) *sparse.Sidecar
 }
 
 const defaultBlockBytes = 1 << 20
@@ -255,7 +244,7 @@ func (p *segPool) release() {
 // stops the run between block reads and returns the context's error.
 //
 // The returned record holds the extractor's counters: chunks read,
-// payload bytes, rows scanned and emitted, cache, sparse and vector
+// payload bytes, rows scanned and emitted, cache and vector
 // counters, and filter and aggregate times. The plan-side fields stay
 // zero for the caller to set.
 func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, opt Options, deliver BatchFunc) (obs.QueryStats, error) {
@@ -321,12 +310,9 @@ Cols:
 	return out, nil
 }
 
-// maxBlockRows caps the block materialization buffer.
-const maxBlockRows = 512
-
-// MaxBatchRows bounds the rows in one delivered batch: a batch is one
-// extraction block's survivors.
-const MaxBatchRows = maxBlockRows
+// MaxBatchRows caps the rows of one extraction block, and so of one
+// delivered batch: a batch is one block's survivors.
+const MaxBatchRows = 512
 
 // blockBuf holds the reusable block-materialization state of one
 // extraction goroutine: a column-major-filled matrix of rows plus the
@@ -346,8 +332,6 @@ type blockBuf struct {
 	spans [][]byte
 	own   [][]byte
 	srcs  []colSource // bind scratch, reused across AFCs
-	prune []segPrune  // sparse-pruning scratch, reused across AFCs
-	files []fileSidecar
 
 	// Vectorized-filter state: the column-vector batch, the selection
 	// index vector, and the evaluator's scratch buffers — all reused
@@ -355,25 +339,6 @@ type blockBuf struct {
 	batch query.Batch
 	sel   []int32
 	vscr  query.VectorScratch
-}
-
-// segPrune is the per-segment data-skipping state of one AFC: the
-// file's sidecar (nil disables pruning for the segment) and the
-// constrained attributes the segment stores.
-type segPrune struct {
-	sc    *sparse.Sidecar
-	attrs []pruneAttr
-}
-
-type pruneAttr struct {
-	name string
-	set  query.Set
-}
-
-// fileSidecar memoizes one sidecar lookup within an AFC.
-type fileSidecar struct {
-	node, file string
-	sc         *sparse.Sidecar
 }
 
 func (bb *blockBuf) shape(rows, cols, segs int) {
@@ -398,13 +363,35 @@ func (bb *blockBuf) dropSpans() {
 	}
 }
 
+// BlockRows is the rows per extraction block of chunk a: blockBytes
+// (defaulting to 1 MiB) divided by the widest segment stride (a
+// constant segment counts its RowBytes), at least one and at most
+// MaxBatchRows. Blocks start at row 0 of the chunk, one every BlockRows
+// rows, so the planner's sparse pruning, which decides block by block,
+// and the extractor, which reads block by block, agree on where each
+// block lies.
+func BlockRows(a *afc.AFC, blockBytes int) int64 {
+	if blockBytes <= 0 {
+		blockBytes = defaultBlockBytes
+	}
+	maxStride := int64(1)
+	for _, s := range a.Segments {
+		st := s.RowStride
+		if st == 0 {
+			st = s.RowBytes
+		}
+		maxStride = max(maxStride, st)
+	}
+	return min(max(int64(blockBytes)/maxStride, 1), MaxBatchRows)
+}
+
 // extractOne streams one AFC: it reads the block's byte spans through
 // the segment readers (cache-backed or passthrough), fills the block
 // column by column with kind-specialized tight loops (the run-time
 // counterpart of the generated extraction code's straight-line
 // decoding), then filters and delivers rows. The context is checked
 // between blocks, bounding cancellation latency to one block read
-// (≤ maxBlockRows rows).
+// (≤ MaxBatchRows rows).
 //
 // Delivery has three modes. With a vectorized predicate the block is
 // decoded into column vectors, the predicate narrows a selection index
@@ -426,37 +413,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 	}
 	bb.srcs = sources
 
-	blockBytes := opt.BlockBytes
-	if blockBytes <= 0 {
-		blockBytes = defaultBlockBytes
-	}
-	// Rows per block: bounded by the widest segment stride.
-	maxStride := int64(1)
-	for _, s := range a.Segments {
-		st := s.RowStride
-		if st == 0 {
-			st = s.RowBytes
-		}
-		if st > maxStride {
-			maxStride = st
-		}
-	}
-	rowsPerBlock := int64(blockBytes) / maxStride
-	if rowsPerBlock < 1 {
-		rowsPerBlock = 1
-	}
-	if rowsPerBlock > maxBlockRows {
-		rowsPerBlock = maxBlockRows
-	}
-
-	// Sparse data skipping: resolved before any file is opened, so an
-	// AFC pruned whole by the grid summary costs zero I/O.
-	pruning := bb.setupPrune(a, opt, stats)
-	if pruning && !gridMayMatch(a, opt.Ranges, bb) {
-		stats.BlocksSkipped += (a.NumRows + rowsPerBlock - 1) / rowsPerBlock
-		return nil
-	}
-
+	rowsPerBlock := BlockRows(a, opt.BlockBytes)
 	files, err := pool.open(a)
 	if err != nil {
 		return err
@@ -473,7 +430,6 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 	// +47 % on a 128 k-row SELECT * (EXPERIMENTS.md, "Why two decoders").
 	vectorized := !opt.ScalarFilter && (opt.VecPred != nil || (agg != nil && pred == nil))
 	constRead := false
-	var rowsSkipped int64
 	for base := int64(0); base < a.NumRows; base += rowsPerBlock {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -481,11 +437,6 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 		n := rowsPerBlock
 		if base+n > a.NumRows {
 			n = a.NumRows - base
-		}
-		if pruning && blockPrunable(a, bb.prune, base, n) {
-			stats.BlocksSkipped++
-			rowsSkipped += n
-			continue
 		}
 		// Read each segment's span for this block.
 		for si := range a.Segments {
@@ -626,143 +577,8 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			return err
 		}
 	}
-	for _, s := range a.Segments {
-		if s.RowStride == 0 {
-			if constRead {
-				stats.BytesRead += s.RowBytes
-			}
-		} else {
-			stats.BytesRead += s.RowBytes * (a.NumRows - rowsSkipped)
-		}
-	}
+	stats.BytesRead += a.Bytes()
 	return nil
-}
-
-// setupPrune resolves the AFC's sidecars and constrained stored
-// attributes into bb.prune, counting one sidecar hit or miss per
-// distinct file that stores at least one constrained attribute. It
-// reports whether any pruning state is active for this AFC.
-func (bb *blockBuf) setupPrune(a *afc.AFC, opt Options, stats *obs.QueryStats) bool {
-	if opt.Sparse == nil || len(opt.Ranges) == 0 {
-		return false
-	}
-	if cap(bb.prune) < len(a.Segments) {
-		next := make([]segPrune, len(a.Segments))
-		copy(next, bb.prune)
-		bb.prune = next
-	}
-	bb.prune = bb.prune[:len(a.Segments)]
-	bb.files = bb.files[:0]
-	active := false
-	for si := range a.Segments {
-		s := &a.Segments[si]
-		p := &bb.prune[si]
-		p.sc = nil
-		p.attrs = p.attrs[:0]
-		for _, at := range s.Attrs {
-			if set := opt.Ranges.Get(at.Name); !set.IsFull() {
-				p.attrs = append(p.attrs, pruneAttr{name: at.Name, set: set})
-			}
-		}
-		if len(p.attrs) == 0 {
-			continue
-		}
-		found := false
-		for i := range bb.files {
-			if bb.files[i].node == s.Node && bb.files[i].file == s.File {
-				p.sc = bb.files[i].sc
-				found = true
-				break
-			}
-		}
-		if !found {
-			sc := opt.Sparse(s.Node, s.File)
-			bb.files = append(bb.files, fileSidecar{node: s.Node, file: s.File, sc: sc})
-			p.sc = sc
-			if sc != nil {
-				stats.SparseIndexHits++
-			} else {
-				stats.SparseIndexMisses++
-			}
-		}
-		if p.sc != nil {
-			active = true
-		}
-	}
-	return active
-}
-
-// gridMayMatch consults each sidecar's multidimensional grid summary
-// for the whole AFC. Soundness: a grid records the file's joint value
-// tuples at common dimension coordinates, and an AFC row pairs
-// attribute values at common dimension coordinates too, so constraining
-// only the grid attributes this file's segments actually store in this
-// AFC can never prune a surviving row. It returns false when some grid
-// proves no row of the AFC can match.
-func gridMayMatch(a *afc.AFC, ranges query.Ranges, bb *blockBuf) bool {
-	for i := range bb.files {
-		f := &bb.files[i]
-		if f.sc == nil || f.sc.Grid == nil {
-			continue
-		}
-		var reduced query.Ranges
-		for _, attr := range f.sc.GridAttrs() {
-			set := ranges.Get(attr)
-			if set.IsFull() || !fileStoresAttr(a, f.node, f.file, attr) {
-				continue
-			}
-			if reduced == nil {
-				reduced = make(query.Ranges, 3)
-			}
-			reduced[attr] = set
-		}
-		if len(reduced) > 0 && !f.sc.GridMayMatch(reduced) {
-			return false
-		}
-	}
-	return true
-}
-
-func fileStoresAttr(a *afc.AFC, node, file, attr string) bool {
-	for si := range a.Segments {
-		s := &a.Segments[si]
-		if s.Node != node || s.File != file {
-			continue
-		}
-		for _, at := range s.Attrs {
-			if at.Name == attr {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// blockPrunable reports whether the zone maps prove the block starting
-// at row base (n rows) holds no row satisfying the constraints: some
-// constrained attribute's merged zone over the block's byte span
-// misses its set entirely.
-func blockPrunable(a *afc.AFC, prune []segPrune, base, n int64) bool {
-	for si := range a.Segments {
-		p := &prune[si]
-		if p.sc == nil || len(p.attrs) == 0 {
-			continue
-		}
-		s := &a.Segments[si]
-		var off, span int64
-		if s.RowStride == 0 {
-			off, span = s.Offset, s.RowBytes
-		} else {
-			off = s.Offset + base*s.RowStride
-			span = (n-1)*s.RowStride + s.RowBytes
-		}
-		for _, pa := range p.attrs {
-			if !p.sc.SpanMayMatch(pa.name, off, span, pa.set) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // fillColumn decodes one attribute for every row of the block with a

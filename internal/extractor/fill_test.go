@@ -3,6 +3,7 @@ package extractor
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -200,5 +201,50 @@ func BenchmarkFill(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestSliceMatchesRows cuts runs with afc.AFC.Slice from one chunk that
+// has a big-endian segment of every kind, a constant (stride-0) segment
+// and a row dimension, and requires each run to yield exactly its rows
+// of the whole chunk, whatever the block size.
+func TestSliceMatchesRows(t *testing.T) {
+	dir := t.TempDir()
+	a, cols := allKindsAFC(t, dir, true, 37)
+	if err := os.WriteFile(filepath.Join(dir, "const.bin"), []byte{0, 0, 0, 9, 0, 0, 0, 42}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a.Segments = append(a.Segments, afc.Segment{Node: "n", File: "const.bin", Offset: 4, RowBytes: 4, BigEndian: true,
+		Attrs: []afc.SegAttr{{Name: "K", Kind: schema.Int}}})
+	a.RowDims = []afc.RowDim{{Name: "R", Kind: schema.Long, Lo: 5, Step: 3}}
+	cols = append(cols, schema.Attribute{Name: "K", Kind: schema.Int}, schema.Attribute{Name: "R", Kind: schema.Long})
+	extract := func(c afc.AFC, blockBytes int) []table.Row {
+		t.Helper()
+		var rows []table.Row
+		_, err := RunBatchesContext(context.Background(), []afc.AFC{c}, DirResolver(dir),
+			Options{Cols: cols, BlockBytes: blockBytes}, func(batch []table.Row, _ bool) error {
+				rows = table.CopyRows(rows, batch)
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	whole := extract(a, 0)
+	if len(whole) != 37 || whole[36][6].Int != 42 || whole[36][7].Int != 5+3*36 {
+		t.Fatalf("whole chunk: %d rows, last %v", len(whole), whole[len(whole)-1])
+	}
+	before := fmt.Sprintf("%#v", a)
+	for _, bb := range []int{0, 64} {
+		for _, c := range []struct{ base, n int64 }{{0, 37}, {0, 1}, {5, 10}, {12, 25}, {36, 1}} {
+			got, want := extract(a.Slice(c.base, c.n), bb), whole[c.base:c.base+c.n]
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("Slice(%d, %d) at %d block bytes:\n got %v\nwant %v", c.base, c.n, bb, got, want)
+			}
+		}
+	}
+	if fmt.Sprintf("%#v", a) != before {
+		t.Error("Slice changed the chunk it cut")
 	}
 }

@@ -58,10 +58,13 @@ type QueryStats struct {
 	// ChunksPlanned counts the aligned file chunks the plan selected
 	// after index pruning.
 	ChunksPlanned int
-	// ChunksRead counts the chunks actually extracted (after node
-	// filtering they can differ from ChunksPlanned).
+	// ChunksRead counts the runs actually extracted: the chunks left
+	// after node filtering and sparse pruning, a chunk cut by its zone
+	// maps counting once per run of surviving blocks.
 	ChunksRead int
-	// BytesRead is the payload bytes read from data files.
+	// BytesRead is the payload bytes read from data files. A constant
+	// (stride-0) segment is read once per run, so in a chunk cut into k
+	// runs it counts k times.
 	BytesRead int64
 	// RowsScanned is the rows materialized from chunks.
 	RowsScanned int64
@@ -88,12 +91,13 @@ type QueryStats struct {
 	PlanCacheHits   int64
 	PlanCacheMisses int64
 
-	// BlocksSkipped counts extraction blocks a sparse sidecar proved
-	// row-free and the extractor never read. SparseIndexHits and
-	// SparseIndexMisses count per-chunk sidecar lookups for files with
-	// constrained attributes: a miss means that file fell back to a full
-	// scan. All stay zero when no sidecars exist or the query has no
-	// range constraints.
+	// BlocksSkipped counts the extraction blocks that the planner's
+	// sparse pruning proved row-free, so that no run covers them.
+	// SparseIndexHits and SparseIndexMisses count sidecar lookups, one
+	// per distinct file with constrained attributes per execution: a miss
+	// means that file's chunks are read whole. BlocksSkipped and the hits
+	// stay zero when no sidecars exist, and all three when the query has
+	// no range constraints.
 	BlocksSkipped     int64
 	SparseIndexHits   int64
 	SparseIndexMisses int64

@@ -3,9 +3,11 @@
 // data file, holding per-block min/max zone maps for the file's stored
 // attributes plus a coarse multidimensional grid summary over up to
 // three spatially meaningful attributes. It is the within-chunk
-// counterpart of the paper's indexing service: the planner prunes at
-// aligned-file-chunk granularity, the sidecar lets the extractor skip
-// byte blocks inside a chunk that provably contain no matching row.
+// counterpart of the paper's indexing service: the chunk index prunes
+// at aligned-file-chunk granularity, and the sidecar lets the planner
+// (core.Prepared.Chunks) drop a chunk or cut it into runs of the
+// extraction blocks that may hold a matching row, before any data file
+// is read.
 //
 // Pruning safety rests on two conservative facts. First, query.Ranges
 // is an over-approximation of the WHERE clause: every surviving row has
@@ -119,8 +121,8 @@ func (sc *Sidecar) SpanMayMatch(attr string, off, span int64, set query.Set) boo
 	}
 	if emptyZone(lo, hi) {
 		// The span's blocks claim to hold no values of an attribute the
-		// extractor is about to read there: the sidecar is inconsistent
-		// with the layout, so refuse to prune on it.
+		// layout places there: the sidecar is inconsistent with the
+		// layout, so refuse to prune on it.
 		return true
 	}
 	return set.Overlaps(query.Interval{Lo: lo, Hi: hi})

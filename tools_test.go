@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -80,7 +81,7 @@ func TestCommandLineTools(t *testing.T) {
 	}
 	out = run(false, "./cmd/dvq", "-desc", desc, "-root", root, "-explain",
 		"SELECT * FROM IparsData WHERE REL = 1")
-	if !strings.Contains(out, "aligned file chunks: 16") {
+	if !strings.Contains(out, "chunks planned: 16") {
 		t.Fatalf("dvq explain: %s", out)
 	}
 	// Titan via its descriptor.
@@ -160,4 +161,53 @@ func mustGetwd(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return wd
+}
+
+// docTestName matches a backticked test, fuzz or benchmark name in the
+// docs, with an optional /subtest path: `TestX`, `BenchmarkY/sub`.
+var docTestName = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0-9_]*)(?:/[^`]*)?`")
+
+// TestDocsNameExistingTests holds README.md, DESIGN.md and
+// EXPERIMENTS.md to the test suite: every test, fuzz target and
+// benchmark they name in backticks must be a function in some _test.go
+// file of the repository, so a renamed or deleted test cannot leave a
+// doc pointing at nothing.
+func TestDocsNameExistingTests(t *testing.T) {
+	defined := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range docTestName.FindAllStringSubmatch(line, -1) {
+				if !defined[m[1]] {
+					t.Errorf("%s:%d names `%s`, which no _test.go defines", doc, i+1, m[1])
+				}
+			}
+		}
+	}
 }
