@@ -639,3 +639,44 @@ func TestCounterParityWithLocal(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatorDrainAllocations drains a coordinator cursor over two
+// in-process nodes for two results 4x apart in size: the same chunks,
+// with 4x the rows each. Each leg decodes its 'R' frames into one
+// reused block, so the allocations of the whole query, nodes included,
+// must not grow with the number of frames.
+func TestCoordinatorDrainAllocations(t *testing.T) {
+	const steps = 8
+	ctx := context.Background()
+	allocs := func(grid int) float64 {
+		coord, _ := startCluster(t, gen.IparsSpec{
+			Realizations: 1, TimeSteps: steps, GridPoints: grid, Partitions: 2, Attrs: 4, Seed: 5,
+		})
+		drained := 0
+		// Twenty runs average out the blocks the pools drop (at every GC,
+		// and at random under the race detector).
+		n := testing.AllocsPerRun(20, func() {
+			rows, err := coord.QueryContext(ctx, "SELECT * FROM IparsData")
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained = 0
+			for rows.Next() {
+				drained++
+			}
+			if err := rows.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if drained != steps*grid {
+			t.Fatalf("drained %d rows, want %d", drained, steps*grid)
+		}
+		t.Logf("%d rows, %.0f allocations", drained, n)
+		return n
+	}
+	const slack = 8
+	if small, large := allocs(512), allocs(2048); large-small > slack {
+		t.Errorf("coordinator drain allocations grow with the result: %.0f for %d rows, %.0f for %d rows; want a difference of at most %d",
+			small, steps*512, large, steps*2048, slack)
+	}
+}

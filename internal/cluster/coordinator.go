@@ -189,9 +189,9 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows,
 		return nil, err
 	}
 	return core.NewRows(ctx, prep.Cols, func(runCtx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
-		// Each decoded 'R' frame goes to the cursor whole, with ownership.
+		// Each decoded 'R' frame goes to the cursor whole, in place.
 		res, err := c.runPrepared(runCtx, sql, prep, storm.PartitionSpec{}, func(dest int, rows []table.Row) error {
-			return deliver(rows, true)
+			return deliver(rows)
 		})
 		if err != nil {
 			return obs.QueryStats{}, err
@@ -201,8 +201,8 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows,
 }
 
 // QueryFuncContext runs sql on every node and calls emit for each
-// returned row (from a single goroutine; the row is only valid during
-// the call, per the extractor.EmitFunc reuse contract).
+// returned row (one call at a time; the row is only valid during the
+// call, per the extractor.EmitFunc reuse contract).
 //
 // Deprecated: use QueryContext, which returns a streaming cursor; this
 // callback shim remains for push-style clients and returns the full
@@ -211,7 +211,7 @@ func (c *Coordinator) QueryContext(ctx context.Context, sql string) (*core.Rows,
 func (c *Coordinator) QueryFuncContext(ctx context.Context, sql string, emit func(row table.Row) error) (*Result, error) {
 	perRow := extractor.PerRow(emit)
 	return c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, rows []table.Row) error {
-		return perRow(rows, true)
+		return perRow(rows)
 	})
 }
 
@@ -245,13 +245,12 @@ func (c *Coordinator) QueryPartitionedContext(ctx context.Context, sql string, s
 	return res, err
 }
 
-// CollectQueryContext runs sql and returns all rows, in a deterministic
-// order only within each node's stream. The rows are owned by the
-// caller (each decoded frame is fresh memory), so nothing is copied.
+// CollectQueryContext runs sql and returns all rows (copied), in a
+// deterministic order only within each node's stream.
 func (c *Coordinator) CollectQueryContext(ctx context.Context, sql string) ([]table.Row, *Result, error) {
 	var rows []table.Row
 	res, err := c.run(ctx, sql, storm.PartitionSpec{}, func(dest int, batch []table.Row) error {
-		rows = append(rows, batch...) // owned: retaining needs no copy
+		rows = table.CopyRows(rows, batch)
 		return nil
 	})
 	return rows, res, err
@@ -296,10 +295,13 @@ type legCounters struct {
 // connection pools, merges the streams and assembles the Result. Rows
 // reach deliver a batch at a time — one decoded 'R' frame (or the
 // finalized groups of an aggregate) with its partition destination —
-// from this goroutine only. Every batch is owned in the sense of
-// extractor.EmitFunc: DecodeAll and Finalize build fresh memory nothing
-// here touches again. The first deliver error cancels every leg, so a
-// failing consumer does not wait for the rest of the cluster's result.
+// under the extractor.EmitFunc contract: each leg decodes its frames
+// into one reused block, so every batch is borrowed. Legs call deliver
+// one at a time, under the mutex that also serializes their aggregate
+// merges, and hold it while deliver blocks: that wait is the fan-in's
+// flow control, and a cancelled query ends it. The first deliver error
+// cancels every leg, so a failing consumer does not wait for the rest
+// of the cluster's result.
 func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Prepared, spec storm.PartitionSpec, deliver func(dest int, rows []table.Row) error) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -327,82 +329,71 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 		req.TimeoutMS = ms
 	}
 
-	// Aggregate queries: every leg ships partial aggregates in 'A'
-	// frames; legs merge them into one coordinator-side state (the
-	// mutex serializes merges across leg goroutines) and the final
-	// groups are delivered after the fan-in.
-	var aggMu sync.Mutex
-	var aggState *query.AggState
-	var onAgg func(payload []byte) error
-	if prep.Agg != nil {
-		aggState = query.NewAggState(prep.Agg)
-		onAgg = func(payload []byte) error {
-			aggMu.Lock()
-			defer aggMu.Unlock()
-			return aggState.MergeEncoded(payload)
-		}
-	}
-
-	nodes := c.svc.Nodes()
-	type nodeBatch struct {
-		node string
-		dest int
-		rows []table.Row
-	}
-	type nodeDone struct {
-		node    string
-		trailer Trailer
-		err     error
-	}
-	batchc := make(chan nodeBatch, len(nodes)*2)
-	donec := make(chan nodeDone, len(nodes))
-	var counters legCounters
-	var wg sync.WaitGroup
 	// The legs run under their own context so a deliver error can stop
 	// them; the caller's ctx still decides whether that error or the
 	// caller's cancellation is reported.
 	legCtx, cancelLegs := context.WithCancel(ctx)
 	defer cancelLegs()
 
+	var mu sync.Mutex
+	var deliverErr error // the first deliver error; guarded by mu until the legs end
+	onRows := func(dest int, rows []table.Row) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if deliverErr == nil {
+			if deliverErr = deliver(dest, rows); deliverErr != nil {
+				cancelLegs()
+			}
+		}
+		return deliverErr
+	}
+	// Aggregate queries: every leg ships partial aggregates in 'A'
+	// frames, merged into one coordinator-side state; the final groups
+	// are delivered after the fan-in.
+	var aggState *query.AggState
+	var onAgg func(payload []byte) error
+	if prep.Agg != nil {
+		aggState = query.NewAggState(prep.Agg)
+		onAgg = func(payload []byte) error {
+			mu.Lock()
+			defer mu.Unlock()
+			return aggState.MergeEncoded(payload)
+		}
+	}
+
+	nodes := c.svc.Nodes()
+	type legResult struct {
+		trailer Trailer
+		err     error
+	}
+	legs := make([]legResult, len(nodes))
+	var counters legCounters
+	var wg sync.WaitGroup
 	netStart := time.Now()
-	for _, node := range nodes {
+	for i, node := range nodes {
 		wg.Add(1)
-		go func(node string) {
+		go func() {
 			defer wg.Done()
 			endNet := obs.Begin(tracer, sql, obs.StageNet)
-			tr, err := c.runLeg(legCtx, node, req, codec, &counters, func(dest int, rows []table.Row) {
-				batchc <- nodeBatch{node: node, dest: dest, rows: rows}
-			}, onAgg)
+			tr, err := c.runLeg(legCtx, node, req, codec, &counters, onRows, onAgg)
 			endNet(err)
-			donec <- nodeDone{node: node, trailer: tr, err: err}
-		}(node)
+			legs[i] = legResult{tr, err}
+		}()
 	}
-	go func() {
-		wg.Wait()
-		close(batchc)
-	}()
+	wg.Wait()
 
 	res := &Result{PerNode: map[string]int64{}}
-	var firstErr error
-	for b := range batchc {
-		if firstErr != nil {
-			continue // drain
-		}
-		if firstErr = deliver(b.dest, b.rows); firstErr != nil {
-			cancelLegs()
-		}
-	}
+	firstErr := deliverErr
 	var slowestExtract time.Duration
-	for range nodes {
-		d := <-donec
-		if d.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: node %s: %w", d.node, d.err)
+	for i, leg := range legs {
+		if leg.err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("cluster: node %s: %w", nodes[i], leg.err)
 		}
-		res.QueryStats.Add(d.trailer.Stats)
-		res.Rows += d.trailer.Rows
-		res.SentBytes += d.trailer.SentBytes
-		res.PerNode[d.node] = d.trailer.Rows
-		slowestExtract = max(slowestExtract, d.trailer.Stats.ExtractTime)
+		res.QueryStats.Add(leg.trailer.Stats)
+		res.Rows += leg.trailer.Rows
+		res.SentBytes += leg.trailer.SentBytes
+		res.PerNode[nodes[i]] = leg.trailer.Rows
+		slowestExtract = max(slowestExtract, leg.trailer.Stats.ExtractTime)
 	}
 	if firstErr != nil {
 		if ctx.Err() != nil {
@@ -444,7 +435,9 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 // runLeg drives one partition's leg: replica placement, connection
 // checkout, bounded retry of legs shed by admission control, and the
 // re-dispatch of a leg whose serving node dies or stalls before any of
-// its results reached the merge. A replicated leg stages its results
+// its results reached the merge. The leg decodes its 'R' frames into
+// one block of its own, reused frame after frame (and, through
+// legBlocks, query after query), and hands each to onRows borrowed. A replicated leg stages its results
 // (legStage) so "before" lasts until the stage commits; an unreplicated
 // leg streams straight into the merge, so only a leg that has delivered
 // no frame is replayed. A failed leg moves to a standby replica when a
@@ -456,8 +449,21 @@ func (c *Coordinator) runPrepared(ctx context.Context, sql string, prep *core.Pr
 // the overload-retry budget, or consumes the single same-node stall
 // retry.
 func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request, codec *table.Codec,
-	counters *legCounters, onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (Trailer, error) {
+	counters *legCounters, onRows func(dest int, rows []table.Row) error, onAgg func(payload []byte) error) (_ Trailer, err error) {
 
+	block := legBlocks.Get().(*[]table.Row)
+	defer func() {
+		if err == nil { // after an error the consumer may still be reading the last batch lent
+			legBlocks.Put(block)
+		}
+	}()
+	onFrame := func(payload []byte) error {
+		dest, rows, err := decodeRowsFrame(codec, block, payload)
+		if err != nil {
+			return err
+		}
+		return onRows(dest, rows)
+	}
 	replicas := c.replicas[partition]
 	if len(replicas) == 0 {
 		replicas = []string{partition}
@@ -472,8 +478,8 @@ func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request,
 		if budget <= 0 {
 			budget = defaultStageBytes
 		}
-		stage = newLegStage(budget, int64(codec.RowBytes()), onBatch, onAgg)
-		onBatch = stage.batch
+		stage = &legStage{budget: budget, onRows: onFrame, onAgg: onAgg}
+		onFrame = stage.rows
 		if onAgg != nil {
 			onAgg = stage.agg
 		}
@@ -508,7 +514,7 @@ func (c *Coordinator) runLeg(ctx context.Context, partition string, req Request,
 
 		pool := c.pool(node)
 		pool.legStarted()
-		tr, delivered, err := c.legStream(ctx, pool, req, codec, onBatch, onAgg)
+		tr, delivered, err := c.legStream(ctx, pool, req, onFrame, onAgg)
 		pool.legDone()
 		pool.reportResult(healthErr(err), c.RetryBackoff)
 		if err == nil {
@@ -615,22 +621,23 @@ func healthErr(err error) error {
 }
 
 // legStream runs one wire stream of a leg on a pooled connection: it
-// sends the query, reads its frames on this goroutine, and decodes row
-// batches ('R') or merges partial aggregates ('A', via onAgg).
-// delivered reports whether any frame was handed to onBatch or onAgg,
+// sends the query, reads its frames on this goroutine, and hands each
+// row batch ('R') payload to onRows and each partial-aggregate ('A')
+// payload to onAgg; a payload is only valid during the call.
+// delivered reports whether any frame was taken by onRows or onAgg,
 // i.e. whether a failed stream can still be replayed. A reused
 // connection that turns out closed before its first frame — the node
 // hung up while it sat idle — is replaced by a fresh dial, and that
 // failure is not the leg's.
-func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request, codec *table.Codec,
-	onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (tr Trailer, delivered bool, err error) {
+func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request,
+	onRows, onAgg func(payload []byte) error) (tr Trailer, delivered bool, err error) {
 
 	for fresh := false; ; fresh = true {
 		pc, err := pool.get(ctx, fresh)
 		if err != nil {
 			return Trailer{}, false, ctxErr(ctx, err)
 		}
-		tr, frames, delivered, err := c.legOn(ctx, pool, pc, req, codec, onBatch, onAgg)
+		tr, frames, delivered, err := c.legOn(ctx, pool, pc, req, onRows, onAgg)
 		if err != nil && pc.reused && frames == 0 && ctx.Err() == nil && isClosedConn(err) {
 			continue
 		}
@@ -641,8 +648,8 @@ func (c *Coordinator) legStream(ctx context.Context, pool *nodePool, req Request
 // legOn runs one leg on pc and checks pc back into pool: kept after a
 // terminal frame, closed after anything else. Cancelling ctx closes
 // the connection, which the node reads as the query's cancellation.
-func (c *Coordinator) legOn(ctx context.Context, pool *nodePool, pc *poolConn, req Request, codec *table.Codec,
-	onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) (tr Trailer, frames int, delivered bool, err error) {
+func (c *Coordinator) legOn(ctx context.Context, pool *nodePool, pc *poolConn, req Request,
+	onRows, onAgg func(payload []byte) error) (tr Trailer, frames int, delivered bool, err error) {
 
 	terminal := false
 	stop := context.AfterFunc(ctx, func() { pc.Close() })
@@ -671,12 +678,10 @@ func (c *Coordinator) legOn(ctx context.Context, pool *nodePool, pc *poolConn, r
 		}
 		switch typ {
 		case frameRows:
-			var dest int
-			var rows []table.Row
-			if dest, rows, err = decodeRowsFrame(codec, payload); err == nil {
-				delivered = true
-				onBatch(dest, rows)
-			}
+			// A frame that failed to decode reached nothing downstream;
+			// a consumer's error cancelled the query anyway.
+			err = onRows(payload)
+			delivered = delivered || err == nil
 		case frameAgg:
 			if onAgg == nil {
 				err = fmt.Errorf("cluster: unexpected aggregate frame for a row query")
@@ -713,19 +718,31 @@ func ctxErr(ctx context.Context, err error) error {
 	return err
 }
 
-// decodeRowsFrame decodes an 'R' payload: destID | rowCount | rows.
-func decodeRowsFrame(codec *table.Codec, payload []byte) (dest int, rows []table.Row, err error) {
+// legBlocks recycles the legs' decode blocks across queries: for a
+// small result, allocating the block costs as much as decoding into it.
+var legBlocks = sync.Pool{New: func() any { return new([]table.Row) }}
+
+// decodeRowsFrame decodes an 'R' payload — destID | rowCount | rows —
+// into *block, replaced first when too small or not the codec's width.
+// A frame claiming more than batchRows rows is refused: no node sends
+// one, and the block stays bounded whatever the length prefix says.
+func decodeRowsFrame(codec *table.Codec, block *[]table.Row, payload []byte) (dest int, rows []table.Row, err error) {
 	if len(payload) < 8 {
 		return 0, nil, fmt.Errorf("cluster: short row batch")
 	}
 	dest = int(binary.LittleEndian.Uint32(payload[0:]))
-	count := int(binary.LittleEndian.Uint32(payload[4:]))
-	body := payload[8:]
-	if count < 0 || len(body) != count*codec.RowBytes() {
-		return 0, nil, fmt.Errorf("cluster: row batch of %d bytes does not hold %d rows", len(body), count)
+	count := binary.LittleEndian.Uint32(payload[4:])
+	if count > batchRows {
+		return 0, nil, fmt.Errorf("cluster: row batch claims %d rows, more than %d", count, batchRows)
 	}
-	rows, err = codec.DecodeAll(body)
-	return dest, rows, err
+	if len(*block) < int(count) || len(*block) > 0 && len((*block)[0]) != codec.NumCols() {
+		*block = table.Matrix(int(count), codec.NumCols())
+	}
+	rows = (*block)[:count]
+	if err := codec.DecodeInto(rows, payload[8:]); err != nil {
+		return 0, nil, fmt.Errorf("cluster: row batch: %w", err)
+	}
+	return dest, rows, nil
 }
 
 // dialNode connects to a node with bounded retry and exponential

@@ -3,8 +3,6 @@ package cluster
 import (
 	"errors"
 	"slices"
-
-	"datavirt/internal/table"
 )
 
 // defaultStageBytes is the FailoverStageBytes default: how much of a
@@ -25,64 +23,58 @@ var errLegStalled = errors.New("cluster: leg stalled: no frame progress within L
 // commit, nothing has reached the merge, and after commit a failure
 // is final (runLeg checks committed before re-dispatching).
 //
-// No lock guards the fields: runLeg calls legStream synchronously, one
-// dispatch at a time, and legStream delivers on the calling goroutine,
-// so every delivery, commit and reset of a stage happens on runLeg's
-// goroutine in program order. Queries are either row or aggregate,
-// never both, so a stage holds 'R' batches or 'A' partials, not a mix.
+// It stages raw frame payloads, copied out of the connection's reused
+// read buffer, and hands them on — 'R' payloads to be decoded, 'A'
+// payloads to be merged — only at commit. No lock guards the fields:
+// runLeg calls legStream synchronously, one dispatch at a time, and
+// legStream delivers on the calling goroutine, so every delivery,
+// commit and reset of a stage happens on runLeg's goroutine in program
+// order.
 type legStage struct {
-	budget   int64
-	rowBytes int64 // wire bytes per row, for budget accounting
-	onBatch  func(dest int, rows []table.Row)
-	onAgg    func(payload []byte) error
+	budget int64
+	onRows func(payload []byte) error
+	onAgg  func(payload []byte) error
 
-	staged    []stagedItem
+	staged    []stagedFrame
 	bytes     int64
 	committed bool
 }
 
-// stagedItem is one withheld delivery: a decoded row batch (agg nil)
-// or an encoded partial-aggregate payload. Both are safe to retain:
-// DecodeAll allocates fresh rows, and agg copies the payload out of the
-// connection's reused read buffer.
-type stagedItem struct {
-	dest int
-	rows []table.Row
-	agg  []byte
+// stagedFrame is one withheld payload: a row batch or, when agg is
+// set, a partial-aggregate payload.
+type stagedFrame struct {
+	payload []byte
+	agg     bool
 }
 
-func newLegStage(budget, rowBytes int64, onBatch func(dest int, rows []table.Row), onAgg func(payload []byte) error) *legStage {
-	return &legStage{budget: budget, rowBytes: rowBytes, onBatch: onBatch, onAgg: onAgg}
-}
+// rows stages (or, once committed, passes through) one 'R' payload.
+func (g *legStage) rows(payload []byte) error { return g.stage(payload, false) }
 
-// batch stages (or, once committed, passes through) one row batch.
-// A budget overflow commits everything staged so far: memory stays
-// bounded at the price of making the leg non-replayable.
-func (g *legStage) batch(dest int, rows []table.Row) {
+// agg stages (or passes through) one 'A' payload.
+func (g *legStage) agg(payload []byte) error { return g.stage(payload, true) }
+
+// stage withholds one payload. A budget overflow commits everything
+// staged so far: memory stays bounded at the price of making the leg
+// non-replayable. Only handing on can fail — a payload that does not
+// decode or merge, or a consumer that stops — and that error aborts
+// the leg like any delivery failure.
+func (g *legStage) stage(payload []byte, agg bool) error {
 	if g.committed {
-		g.onBatch(dest, rows)
-		return
+		return g.deliver(stagedFrame{payload, agg})
 	}
-	g.staged = append(g.staged, stagedItem{dest: dest, rows: rows})
-	g.bytes += int64(len(rows)) * g.rowBytes
-	if g.bytes >= g.budget {
-		g.commit() //nolint:errcheck — row-only path; commit errors come from onAgg, never reached here
-	}
-}
-
-// agg stages (or passes through) one partial-aggregate payload. Only
-// a commit can fail — the downstream merge rejecting a payload — and
-// that error aborts the leg like any onAgg failure.
-func (g *legStage) agg(payload []byte) error {
-	if g.committed {
-		return g.onAgg(payload)
-	}
-	g.staged = append(g.staged, stagedItem{agg: slices.Clone(payload)})
+	g.staged = append(g.staged, stagedFrame{slices.Clone(payload), agg})
 	g.bytes += int64(len(payload))
 	if g.bytes >= g.budget {
 		return g.commit()
 	}
 	return nil
+}
+
+func (g *legStage) deliver(f stagedFrame) error {
+	if f.agg {
+		return g.onAgg(f.payload)
+	}
+	return g.onRows(f.payload)
 }
 
 // commit releases everything staged to the merge and makes the leg
@@ -92,13 +84,9 @@ func (g *legStage) commit() error {
 	g.committed = true
 	staged := g.staged
 	g.staged = nil
-	for _, it := range staged {
-		if it.agg != nil {
-			if err := g.onAgg(it.agg); err != nil {
-				return err
-			}
-		} else {
-			g.onBatch(it.dest, it.rows)
+	for _, f := range staged {
+		if err := g.deliver(f); err != nil {
+			return err
 		}
 	}
 	return nil

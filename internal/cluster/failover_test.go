@@ -3,11 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
-
-	"datavirt/internal/schema"
-	"datavirt/internal/table"
 )
 
 // TestOverloadBackoffHonorsCancel pins the regression the overload
@@ -58,76 +56,83 @@ func TestOverloadBackoffHonorsCancel(t *testing.T) {
 }
 
 // TestLegStage exercises the exactly-once staging buffer directly:
-// nothing reaches the merge before commit, reset discards cleanly,
-// and a budget overflow force-commits.
+// nothing reaches the merge before commit, what is staged is a copy
+// of the payload (the connection reuses its read buffer), reset
+// discards cleanly, a budget overflow force-commits, and a payload
+// that fails downstream fails the commit.
 func TestLegStage(t *testing.T) {
-	row := func(v int64) table.Row { return table.Row{schema.IntValue(v)} }
+	collect := func(got *[]string) func([]byte) error {
+		return func(payload []byte) error {
+			*got = append(*got, string(payload))
+			return nil
+		}
+	}
 
 	t.Run("withholds until commit", func(t *testing.T) {
-		var got []int64
-		g := newLegStage(1<<20, 8, func(dest int, rows []table.Row) {
-			for _, r := range rows {
-				got = append(got, r[0].Int)
-			}
-		}, nil)
-		g.batch(0, []table.Row{row(1), row(2)})
+		var got []string
+		g := &legStage{budget: 1 << 20, onRows: collect(&got)}
+		buf := []byte("r1")
+		if err := g.rows(buf); err != nil {
+			t.Fatal(err)
+		}
+		copy(buf, "xx") // the read buffer is reused for the next frame
+		if err := g.rows([]byte("r2")); err != nil {
+			t.Fatal(err)
+		}
 		if len(got) != 0 {
-			t.Fatalf("staged rows leaked to the merge: %v", got)
+			t.Fatalf("staged payloads leaked to the merge: %q", got)
 		}
 		if err := g.commit(); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-			t.Fatalf("commit delivered %v, want [1 2]", got)
+		if fmt.Sprint(got) != "[r1 r2]" {
+			t.Fatalf("commit delivered %q, want [r1 r2]", got)
 		}
 		// Post-commit deliveries pass straight through.
-		g.batch(0, []table.Row{row(3)})
-		if len(got) != 3 || got[2] != 3 {
-			t.Fatalf("post-commit delivery got %v", got)
+		if err := g.rows([]byte("r3")); err != nil || len(got) != 3 || got[2] != "r3" {
+			t.Fatalf("post-commit delivery got %q, %v", got, err)
 		}
 	})
 
 	t.Run("reset discards uncommitted", func(t *testing.T) {
-		var got []int64
-		g := newLegStage(1<<20, 8, func(dest int, rows []table.Row) {
-			for _, r := range rows {
-				got = append(got, r[0].Int)
-			}
-		}, nil)
-		g.batch(0, []table.Row{row(1)})
+		var got []string
+		g := &legStage{budget: 1 << 20, onRows: collect(&got)}
+		g.rows([]byte("r1")) //nolint:errcheck — staging cannot fail under budget
 		g.reset()
-		g.batch(0, []table.Row{row(7)}) // the replay
+		g.rows([]byte("r7")) //nolint:errcheck — the replay
 		if err := g.commit(); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 || got[0] != 7 {
-			t.Fatalf("after reset+replay got %v, want [7]", got)
+		if fmt.Sprint(got) != "[r7]" {
+			t.Fatalf("after reset+replay got %q, want [r7]", got)
 		}
 	})
 
 	t.Run("budget overflow commits early", func(t *testing.T) {
-		var got int
-		g := newLegStage(16, 8, func(dest int, rows []table.Row) { got += len(rows) }, nil)
-		g.batch(0, []table.Row{row(1)}) // 8 bytes: under budget, staged
-		if got != 0 {
-			t.Fatalf("under-budget batch delivered %d rows early", got)
+		var got []string
+		g := &legStage{budget: 16, onRows: collect(&got)}
+		g.rows(make([]byte, 8)) //nolint:errcheck — 8 bytes: under budget, staged
+		if len(got) != 0 {
+			t.Fatalf("under-budget payload delivered early: %d", len(got))
 		}
-		g.batch(0, []table.Row{row(2)}) // 16 bytes: budget hit, auto-commit
-		if !g.committed || got != 2 {
-			t.Fatalf("overflow: committed=%v delivered=%d, want true/2", g.committed, got)
+		if err := g.rows(make([]byte, 8)); err != nil { // 16 bytes: budget hit, auto-commit
+			t.Fatal(err)
+		}
+		if !g.committed || len(got) != 2 {
+			t.Fatalf("overflow: committed=%v delivered=%d, want true/2", g.committed, len(got))
 		}
 	})
 
 	t.Run("agg payloads stage and propagate merge errors", func(t *testing.T) {
 		boom := errors.New("merge rejected")
 		var calls int
-		g := newLegStage(1<<20, 0, nil, func(payload []byte) error {
+		g := &legStage{budget: 1 << 20, onAgg: func(payload []byte) error {
 			calls++
 			if calls == 2 {
 				return boom
 			}
 			return nil
-		})
+		}}
 		if err := g.agg([]byte("p1")); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -10,6 +13,7 @@ import (
 	"datavirt/internal/core"
 	"datavirt/internal/gen"
 	"datavirt/internal/query"
+	"datavirt/internal/storm"
 	"datavirt/internal/table"
 )
 
@@ -18,7 +22,8 @@ import (
 // a row leg and once as an aggregate leg. Whatever arrives, the leg must
 // end with a trailer or an error — no panic, no hang. The seeds are real
 // frames: row batches, partial aggregates, a done trailer, an error, a
-// busy refusal, a truncated stream and a bare oversized header.
+// busy refusal, a truncated stream, a bare oversized header, and a row
+// batch that holds the rows it claims but claims more than batchRows.
 func FuzzLegStream(f *testing.F) {
 	svc := localService(f, gen.IparsSpec{Realizations: 1, TimeSteps: 2, GridPoints: 8, Partitions: 1, Attrs: 2, Seed: 3})
 	ctx := context.Background()
@@ -68,6 +73,9 @@ func FuzzLegStream(f *testing.F) {
 	f.Add(frame(frameBusy, "cluster: node overloaded, query shed"))
 	f.Add(rows.Bytes()[:rows.Len()/2])
 	f.Add([]byte{0, 0, 0, 4, frameRows, 1, 0, 0, 0})
+	var lying bytes.Buffer
+	enc.writeRowsFrame(&lying, 1, 0, batchRows+1, make([]byte, (batchRows+1)*codec.RowBytes())) //nolint:errcheck — bytes.Buffer
+	f.Add(append(lying.Bytes(), done...))
 
 	f.Fuzz(func(t *testing.T, answer []byte) {
 		legStreamOver(t, answer, codec, nil)
@@ -77,8 +85,10 @@ func FuzzLegStream(f *testing.F) {
 }
 
 // legStreamOver runs one leg whose node answers the query frame with
-// answer and then hangs up, and fails the test if the leg hangs.
-func legStreamOver(t *testing.T, answer []byte, codec *table.Codec, onAgg func([]byte) error) {
+// answer and then hangs up, decoding its row batches as the coordinator
+// does, and returns how the leg ended. It fails the test if the leg
+// hangs.
+func legStreamOver(t *testing.T, answer []byte, codec *table.Codec, onAgg func([]byte) error) error {
 	client, server := net.Pipe()
 	served := make(chan struct{})
 	go func() {
@@ -94,17 +104,87 @@ func legStreamOver(t *testing.T, answer []byte, codec *table.Codec, onAgg func([
 		busy: map[*poolConn]bool{},
 	}
 	c := &Coordinator{}
+	var block []table.Row
+	onRows := func(payload []byte) error {
+		_, _, err := decodeRowsFrame(codec, &block, payload)
+		return err
+	}
 	ended := make(chan error, 1)
 	go func() {
-		_, _, err := c.legStream(context.Background(), pool, Request{Version: protocolVersion}, codec,
-			func(int, []table.Row) {}, onAgg)
+		_, _, err := c.legStream(context.Background(), pool, Request{Version: protocolVersion}, onRows, onAgg)
 		ended <- err
 	}()
+	var err error
 	select {
-	case <-ended:
+	case err = <-ended:
 	case <-time.After(10 * time.Second):
 		t.Fatal("leg neither ended nor failed within 10s")
 	}
 	pool.close() // a leg that ended on a terminal frame left its conn idle
 	<-served
+	return err
+}
+
+// FuzzNodeRequest feeds arbitrary 'Q' payloads to a node serving a small
+// local dataset, through the path a connection's request takes:
+// decodeRequest, then runQuery's admission, planning, partition and
+// request validation, and execution. Whatever arrives, the node must
+// not panic, and its answer must end in exactly one terminal frame:
+// 'E' for a request it refuses, 'D' for one it runs, with nothing but
+// 'R' or 'A' frames before it.
+func FuzzNodeRequest(f *testing.F) {
+	svc := localService(f, gen.IparsSpec{Realizations: 1, TimeSteps: 2, GridPoints: 8, Partitions: 2, Attrs: 2, Seed: 3})
+	name := svc.Nodes()[0]
+	n := &Node{name: name, svc: svc, replicaOf: map[string]bool{name: true}, baseCtx: context.Background()}
+	for _, req := range []Request{
+		{Version: protocolVersion, SQL: "SELECT * FROM IparsData WHERE TIME = 1"},
+		{Version: protocolVersion, SQL: "SELECT REL, COUNT(*), AVG(SOIL) FROM IparsData GROUP BY REL"},
+		{Version: protocolVersion, SQL: "SELECT TIME, SOIL FROM IparsData",
+			Partition: storm.PartitionSpec{Scheme: storm.RangeAttr, NumDests: 2, Attr: "SOIL", Bounds: []float64{0.5}}},
+		{Version: protocolVersion, SQL: "SELECT * FROM IparsData", Partition: storm.PartitionSpec{NumDests: 1 << 30}},
+		{Version: protocolVersion, SQL: "SELECT * FROM IparsData", NodeFilter: "elsewhere", TimeoutMS: 1},
+		{Version: protocolVersion - 1, SQL: "SELECT * FROM IparsData"},
+	} {
+		payload, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Add([]byte(`{"Version":4,"SQL":"SELECT FROM"}`))
+	f.Add([]byte(`{"Version":"4"`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var out bytes.Buffer
+		bw := bufio.NewWriter(&out)
+		req, err := decodeRequest(payload)
+		if err != nil {
+			err = writeTerminal(bw, frameError, 1, []byte(err.Error()))
+		} else {
+			err = n.runQuery(context.Background(), bw, 1, req)
+		}
+		if err != nil {
+			t.Fatalf("writing the answer to memory failed: %v", err)
+		}
+		var last byte
+		for r := bytes.NewReader(out.Bytes()); ; {
+			typ, _, _, err := readFrame(r, nil)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("node wrote a malformed frame: %v", err)
+			}
+			if last == frameDone || last == frameError {
+				t.Fatalf("frame %q after the terminal %q", typ, last)
+			}
+			if typ != frameRows && typ != frameAgg && typ != frameDone && typ != frameError {
+				t.Fatalf("node answered with frame %q", typ)
+			}
+			last = typ
+		}
+		if last != frameDone && last != frameError {
+			t.Fatalf("answer ended with %q, want a done or error frame", last)
+		}
+	})
 }

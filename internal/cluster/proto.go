@@ -166,19 +166,21 @@ func (e *rowsFrameEncoder) writeRowsFrame(w io.Writer, qid, dest, count uint32, 
 	return err
 }
 
-// readFrame reads one frame, reusing buf's capacity. The length prefix
-// is untrusted, so the buffer grows as payload bytes arrive, at most
-// readStep ahead of them, never to the size the prefix claims.
+// readFrame reads one frame, header included, into buf's capacity (a
+// header array would escape: one allocation per frame). The length
+// prefix is untrusted, so the buffer grows as payload bytes arrive, at
+// most readStep ahead of them, never to the size the prefix claims.
 func readFrame(r io.Reader, buf []byte) (typ byte, qid uint32, payload []byte, err error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := slices.Grow(buf[:0], frameHeaderLen)[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > maxFrame {
 		return 0, 0, nil, fmt.Errorf("cluster: frame length %d exceeds limit", n)
 	}
-	buf = buf[:0]
+	typ, qid = hdr[4], binary.LittleEndian.Uint32(hdr[5:9])
+	buf = hdr[:0]
 	for len(buf) < n {
 		step := min(n-len(buf), readStep)
 		buf = slices.Grow(buf, step)
@@ -188,7 +190,7 @@ func readFrame(r io.Reader, buf []byte) (typ byte, qid uint32, payload []byte, e
 			return 0, 0, nil, fmt.Errorf("cluster: short frame: %w", err)
 		}
 	}
-	return hdr[4], binary.LittleEndian.Uint32(hdr[5:9]), buf, nil
+	return typ, qid, buf, nil
 }
 
 // writeJSONFrame marshals v into a frame.

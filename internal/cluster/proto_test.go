@@ -16,6 +16,8 @@ import (
 	"datavirt/internal/core"
 	"datavirt/internal/gen"
 	"datavirt/internal/metadata"
+	"datavirt/internal/schema"
+	"datavirt/internal/table"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -149,6 +151,33 @@ func TestHeaderAloneCostsNoHeap(t *testing.T) {
 		if grown := int64(heap()) - int64(before); grown > 8<<20 {
 			t.Fatalf("four bare frame headers grew the heap by %d MiB, want < 8 MiB", grown>>20)
 		}
+	}
+}
+
+// TestLyingRowsFrameBoundsHeap answers a row leg with one maxFrame-byte
+// 'R' frame of 1-byte rows that holds every row it claims, 64 Mi of
+// them. The leg must refuse it for claiming more than batchRows rows
+// rather than decode it, which would cost 48 bytes of values and row
+// headers per byte of frame. What the leg allocates stays within six
+// frame sizes: the read buffer grows readStep at a time, so reading a
+// frame this size reallocates it about five frame sizes' worth.
+func TestLyingRowsFrameBoundsHeap(t *testing.T) {
+	codec := table.NewCodec(schema.MustNew("T", []schema.Attribute{{Name: "C", Kind: schema.Char}}))
+	var answer bytes.Buffer
+	var enc rowsFrameEncoder
+	const count = maxFrame - 8
+	if err := enc.writeRowsFrame(&answer, 1, 0, count, make([]byte, count)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := legStreamOver(t, answer.Bytes(), codec, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "claims") {
+		t.Errorf("leg ended with %v, want the row-count refusal", err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 6*maxFrame {
+		t.Errorf("one %d MiB frame made the leg allocate %d MiB, want < %d MiB", maxFrame>>20, grown>>20, 6*maxFrame>>20)
 	}
 }
 

@@ -31,9 +31,18 @@ func (p *Prepared) Chunks(ctx context.Context, opt Options) ([]afc.AFC, obs.Quer
 	}
 	pr := &pruner{svc: p.svc, ranges: p.Ranges, tracer: obs.TracerFrom(ctx), blockBytes: opt.BlockBytes,
 		stats: &stats, files: map[[2]string]*sparse.Sidecar{}}
-	out := make([]afc.AFC, 0, len(afcs))
+	// out stays nil, and the plan's slice is returned untouched, until
+	// a chunk is dropped or cut: until then each verdict goes to scratch.
+	var out, scratch []afc.AFC
 	for i := range afcs {
-		out = pr.cut(out, &afcs[i])
+		if out != nil {
+			out = pr.cut(out, &afcs[i])
+		} else if scratch = pr.cut(scratch[:0], &afcs[i]); len(scratch) != 1 || scratch[0].NumRows != afcs[i].NumRows {
+			out = append(append(make([]afc.AFC, 0, len(afcs)), afcs[:i]...), scratch...)
+		}
+	}
+	if out == nil {
+		return afcs, stats
 	}
 	return out, stats
 }

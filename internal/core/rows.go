@@ -9,15 +9,6 @@ import (
 	"datavirt/internal/table"
 )
 
-// rowsBuffer is the channel depth, in batches, between the extraction
-// goroutine and the consumer. It applies to owned batches (coordinator
-// frames, aggregate results), which the producer
-// hands over and forgets, so the channel decouples bursty production
-// from row-at-a-time iteration: a cursor holds no more than rowsBuffer
-// undelivered owned batches. A borrowed batch never queues behind
-// another one: its producer waits until the consumer is done with it.
-const rowsBuffer = 4
-
 // Rows is a streaming cursor over a query's result, in the spirit of
 // database/sql.Rows: extraction runs concurrently, rows reach the cursor
 // a block at a time and are pulled from it one at a time, so results of
@@ -41,38 +32,30 @@ const rowsBuffer = 4
 type Rows struct {
 	parent  context.Context // the caller's ctx, to tell its cancellation from Close's
 	cancel  context.CancelFunc
-	ch      chan rowsBatch
-	release chan struct{} // one token per borrowed batch the consumer has moved past
+	ch      chan []table.Row
+	release chan struct{} // one token per batch the consumer has moved past
 	done    chan struct{} // closed after runErr and stats are written
 
-	cols     []string
-	batch    []table.Row // the batch being walked; batch[next:] are still to come
-	borrowed bool        // batch belongs to the producer, which waits on release
-	next     int
-	cur      table.Row
-	err      error
-	closed   bool
+	cols   []string
+	batch  []table.Row // the producer's batch being walked; batch[next:] are still to come
+	next   int
+	cur    table.Row
+	err    error
+	closed bool
 
 	// Written by the extraction goroutine before done closes.
 	runErr error
 	stats  obs.QueryStats
 }
 
-// rowsBatch is one delivered batch on its way to the consumer.
-type rowsBatch struct {
-	rows     []table.Row
-	borrowed bool
-}
-
 // NewRows adapts a push-style runner into a streaming cursor: run is
 // started on its own goroutine with a deliver function that hands each
 // batch of rows to the cursor, and the QueryStats it returns become the
-// cursor's Stats. Delivery follows the extractor.EmitFunc contract. An
-// owned batch is queued (blocking only when rowsBuffer batches wait)
-// and deliver returns at once. A borrowed batch is handed to the
-// consumer in place, not copied: deliver returns only once Next has
-// moved past the batch's last row, or the cursor was closed or its
-// context cancelled, so the runner may then reuse its rows. A batch
+// cursor's Stats. Delivery follows the extractor.EmitFunc contract: a
+// batch is handed to the consumer in place, not copied, and deliver
+// returns only once Next has moved past the batch's last row, or the
+// cursor was closed or its context cancelled, so the runner may then
+// reuse its rows. A batch
 // becomes visible to Next as soon as it is delivered; the cursor never
 // waits to fill one. The runner must honour ctx cancellation — Close
 // cancels it — and, once deliver has returned an error, return without
@@ -84,7 +67,7 @@ func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, d
 	r := &Rows{
 		parent:  ctx,
 		cancel:  cancel,
-		ch:      make(chan rowsBatch, rowsBuffer),
+		ch:      make(chan []table.Row),
 		release: make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		cols:    cols,
@@ -96,7 +79,7 @@ func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, d
 		// would do the same job no faster, but it needs Go 1.23 and the
 		// module (with the benchmark module that builds against it)
 		// stays on go 1.22.
-		stats, err := run(runCtx, func(rows []table.Row, owned bool) error {
+		stats, err := run(runCtx, func(rows []table.Row) error {
 			if len(rows) == 0 {
 				return nil
 			}
@@ -104,12 +87,9 @@ func NewRows(ctx context.Context, cols []string, run func(ctx context.Context, d
 				return err // nothing is handed out once the cursor is cancelled
 			}
 			select {
-			case r.ch <- rowsBatch{rows, !owned}:
+			case r.ch <- rows:
 			case <-runCtx.Done():
 				return runCtx.Err()
-			}
-			if owned {
-				return nil
 			}
 			select {
 			case <-r.release:
@@ -143,24 +123,24 @@ func (r *Rows) Columns() []string { return r.cols }
 // Next advances to the next row, blocking until one is available or
 // the query finishes. It returns false at the end of the result set,
 // on error (see Err), or after Close. Moving past the last row of a
-// borrowed batch hands the batch back to its producer.
+// batch hands the batch back to its producer.
 func (r *Rows) Next() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
 	if r.next == len(r.batch) {
-		if r.borrowed {
-			r.borrowed = false
-			r.release <- struct{}{} // never blocks: one borrowed batch is out at a time
+		if r.batch != nil {
+			r.batch = nil
+			r.release <- struct{}{} // never blocks: one batch is out at a time
 		}
 		b, ok := <-r.ch
 		if !ok {
 			<-r.done // runErr and stats are now visible
 			r.err = r.terminalErr()
-			r.batch, r.next, r.cur = nil, 0, nil
+			r.next, r.cur = 0, nil
 			return false
 		}
-		r.batch, r.borrowed, r.next = b.rows, b.borrowed, 0
+		r.batch, r.next = b, 0
 	}
 	r.cur = r.batch[r.next]
 	r.next++
@@ -187,7 +167,7 @@ func (r *Rows) Close() error {
 	}
 	r.closed = true
 	r.cancel()
-	r.batch, r.borrowed, r.next, r.cur = nil, false, 0, nil
+	r.batch, r.next, r.cur = nil, 0, nil
 	for range r.ch { // unblock the producer and drain
 	}
 	<-r.done

@@ -289,20 +289,16 @@ func (r *stageRecorder) stages() string {
 
 // scriptedRows builds a cursor over a scripted runner: batches of the
 // given sizes, each row {batch, index}, delivered from one reused
-// buffer (borrowed) or from fresh memory (owned). After the last batch
-// the runner returns fail.
-func scriptedRows(ctx context.Context, sizes []int, owned bool, fail error) *Rows {
+// buffer. After the last batch the runner returns fail.
+func scriptedRows(ctx context.Context, sizes []int, fail error) *Rows {
 	return NewRows(ctx, []string{"B", "I"}, func(ctx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
 		reused := table.Matrix(slices.Max(sizes), 2)
 		for b, n := range sizes {
 			batch := reused[:n]
-			if owned {
-				batch = table.Matrix(n, 2)
-			}
 			for i, row := range batch {
 				row[0], row[1] = schema.IntValue(int64(b)), schema.IntValue(int64(i))
 			}
-			if err := deliver(batch, owned); err != nil {
+			if err := deliver(batch); err != nil {
 				return obs.QueryStats{}, err
 			}
 		}
@@ -312,19 +308,18 @@ func scriptedRows(ctx context.Context, sizes []int, owned bool, fail error) *Row
 
 // TestRowsScriptedBatches drives the cursor with scripted runners: rows
 // copied at each Next survive the producer reusing its buffer, the
-// final partial batch arrives, empty batches are skipped, owned and
-// borrowed batches are both handed out without a copy, and every row
-// delivered before a runner error is seen before Err reports it.
+// final partial batch arrives, empty batches are skipped, batches are
+// handed out without a copy, and every row delivered before a runner
+// error is seen before Err reports it.
 func TestRowsScriptedBatches(t *testing.T) {
 	sizes := []int{3, 0, 3, 1}
 	boom := errors.New("boom")
 	for _, tc := range []struct {
-		name  string
-		owned bool
-		fail  error
-	}{{"borrowed", false, nil}, {"owned", true, nil}, {"borrowed-then-error", false, boom}} {
+		name string
+		fail error
+	}{{"borrowed", nil}, {"borrowed-then-error", boom}} {
 		t.Run(tc.name, func(t *testing.T) {
-			rows := scriptedRows(context.Background(), sizes, tc.owned, tc.fail)
+			rows := scriptedRows(context.Background(), sizes, tc.fail)
 			var got []table.Row
 			for rows.Next() {
 				got = table.CopyRows(got, []table.Row{rows.Row()})
@@ -361,17 +356,15 @@ func TestRowsScriptedBatches(t *testing.T) {
 		})
 	}
 
-	// A batch, owned or borrowed, is handed over in place, not copied.
-	for _, owned := range []bool{true, false} {
-		batch := []table.Row{{schema.IntValue(7)}}
-		rows := NewRows(context.Background(), []string{"V"}, func(ctx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
-			return obs.QueryStats{}, deliver(batch, owned)
-		})
-		if !rows.Next() || &rows.Row()[0] != &batch[0][0] {
-			t.Errorf("batch (owned %v) was copied on its way through the cursor", owned)
-		}
-		rows.Close()
+	// A batch is handed over in place, not copied.
+	batch := []table.Row{{schema.IntValue(7)}}
+	rows := NewRows(context.Background(), []string{"V"}, func(ctx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
+		return obs.QueryStats{}, deliver(batch)
+	})
+	if !rows.Next() || &rows.Row()[0] != &batch[0][0] {
+		t.Error("batch was copied on its way through the cursor")
 	}
+	rows.Close()
 }
 
 // TestRowsBorrowedBatchHeldUntilNext: a borrowed batch is handed to
@@ -389,7 +382,7 @@ func TestRowsBorrowedBatchHeldUntilNext(t *testing.T) {
 			for i, row := range buf {
 				row[0], row[1] = schema.IntValue(int64(b)), schema.IntValue(int64(i))
 			}
-			if err := deliver(buf, false); err != nil {
+			if err := deliver(buf); err != nil {
 				return obs.QueryStats{}, err
 			}
 			returned.Add(1)
@@ -473,42 +466,29 @@ func TestRowsRetainedMatchCollect(t *testing.T) {
 }
 
 // blockedProducer returns a cursor whose runner delivers one-row
-// batches for ever, and returns once that runner is blocked (or about
-// to block) in deliver. Owned batches block it on the cursor's full
-// channel. Borrowed batches come from one reused buffer and block it on
-// the first batch's release: the consumer has read that batch's row
-// and not moved past it.
-func blockedProducer(ctx context.Context, owned bool) (*Rows, error) {
-	full := make(chan struct{})
+// batches from one reused buffer for ever, and returns once that runner
+// is blocked on the first batch's release: the consumer has read that
+// batch's row and not moved past it.
+func blockedProducer(ctx context.Context) (*Rows, error) {
 	rows := NewRows(ctx, []string{"V"}, func(ctx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
 		buf := []table.Row{{schema.Value{}}}
 		for i := 0; ; i++ {
-			if i == rowsBuffer {
-				close(full)
-			}
-			batch := buf
-			if owned {
-				batch = []table.Row{{schema.Value{}}}
-			}
-			batch[0][0] = schema.IntValue(int64(i))
-			if err := deliver(batch, owned); err != nil {
+			buf[0][0] = schema.IntValue(int64(i))
+			if err := deliver(buf); err != nil {
 				return obs.QueryStats{}, err
 			}
 		}
 	})
-	if owned {
-		<-full
-	} else if !rows.Next() {
+	if !rows.Next() {
 		return nil, fmt.Errorf("no first row: %v", rows.Err())
 	}
 	return rows, nil
 }
 
 // TestRowsCloseWhileProducerBlocked: Close, and a parent-context
-// cancel, while the producer is blocked — on a full channel of owned
-// batches, or waiting for the release of a borrowed batch the consumer
-// is still on — both return promptly, report the right error and leave
-// no goroutine behind.
+// cancel, while the producer is blocked waiting for the release of a
+// batch the consumer is still on, both return promptly, report the
+// right error and leave no goroutine behind.
 func TestRowsCloseWhileProducerBlocked(t *testing.T) {
 	before := runtime.NumGoroutine()
 	within := func(t *testing.T, what string, f func()) {
@@ -522,44 +502,38 @@ func TestRowsCloseWhileProducerBlocked(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		name  string
-		owned bool
-		after int // rows Next may still return once the parent is cancelled
-	}{{"owned", true, rowsBuffer + 1}, {"borrowed", false, 0}} {
-		t.Run(tc.name, func(t *testing.T) {
-			rows, err := blockedProducer(context.Background(), tc.owned)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("borrowed", func(t *testing.T) {
+		rows, err := blockedProducer(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		within(t, "Close", func() {
+			if err := rows.Close(); err != nil {
+				t.Errorf("Close = %v", err) // own cancellation is not an error
 			}
-			within(t, "Close", func() {
-				if err := rows.Close(); err != nil {
-					t.Errorf("Close = %v", err) // own cancellation is not an error
-				}
-			})
-
-			ctx, cancel := context.WithCancel(context.Background())
-			if rows, err = blockedProducer(ctx, tc.owned); err != nil {
-				t.Fatal(err)
-			}
-			cancel()
-			within(t, "drain after parent cancel", func() {
-				n := 0
-				for rows.Next() {
-					n++
-				}
-				if n > tc.after {
-					t.Errorf("%d rows after cancel; at most %d may arrive", n, tc.after)
-				}
-				if err := rows.Err(); !errors.Is(err, context.Canceled) {
-					t.Errorf("Err after parent cancel = %v", err)
-				}
-				if err := rows.Close(); !errors.Is(err, context.Canceled) {
-					t.Errorf("Close after parent cancel = %v", err)
-				}
-			})
 		})
-	}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		if rows, err = blockedProducer(ctx); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		within(t, "drain after parent cancel", func() {
+			n := 0
+			for rows.Next() {
+				n++
+			}
+			if n > 0 {
+				t.Errorf("%d rows after cancel; none may arrive", n)
+			}
+			if err := rows.Err(); !errors.Is(err, context.Canceled) {
+				t.Errorf("Err after parent cancel = %v", err)
+			}
+			if err := rows.Close(); !errors.Is(err, context.Canceled) {
+				t.Errorf("Close after parent cancel = %v", err)
+			}
+		})
+	})
 	assertNoGoroutineLeak(t, before)
 }
 
@@ -568,7 +542,7 @@ func TestRowsCloseWhileProducerBlocked(t *testing.T) {
 // fill a batch.
 func TestRowsFirstRowNotHeldBack(t *testing.T) {
 	rows := NewRows(context.Background(), []string{"V"}, func(ctx context.Context, deliver extractor.BatchFunc) (obs.QueryStats, error) {
-		if err := deliver([]table.Row{{schema.IntValue(42)}}, false); err != nil {
+		if err := deliver([]table.Row{{schema.IntValue(42)}}); err != nil {
 			return obs.QueryStats{}, err
 		}
 		<-ctx.Done()

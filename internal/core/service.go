@@ -466,13 +466,13 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 	}
 	if p.Agg != nil {
 		// Aggregate query: fold blocks into partials, finalize locally,
-		// deliver the (small, freshly built) aggregated result rows.
+		// deliver the (small) aggregated result rows as one batch.
 		state, stats, err := p.RunAggPartialContext(ctx, opt)
 		if err != nil {
 			return stats, err
 		}
 		if rows := state.Finalize(); len(rows) > 0 {
-			err = deliver(rows, true)
+			err = deliver(rows)
 		}
 		return stats, err
 	}
@@ -480,9 +480,9 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 	if !p.identityProjection() {
 		// Project each batch into a scratch matrix that is sized by the
 		// batches seen (a point query never pays for a full block) and
-		// reused, so the projected batch is borrowed.
+		// reused.
 		var out []table.Row
-		inner = func(rows []table.Row, _ bool) error {
+		inner = func(rows []table.Row) error {
 			if len(out) < len(rows) {
 				out = table.Matrix(max(len(rows), 2*len(out)), len(p.project))
 			}
@@ -491,7 +491,7 @@ func (p *Prepared) runBatches(ctx context.Context, opt Options, deliver extracto
 					out[r][i] = row[wi]
 				}
 			}
-			return deliver(out[:len(rows)], false)
+			return deliver(out[:len(rows)])
 		}
 	}
 	return p.extract(ctx, opt, func(afcs []afc.AFC, xopt extractor.Options) (obs.QueryStats, error) {
@@ -585,12 +585,8 @@ func (p *Prepared) identityProjection() bool {
 // Rows cursor, which does not materialize the result set.
 func (p *Prepared) CollectContext(ctx context.Context, opt Options) ([]table.Row, obs.QueryStats, error) {
 	var rows []table.Row
-	stats, err := p.runBatches(ctx, opt, func(batch []table.Row, owned bool) error {
-		if owned {
-			rows = append(rows, batch...)
-		} else {
-			rows = table.CopyRows(rows, batch)
-		}
+	stats, err := p.runBatches(ctx, opt, func(batch []table.Row) error {
+		rows = table.CopyRows(rows, batch)
 		return nil
 	})
 	return rows, stats, err

@@ -311,3 +311,29 @@ func flipByte(t *testing.T, path string, off int) {
 	raw[off] ^= 0xFF
 	writeAll(t, path, raw)
 }
+
+// TestChunksUntouchedWithoutSidecars: when no file of a ranged query has
+// a sidecar, Chunks returns the plan's own chunk slice instead of a
+// copy, so what it allocates does not grow with the number of chunks.
+func TestChunksUntouchedWithoutSidecars(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(steps int) float64 {
+		p, err := prepare(l0Service(t, steps, 64), "SELECT * FROM IparsData WHERE SOIL < 1000")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st := p.Chunks(ctx, Options{})
+		if len(p.Ranges) == 0 || st.SparseIndexMisses == 0 {
+			t.Fatalf("no sidecar was looked for (ranges %v, %+v); test is vacuous", p.Ranges, st)
+		}
+		if len(got) != len(p.AFCs) || &got[0] != &p.AFCs[0] {
+			t.Errorf("%d chunks: Chunks copied the plan's chunk list", len(p.AFCs))
+		}
+		n := testing.AllocsPerRun(20, func() { p.Chunks(ctx, Options{}) })
+		t.Logf("%d chunks: %.0f allocations", len(p.AFCs), n)
+		return n
+	}
+	if small, large := allocs(8), allocs(32); large != small {
+		t.Errorf("Chunks allocations grow with the chunk count: %.0f, then %.0f for 4x the chunks", small, large)
+	}
+}

@@ -38,7 +38,8 @@ func RunAggregateContext(ctx context.Context, afcs []afc.AFC, resolver Resolver,
 	// it past the end, so the rest stop at their next claim.
 	var next atomic.Int64
 	fold := func(w int) {
-		bb := &blockBuf{}
+		bb := blockBufs.Get().(*blockBuf)
+		defer blockBufs.Put(bb)
 		pool := newSegPool(src, resolver)
 		defer pool.release()
 		states[w] = query.NewAggState(plan)

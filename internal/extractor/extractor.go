@@ -17,6 +17,7 @@ import (
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"datavirt/internal/afc"
@@ -63,31 +64,26 @@ func DirResolver(root string) Resolver {
 // emitting API in this module — RunBatchesContext, core.Prepared's
 // RunContext, the runner handed to core.NewRows, the cluster
 // coordinator's callbacks, and storm.Sink.Send — follows it). Rows
-// travel a block at a time: the survivors of one extraction block (1 to
-// MaxBatchRows rows) reach a BatchFunc as one batch, and an EmitFunc
-// sees the same batches unrolled row by row (PerRow). Every row an
-// EmitFunc sees, and every batch a BatchFunc is handed with owned ==
-// false — every batch the extractor delivers — is borrowed: the row
-// slices and their backing array belong to the producer and are
-// overwritten by the next block, so a receiver that retains rows beyond
-// the call copies the batch once with table.CopyRows. A batch handed
-// over with owned == true (a decoded wire frame, finalized aggregate
-// rows) is freshly allocated memory the producer never touches again;
-// the receiver keeps it as is. The core.Rows
-// cursor hands out either kind in place, without a copy: its deliver
-// call holds a borrowed batch until the consumer's Next moves past it,
-// and its Row is valid until the next Next or Close — a caller that
-// keeps rows copies them with table.CopyRows.
+// travel a block at a time: the survivors of one extraction block, the
+// rows of one wire frame, or an aggregate's finalized groups reach a
+// BatchFunc as one batch, and an EmitFunc sees the same batches
+// unrolled row by row (PerRow). Every batch and every row is borrowed:
+// the row slices and their backing array belong to the producer, which
+// overwrites them once the call returns, so a receiver that retains
+// rows beyond the call copies the batch once with table.CopyRows. The
+// core.Rows cursor hands batches out in place: its deliver call returns
+// only once the consumer's Next has moved past the batch, and its Row
+// is valid until the next Next or Close.
 type EmitFunc func(row table.Row) error
 
-// BatchFunc receives one block's surviving rows; see EmitFunc for the
-// ownership contract. rows is never empty.
-type BatchFunc func(rows []table.Row, owned bool) error
+// BatchFunc receives one batch of rows; see EmitFunc for the reuse
+// contract. rows is never empty.
+type BatchFunc func(rows []table.Row) error
 
 // PerRow unrolls batch delivery into per-row emit calls — the one place
 // a per-row callback API is laid over the block-granular pipeline.
 func PerRow(emit EmitFunc) BatchFunc {
-	return func(rows []table.Row, _ bool) error {
+	return func(rows []table.Row) error {
 		for _, r := range rows {
 			if err := emit(r); err != nil {
 				return err
@@ -239,7 +235,7 @@ func (p *segPool) release() {
 
 // RunBatchesContext is the extractor's one row entry: it extracts the
 // AFCs in plan order on the calling goroutine and hands each block's
-// surviving rows to deliver as one borrowed batch (wrap a per-row
+// surviving rows to deliver as one batch (wrap a per-row
 // callback with PerRow), so rows arrive in plan order. Cancelling ctx
 // stops the run between block reads and returns the context's error.
 //
@@ -253,12 +249,15 @@ func RunBatchesContext(ctx context.Context, afcs []afc.AFC, resolver Resolver, o
 	var stats obs.QueryStats
 	pool := newSegPool(src, resolver)
 	defer pool.release()
-	bb := &blockBuf{}
+	bb := blockBufs.Get().(*blockBuf)
 	for i := range afcs {
 		if err := extractOne(ctx, &afcs[i], pool, opt, bb, &stats, nil, deliver); err != nil {
 			return stats, err
 		}
 	}
+	// Only a clean run recycles its block: after an error the consumer
+	// may still be reading the batch it was last lent.
+	blockBufs.Put(bb)
 	return stats, nil
 }
 
@@ -341,6 +340,11 @@ type blockBuf struct {
 	vscr  query.VectorScratch
 }
 
+// blockBufs recycles blockBufs across runs: for a selective query,
+// allocating a block's row matrix and column vectors costs as much as
+// filling them.
+var blockBufs = sync.Pool{New: func() any { return new(blockBuf) }}
+
 func (bb *blockBuf) shape(rows, cols, segs int) {
 	// cols can be zero (a bare COUNT(*) reads no attributes); the row
 	// slice must still exist for the scalar delivery path.
@@ -399,8 +403,8 @@ func BlockRows(a *afc.AFC, blockBytes int) int64 {
 // selected rows are folded straight into the partial-aggregate state
 // and never materialized at all. Otherwise (or under
 // Options.ScalarFilter) the original fill-every-row, per-row-Pred path
-// runs. Either way a block's survivors reach deliver as one borrowed
-// batch (see EmitFunc) when the block ends, so a selective query's
+// runs. Either way a block's survivors reach deliver as one batch (see
+// EmitFunc) when the block ends, so a selective query's
 // first row is not held back waiting for a fuller batch.
 func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb *blockBuf, stats *obs.QueryStats, agg *query.AggState, deliver BatchFunc) error {
 	stats.ChunksRead++
@@ -426,7 +430,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 	pred := opt.Pred
 	// The batch path needs the predicate in vectorized form (or no
 	// predicate at all); otherwise fall back to per-row evaluation.
-	// Unfiltered row scans stay on fillColumn: decode + gather measured
+	// Unfiltered row scans stay on table.FillColumn: decode + gather measured
 	// +47 % on a 128 k-row SELECT * (EXPERIMENTS.md, "Why two decoders").
 	vectorized := !opt.ScalarFilter && (opt.VecPred != nil || (agg != nil && pred == nil))
 	constRead := false
@@ -506,7 +510,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 			emitStart := time.Now()
 			rows := bb.rows[:len(sel)]
 			gatherRows(rows, &bb.batch, sel, opt.Cols)
-			err := deliver(rows, false)
+			err := deliver(rows)
 			stats.FilterTime += time.Since(emitStart)
 			if err != nil {
 				return err
@@ -525,7 +529,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 				if seg.BigEndian {
 					fillColumnBE(rows, ci, src.kind, spans[src.seg], src.attrOff, seg.RowStride)
 				} else {
-					fillColumn(rows, ci, src.kind, spans[src.seg], src.attrOff, seg.RowStride)
+					table.FillColumn(rows, ci, src.kind, spans[src.seg], src.attrOff, seg.RowStride)
 				}
 			case src.rowDim != nil:
 				rd := src.rowDim
@@ -570,7 +574,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 		}
 		var err error
 		if len(rows) > 0 {
-			err = deliver(rows, false)
+			err = deliver(rows)
 		}
 		stats.FilterTime += time.Since(filterStart)
 		if err != nil {
@@ -581,45 +585,7 @@ func extractOne(ctx context.Context, a *afc.AFC, pool *segPool, opt Options, bb 
 	return nil
 }
 
-// fillColumn decodes one attribute for every row of the block with a
-// kind-specialized tight loop.
-func fillColumn(rows []table.Row, ci int, kind schema.Kind, buf []byte, off, stride int64) {
-	p := off
-	switch kind {
-	case schema.Char:
-		for r := range rows {
-			rows[r][ci] = schema.Value{Kind: kind, Int: int64(int8(buf[p]))}
-			p += stride
-		}
-	case schema.Short:
-		for r := range rows {
-			rows[r][ci] = schema.Value{Kind: kind, Int: int64(int16(binary.LittleEndian.Uint16(buf[p : p+2])))}
-			p += stride
-		}
-	case schema.Int:
-		for r := range rows {
-			rows[r][ci] = schema.Value{Kind: kind, Int: int64(int32(binary.LittleEndian.Uint32(buf[p : p+4])))}
-			p += stride
-		}
-	case schema.Long:
-		for r := range rows {
-			rows[r][ci] = schema.Value{Kind: kind, Int: int64(binary.LittleEndian.Uint64(buf[p : p+8]))}
-			p += stride
-		}
-	case schema.Float:
-		for r := range rows {
-			rows[r][ci] = schema.Value{Kind: kind, Float: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[p : p+4])))}
-			p += stride
-		}
-	case schema.Double:
-		for r := range rows {
-			rows[r][ci] = schema.Value{Kind: kind, Float: math.Float64frombits(binary.LittleEndian.Uint64(buf[p : p+8]))}
-			p += stride
-		}
-	}
-}
-
-// fillColumnBE is fillColumn for big-endian segments (BYTEORDER { BIG }).
+// fillColumnBE is table.FillColumn for big-endian segments (BYTEORDER { BIG }).
 func fillColumnBE(rows []table.Row, ci int, kind schema.Kind, buf []byte, off, stride int64) {
 	p := off
 	switch kind {

@@ -266,12 +266,9 @@ func TestRowsBorrowedInPlanOrder(t *testing.T) {
 		opt.Workers = 4
 		var kept []table.Row
 		stats, err := RunBatchesContext(context.Background(), afcs, resolver, opt,
-			func(rows []table.Row, owned bool) error {
+			func(rows []table.Row) error {
 				if len(rows) == 0 || len(rows) > MaxBatchRows {
 					t.Errorf("batch of %d rows", len(rows))
-				}
-				if owned {
-					t.Error("the extractor handed over an owned batch")
 				}
 				kept = table.CopyRows(kept, rows)
 				return nil
@@ -279,7 +276,7 @@ func TestRowsBorrowedInPlanOrder(t *testing.T) {
 		if err != nil {
 			return stats, err
 		}
-		return stats, PerRow(emit)(kept, true)
+		return stats, PerRow(emit)(kept)
 	})
 	if len(want) == 0 {
 		t.Fatal("query selected nothing; test is vacuous")

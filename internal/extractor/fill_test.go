@@ -155,7 +155,7 @@ func TestRowDimFloatKind(t *testing.T) {
 
 // BenchmarkFill times the column decoders over one IPARS L0 block: 512
 // rows of 22 Float attributes at an 88-byte stride, in both byte orders,
-// through the row-wise (fillColumn) and the vector (fillVec) decoder.
+// through the row-wise (table.FillColumn) and the vector (fillVec) decoder.
 // One op decodes the whole block.
 func BenchmarkFill(b *testing.B) {
 	const rows, cols, stride = 512, 22, 88
@@ -168,7 +168,7 @@ func BenchmarkFill(b *testing.B) {
 		for i := 0; i < rows*cols; i++ {
 			o.bo.PutUint32(buf[i*4:], math.Float32bits(float32(i)*0.25))
 		}
-		column, vec := fillColumn, fillVec
+		column, vec := table.FillColumn, fillVec
 		if o.bo == binary.BigEndian {
 			column, vec = fillColumnBE, fillVecBE
 		}
@@ -222,7 +222,7 @@ func TestSliceMatchesRows(t *testing.T) {
 		t.Helper()
 		var rows []table.Row
 		_, err := RunBatchesContext(context.Background(), []afc.AFC{c}, DirResolver(dir),
-			Options{Cols: cols, BlockBytes: blockBytes}, func(batch []table.Row, _ bool) error {
+			Options{Cols: cols, BlockBytes: blockBytes}, func(batch []table.Row) error {
 				rows = table.CopyRows(rows, batch)
 				return nil
 			})

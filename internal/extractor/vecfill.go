@@ -90,7 +90,7 @@ func gatherRows(rows []table.Row, b *query.Batch, sel []int32, cols []schema.Att
 
 // fillVec decodes one little-endian attribute column into float (and,
 // for integral kinds, integer) vectors with a kind-specialized tight
-// loop — the columnar counterpart of fillColumn.
+// loop — the columnar counterpart of table.FillColumn.
 func fillVec(f []float64, ints []int64, kind schema.Kind, buf []byte, off, stride int64) {
 	p := off
 	switch kind {

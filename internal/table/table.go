@@ -4,7 +4,9 @@
 package table
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"datavirt/internal/schema"
@@ -72,25 +74,62 @@ func (c *Codec) Decode(dst Row, b []byte) (Row, []byte, error) {
 	return dst, b[c.rowBytes:], nil
 }
 
-// DecodeAll decodes every row in b; len(b) must be a multiple of
-// RowBytes. The rows share one freshly allocated backing array (two
-// allocations per call, whatever the row count), so the caller owns
-// the result and may retain or hand it on without copying.
-func (c *Codec) DecodeAll(b []byte) ([]Row, error) {
-	if len(b)%c.rowBytes != 0 {
-		return nil, fmt.Errorf("table: buffer of %d bytes is not a whole number of %d-byte rows", len(b), c.rowBytes)
+// DecodeInto decodes len(rows) rows from b into rows, overwriting them
+// in place: b must hold exactly that many encoded rows, and each row
+// must have room for NumCols values (a table.Matrix does). It decodes a
+// column at a time with FillColumn, since an encoded batch is a
+// fixed-stride record layout like any described file, and allocates
+// nothing.
+func (c *Codec) DecodeInto(rows []Row, b []byte) error {
+	if len(b) != len(rows)*c.rowBytes {
+		return fmt.Errorf("table: %d bytes do not hold %d rows of %d bytes", len(b), len(rows), c.rowBytes)
 	}
-	n, cols := len(b)/c.rowBytes, len(c.kinds)
-	flat := make([]schema.Value, n*cols)
-	out := make([]Row, n)
-	for i := range out {
-		var err error
-		out[i], b, err = c.Decode(flat[i*cols:i*cols:(i+1)*cols], b)
-		if err != nil {
-			return nil, err
+	off := int64(0)
+	for ci, k := range c.kinds {
+		FillColumn(rows, ci, k, b, off, int64(c.rowBytes))
+		off += int64(k.Size())
+	}
+	return nil
+}
+
+// FillColumn decodes one little-endian attribute of kind into column ci
+// of every row with a kind-specialized tight loop: row r's value starts
+// at buf[off+r*stride]. It is the decode of the extractor's row path
+// and of DecodeInto.
+func FillColumn(rows []Row, ci int, kind schema.Kind, buf []byte, off, stride int64) {
+	p := off
+	switch kind {
+	case schema.Char:
+		for r := range rows {
+			rows[r][ci] = schema.Value{Kind: kind, Int: int64(int8(buf[p]))}
+			p += stride
+		}
+	case schema.Short:
+		for r := range rows {
+			rows[r][ci] = schema.Value{Kind: kind, Int: int64(int16(binary.LittleEndian.Uint16(buf[p : p+2])))}
+			p += stride
+		}
+	case schema.Int:
+		for r := range rows {
+			rows[r][ci] = schema.Value{Kind: kind, Int: int64(int32(binary.LittleEndian.Uint32(buf[p : p+4])))}
+			p += stride
+		}
+	case schema.Long:
+		for r := range rows {
+			rows[r][ci] = schema.Value{Kind: kind, Int: int64(binary.LittleEndian.Uint64(buf[p : p+8]))}
+			p += stride
+		}
+	case schema.Float:
+		for r := range rows {
+			rows[r][ci] = schema.Value{Kind: kind, Float: float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[p : p+4])))}
+			p += stride
+		}
+	case schema.Double:
+		for r := range rows {
+			rows[r][ci] = schema.Value{Kind: kind, Float: math.Float64frombits(binary.LittleEndian.Uint64(buf[p : p+8]))}
+			p += stride
 		}
 	}
-	return out, nil
 }
 
 // Matrix returns n rows of cols values each, laid back to back in one
@@ -106,8 +145,8 @@ func Matrix(n, cols int) []Row {
 }
 
 // CopyRows appends copies of rows to dst and returns the extended
-// slice. It is the module's one retention copy: a receiver handed
-// borrowed rows (see extractor.EmitFunc) that wants to keep them calls
+// slice. It is the module's one retention copy: every batch is borrowed
+// (see extractor.EmitFunc), so a receiver that wants to keep rows calls
 // it once per batch. The copies share one freshly allocated backing
 // slab sized by the rows it holds, which is never reused — so a
 // retained row pins at most the batch it arrived in.

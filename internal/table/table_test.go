@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,7 @@ func TestCodecErrors(t *testing.T) {
 	if _, _, err := c.Decode(nil, make([]byte, 3)); err == nil {
 		t.Error("short buffer accepted")
 	}
-	if _, err := c.DecodeAll(make([]byte, c.RowBytes()+1)); err == nil {
+	if err := c.DecodeInto(Matrix(1, c.NumCols()), make([]byte, c.RowBytes()+1)); err == nil {
 		t.Error("ragged buffer accepted")
 	}
 }
@@ -79,39 +80,78 @@ func TestCodecCoercion(t *testing.T) {
 	}
 }
 
-func TestDecodeAll(t *testing.T) {
-	c := NewCodec(testSchema())
+// TestDecodeInto: decoding a batch into a block gives, row for row and
+// bit for bit, what per-row Decode gives, for every kind and its edge
+// values (NaN, ±Inf, −0, the extreme integers); it overwrites the block
+// in place without allocating; and a body shorter or longer than the
+// rows asked for is an error, never a panic.
+func TestDecodeInto(t *testing.T) {
+	kinds := []schema.Kind{schema.Char, schema.Short, schema.Int, schema.Long, schema.Float, schema.Double}
+	attrs := make([]schema.Attribute, len(kinds))
+	for i, k := range kinds {
+		attrs[i] = schema.Attribute{Name: fmt.Sprintf("C%d", i), Kind: k}
+	}
+	c := NewCodec(schema.MustNew("T", attrs))
+	negZero := math.Copysign(0, -1)
+	ints := []int64{0, -1, 1, math.MinInt8, math.MaxInt8, math.MinInt16, math.MaxInt16,
+		math.MinInt32, math.MaxInt32, math.MinInt64, math.MaxInt64}
+	floats := []float64{0, negZero, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat32,
+		math.SmallestNonzeroFloat32, math.MaxFloat64, math.SmallestNonzeroFloat64, -1.5}
 	var buf []byte
-	var want []Row
-	for i := 0; i < 10; i++ {
-		row := Row{
-			{Kind: schema.Short, Int: int64(i)}, schema.IntValue(int64(i * 100)),
-			schema.FloatValue(float64(i) / 2), schema.DoubleValue(float64(-i)),
+	n := max(len(ints), len(floats))
+	for r := 0; r < n; r++ {
+		row := make(Row, len(kinds))
+		for i, k := range kinds {
+			if k.Integral() {
+				row[i] = schema.Value{Kind: k, Int: ints[r%len(ints)]}
+			} else {
+				row[i] = schema.Value{Kind: k, Float: floats[r%len(floats)]}
+			}
 		}
-		want = append(want, row)
 		var err error
-		buf, err = c.Append(buf, row)
-		if err != nil {
+		if buf, err = c.Append(buf, row); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got, err := c.DecodeAll(buf)
-	if err != nil || len(got) != 10 {
-		t.Fatalf("DecodeAll: %d rows, %v", len(got), err)
+	block := Matrix(n+3, len(kinds))
+	rows := block[:n]
+	if err := c.DecodeInto(rows, buf); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if !RowsEqual(want[i], got[i]) {
-			t.Errorf("row %d: %v != %v", i, want[i], got[i])
+	b := buf
+	for r := range rows {
+		var want Row
+		var err error
+		if want, b, err = c.Decode(nil, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			got, w := rows[r][i], want[i]
+			if got.Kind != w.Kind || got.Int != w.Int || math.Float64bits(got.Float) != math.Float64bits(w.Float) {
+				t.Errorf("row %d col %d (%v): block %+v, per-row %+v", r, i, kinds[i], got, w)
+			}
 		}
 	}
-	// A frame decodes into one backing array plus the headers, however
-	// many rows it holds, and appending to a row must not reach the next.
-	if allocs := testing.AllocsPerRun(20, func() { c.DecodeAll(buf) }); allocs > 4 { // 2, plus slack for -race
-		t.Errorf("DecodeAll of %d rows made %.0f allocations, want 2", len(want), allocs)
+	if allocs := testing.AllocsPerRun(20, func() { c.DecodeInto(rows, buf) }); allocs != 0 {
+		t.Errorf("DecodeInto of %d rows made %.0f allocations, want 0", n, allocs)
 	}
-	_ = append(got[0], schema.IntValue(99))
-	if !RowsEqual(want[1], got[1]) {
-		t.Errorf("append to row 0 overwrote row 1: %v", got[1])
+	for _, bad := range []struct {
+		name string
+		rows int
+		body []byte
+	}{
+		{"short by a byte", n, buf[:len(buf)-1]},
+		{"long by a byte", n, append(buf[:len(buf):len(buf)], 0)},
+		{"a row short", n + 1, buf},
+		{"a row long", n - 1, buf},
+		{"empty body", 1, nil},
+	} {
+		if err := c.DecodeInto(block[:bad.rows], bad.body); err == nil {
+			t.Errorf("%s: accepted", bad.name)
+		}
+	}
+	if err := c.DecodeInto(nil, nil); err != nil {
+		t.Errorf("empty batch: %v", err)
 	}
 }
 
@@ -181,9 +221,9 @@ func TestCopyRows(t *testing.T) {
 	}
 }
 
-// BenchmarkCodecDecodeAll decodes one full 'R' frame (512 rows of 22
-// columns, the benchmark's row shape).
-func BenchmarkCodecDecodeAll(b *testing.B) {
+// BenchmarkCodecDecodeInto decodes one full 'R' frame (512 rows of 22
+// columns, the benchmark's row shape) into a reused block.
+func BenchmarkCodecDecodeInto(b *testing.B) {
 	attrs := make([]schema.Attribute, 22)
 	for i := range attrs {
 		attrs[i] = schema.Attribute{Name: fmt.Sprintf("A%d", i), Kind: schema.Float}
@@ -200,12 +240,12 @@ func BenchmarkCodecDecodeAll(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	block := Matrix(frameRows, len(attrs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := c.DecodeAll(buf)
-		if err != nil || len(rows) != frameRows {
-			b.Fatal(len(rows), err)
+		if err := c.DecodeInto(block, buf); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/frameRows, "ns/row")
@@ -254,8 +294,8 @@ func TestCodecRoundTripQuick(t *testing.T) {
 				return false
 			}
 		}
-		got, err := c.DecodeAll(buf)
-		if err != nil || len(got) != n {
+		got := Matrix(n, c.NumCols())
+		if err := c.DecodeInto(got, buf); err != nil {
 			return false
 		}
 		for i := range rows {

@@ -173,30 +173,7 @@ var docTestName = regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Z0-9_][A-Za-z0
 // file of the repository, so a renamed or deleted test cannot leave a
 // doc pointing at nothing.
 func TestDocsNameExistingTests(t *testing.T) {
-	defined := map[string]bool{}
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		for _, m := range decl.FindAllSubmatch(src, -1) {
-			defined[string(m[1])] = true
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defined := definedTests(t, ".", true)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -209,5 +186,98 @@ func TestDocsNameExistingTests(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// testDecl matches the declaration of a test, fuzz target or benchmark.
+var testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+
+// definedTests returns the names of the tests, fuzz targets and
+// benchmarks that the _test.go files in dir define, and in its
+// subdirectories too when recursive (hidden directories excepted).
+func definedTests(t *testing.T, dir string, recursive bool) map[string]bool {
+	t.Helper()
+	defined := map[string]bool{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != dir && (!recursive || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range testDecl.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return defined
+}
+
+// TestCIPatternsMatch holds .github/workflows/ci.yml to the test suite:
+// every -run, -bench and -fuzz pattern a `go test` step passes must
+// match at least one test, benchmark or fuzz target that the step's
+// package defines, so a rename cannot leave a CI step running nothing.
+// -run '^$', the idiom for running no test beside -bench or -fuzz, is
+// exempt. Only a pattern's top level (before any '/') is checked.
+func TestCIPatternsMatch(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[string][]string{"-run": {"Test", "Fuzz"}, "-bench": {"Benchmark"}, "-fuzz": {"Fuzz"}}
+	checked := 0
+	for i, line := range strings.Split(string(src), "\n") {
+		_, cmd, ok := strings.Cut(line, "go test ")
+		if !ok {
+			continue
+		}
+		args := strings.Fields(cmd)
+		var pkgs []string
+		pats := map[string]string{}
+		for j := 0; j < len(args); j++ {
+			switch a := args[j]; {
+			case kinds[a] != nil && j+1 < len(args):
+				pats[a] = strings.Trim(args[j+1], `'"`)
+				j++
+			case strings.HasPrefix(a, "./"):
+				pkgs = append(pkgs, a)
+			}
+		}
+		for flag, pat := range pats {
+			if flag == "-run" && pat == "^$" {
+				continue
+			}
+			re, err := regexp.Compile(strings.SplitN(pat, "/", 2)[0])
+			if err != nil {
+				t.Errorf("ci.yml:%d: %s %q: %v", i+1, flag, pat, err)
+				continue
+			}
+			for _, pkg := range pkgs {
+				dir, recursive := strings.CutSuffix(pkg, "/...")
+				matched := false
+				for name := range definedTests(t, filepath.Clean(dir), recursive) {
+					for _, prefix := range kinds[flag] {
+						matched = matched || (strings.HasPrefix(name, prefix) && re.MatchString(name))
+					}
+				}
+				if !matched {
+					t.Errorf("ci.yml:%d: %s %q matches nothing defined in %s", i+1, flag, pat, pkg)
+				}
+				checked++
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no go test pattern in ci.yml; the check is vacuous")
 	}
 }
